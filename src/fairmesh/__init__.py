@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .core import Packet, PacketEvent, ServiceRecord, Trace
 from .fairness import FairnessReport, fm_over_interval, rfb_estimate
-from .meshsim import MeshConfig, SimReport, measure_sij, run_mesh
+from .meshsim import MeshConfig, SimReport, run_mesh
 from .schedulers import Accounting, SchedulerKind, make_scheduler
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "Trace",
     "fm_over_interval",
     "make_scheduler",
-    "measure_sij",
     "rfb_estimate",
     "run_mesh",
     "__version__",

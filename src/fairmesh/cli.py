@@ -20,8 +20,9 @@ import dataclasses
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import presets
 from .analysis import check_ratio_constraint, required_weights
@@ -227,31 +228,14 @@ def _write_mesh_csvs(outdir: Path, rep: SimReport) -> None:
             sink.to_csv(fh)
 
 
-def _exp_standalone(params: dict, seeds: list[int], outdir: Path) -> dict:
-    _check_allowed(
-        params,
-        {"scheduler", "workload", "quantum", "tau", "demote_rounds", "weights"},
-        "params",
-    )
-    w = _normalize_workload(params.get("workload", "random"))
-    kind = _scheduler_kind(params.get("scheduler", "drr"), "params.scheduler")
-    runs = {}
-    for i, seed in enumerate(seeds):
-        trace, report, summary = _run_one_scheduler(kind, w, params, seed)
-        summary["fairness"] = report.to_dict()
-        runs[str(seed)] = summary
-        if i == 0:
-            with open(outdir / "trace.csv", "w", newline="") as fh:
-                trace.to_csv(fh)
-            _write_fairness_csvs(outdir, report)
-    return runs
+_SCHEDULER_KEYS = {"scheduler", "quantum", "tau", "demote_rounds"}
 
 
-def _exp_pathology(params: dict, seeds: list[int], outdir: Path) -> dict:
-    _check_allowed(
-        params, {"scheduler", "quantum", "tau", "demote_rounds", "horizon"}, "params"
-    )
-    w = _normalize_workload({"kind": "pathology", "horizon": params.get("horizon", presets.PATHOLOGY_HORIZON)})
+def _exp_scheduler(params: dict, seeds: list[int], outdir: Path,
+                   allowed: set[str], workload: Callable[[dict], object]) -> dict:
+    """One discipline on a standalone workload; `workload(params)` names it."""
+    _check_allowed(params, allowed, "params")
+    w = _normalize_workload(workload(params))
     kind = _scheduler_kind(params.get("scheduler", "drr"), "params.scheduler")
     runs = {}
     for i, seed in enumerate(seeds):
@@ -331,6 +315,30 @@ def _exp_arb_convergence(params: dict, seeds: list[int], outdir: Path) -> dict:
     return runs
 
 
+# experiment name -> run(params, seeds, outdir) -> runs; also the list of
+# valid names, in the order the error message gives them
+_EXPERIMENTS: dict[str, Callable[[dict, list[int], Path], dict]] = {
+    "standalone-scheduler": partial(
+        _exp_scheduler, allowed=_SCHEDULER_KEYS | {"workload", "weights"},
+        workload=lambda p: p.get("workload", "random"),
+    ),
+    "mesh-hotspot": partial(
+        _exp_mesh, defaults=_HOTSPOT_DEFAULTS, with_feasibility=False
+    ),
+    "rfb-vs-cfb-pathology": partial(
+        _exp_scheduler, allowed=_SCHEDULER_KEYS | {"horizon"},
+        workload=lambda p: {
+            "kind": "pathology",
+            "horizon": p.get("horizon", presets.PATHOLOGY_HORIZON),
+        },
+    ),
+    "eq13-feasibility": partial(
+        _exp_mesh, defaults=_EQ13_DEFAULTS, with_feasibility=True
+    ),
+    "arb-convergence": _exp_arb_convergence,
+}
+
+
 # -- verbs -----------------------------------------------------------------
 
 _TOP_KEYS = {"schema_version", "experiment", "seeds", "output_dir", "params"}
@@ -341,24 +349,15 @@ def cmd_run(args) -> int:
     _check_schema(cfg)
     _check_allowed(cfg, _TOP_KEYS, "config")
     exp = _require(cfg, "experiment")
-    if exp not in presets.EXPERIMENT_KINDS:
-        names = ", ".join(presets.EXPERIMENT_KINDS)
+    if exp not in _EXPERIMENTS:
+        names = ", ".join(_EXPERIMENTS)
         raise ConfigError(f"config key experiment must be one of [{names}], got {exp!r}")
     seeds = _seed_list(cfg, args.seed)
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config key params must be an object")
     outdir = _output_dir(cfg)
-    if exp == "standalone-scheduler":
-        runs = _exp_standalone(params, seeds, outdir)
-    elif exp == "rfb-vs-cfb-pathology":
-        runs = _exp_pathology(params, seeds, outdir)
-    elif exp == "mesh-hotspot":
-        runs = _exp_mesh(params, seeds, outdir, _HOTSPOT_DEFAULTS, with_feasibility=False)
-    elif exp == "eq13-feasibility":
-        runs = _exp_mesh(params, seeds, outdir, _EQ13_DEFAULTS, with_feasibility=True)
-    else:
-        runs = _exp_arb_convergence(params, seeds, outdir)
+    runs = _EXPERIMENTS[exp](params, seeds, outdir)
     report = {
         "schema_version": SCHEMA_VERSION,
         "experiment": exp,

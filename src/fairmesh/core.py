@@ -87,12 +87,6 @@ class PacketEvent:
 class Clock:
     now: int = 0
 
-    def advance(self, cycles: int = 1) -> int:
-        if cycles < 0:
-            raise ValueError("clock cannot run backwards")
-        self.now += cycles
-        return self.now
-
 
 class Trace:
     """Ordered service records plus packet events for one output link."""
@@ -183,11 +177,6 @@ class Trace:
                 )
             )
         return t
-
-
-def record_service(trace: Trace, rec: ServiceRecord) -> None:
-    """Append a service record, rejecting overlap with the previous record."""
-    trace.append(rec)
 
 
 def _overlap(a0: int, a1: int, t1: int, t2: int) -> int:

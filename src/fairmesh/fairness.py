@@ -221,16 +221,14 @@ def rfb_estimate(
     trace: Trace,
     weights: dict[FlowId, float],
     window_grid: Sequence[int] | None = None,
-    mode: Accounting = Accounting.PACKET_SIZE,
     horizon: int | None = None,
-    n_bins: int = _N_BINS,
 ) -> FairnessReport:
     """Sweep fairness gaps over windows spanned by record boundaries.
 
-    Both accounting modes are swept; `mode` only marks which one callers
-    treat as primary.  The overall estimate per mode is exact over all
-    boundary windows inside common backlog stretches (cumulative curves make
-    every window a pair difference, so the max is a max-minus-min).  The
+    Both accounting modes are swept.  The overall estimate per mode is exact
+    over all boundary windows inside common backlog stretches (cumulative
+    curves make every window a pair difference, so the max is a
+    max-minus-min).  The
     FM-versus-window-length profile is binned over the window grid, and its
     least-squares slope is the boundedness statistic: near zero for a fair
     discipline, positive when the gap grows with window length.
@@ -277,7 +275,7 @@ def rfb_estimate(
         witness: Interval | None = None
         bin_best: dict[int, tuple[float, int, int]] = {}
         max_len = int(bounds[-1] - bounds[0])
-        bin_w = max(1, int(np.ceil(max_len / n_bins)))
+        bin_w = max(1, int(np.ceil(max_len / _N_BINS)))
         for ai in range(len(flows)):
             for bi in range(ai + 1, len(flows)):
                 fa, fb = flows[ai], flows[bi]

@@ -122,11 +122,12 @@ class MeshConfig:
 class _FlowKernel:
     """Packet-granular scheduling over source flows at one output port.
 
-    The kernel only sees flows whose head packet has reached this router, so
-    "backlogged" means a candidate is visible: a flow with no packet at its
-    visit is treated as idle under the discipline's usual idle rules.  Packet
-    sizes here are constant (L flits), which lets every discipline reduce to
-    integer packet budgets per visit.
+    The kernel only sees flows whose head packet has reached this router; a
+    flow with no packet at its turn keeps its rotation slot and follows the
+    discipline's idle rule.  Every packet is L flits, so an ERR visit ends on
+    its first packet with zero surplus and every allowance stays one packet:
+    ERR serves as RR, and CARR as RR plus demotion judged on each packet's
+    stall ratio.  Only DRR holds a visit open across packets.
     """
 
     def __init__(self, kind: SchedulerKind, flit_len: int, quantum: int,
@@ -137,26 +138,11 @@ class _FlowKernel:
         self.tau = tau
         self.demote = demote_rounds
         self.order: deque[int] = deque()
-        self.known: set[int] = set()
         self.round = 1
         self.visits_left = 0
-        self.deficit: dict[int, int] = {}
-        self.credit: dict[int, int] = {}
-        self.surplus: dict[int, int] = {}
-        self.max_sc_prev = 0
-        self.round_max = 0
+        self.balance: dict[int, int] = {}  # flits: drr deficit or ebrr credit
         self.congested_until: dict[int, int] = {}
-        self.current: int | None = None
-        self.budget = 0  # flits (drr) or packets (err/carr) left in the open visit
-
-    def note_flow(self, flow: int) -> None:
-        if flow not in self.known:
-            self.known.add(flow)
-            self.order.append(flow)
-            self.credit[flow] = self.q
-            self.deficit[flow] = 0
-            self.surplus[flow] = 0
-            self.visits_left += 1  # joins the current round
+        self.current: int | None = None  # drr flow whose visit is open
 
     def note_service(self, flow: int, duration: int, sending: int) -> None:
         # congestion demotion judged on the finished service's stall ratio
@@ -167,88 +153,56 @@ class _FlowKernel:
     def _congested(self, flow: int) -> bool:
         return self.congested_until.get(flow, 0) > self.round
 
-    def _advance_round(self) -> None:
-        self.round += 1
-        self.visits_left = len(self.order)
-        self.max_sc_prev = self.round_max
-        self.round_max = 0
+    def choose(self, candidates: dict):
+        """Value of the candidate flow to grant; `candidates` is non-empty.
 
-    def choose(self, candidates: dict[int, int]) -> int | None:
-        """Pick the input port to grant, or None to leave the port idle."""
-        for f in candidates:
-            self.note_flow(f)
+        The rotation runs until it grants: DRR deficit and EBRR credit grow
+        by the quantum on each turn, so a port with a ready packet is never
+        left idle.
+        """
         kind = self.kind
-        # continue a multi-packet visit while budget and candidates last
-        if self.current is not None:
-            f = self.current
-            if f in candidates and self.budget >= (self.L if kind is SchedulerKind.DRR else 1):
-                if kind is SchedulerKind.DRR:
-                    self.budget -= self.L
-                else:
-                    self.budget -= 1
-                    self.surplus[f] += 1
+        L = self.L
+        balance = self.balance
+        for f in candidates:
+            if f not in balance:
+                balance[f] = self.q if kind is SchedulerKind.EBRR else 0
+                self.order.append(f)
+                self.visits_left += 1  # joins the current round
+        f = self.current
+        if f is not None:
+            if f in candidates and balance[f] >= L:
+                balance[f] -= L
                 return candidates[f]
-            self._close_visit(f in candidates)
-        # visit flows in rotation; a full fruitless sweep means idle
-        for _ in range(len(self.order)):
+            if f not in candidates:
+                balance[f] = 0
+            self.current = None
+        while True:
             if self.visits_left <= 0:
-                self._advance_round()
+                self.round += 1
+                self.visits_left = len(self.order)
             f = self.order[0]
             self.order.rotate(-1)
             self.visits_left -= 1
-            if self._congested(f) and any(
+            if kind is SchedulerKind.EBRR and balance[f] <= 0:
+                balance[f] += self.q  # overdrawn: repays a quantum per turn
+                continue
+            if f not in candidates:
+                if kind is SchedulerKind.DRR:
+                    balance[f] = 0  # idle at its turn: the deficit is forfeit
+                continue
+            if kind is SchedulerKind.DRR:
+                balance[f] += self.q
+                if balance[f] < L:
+                    continue
+                balance[f] -= L
+                self.current = f
+            elif kind is SchedulerKind.EBRR:
+                balance[f] -= L
+            elif kind is SchedulerKind.CARR and self._congested(f) and any(
                 not self._congested(g) for g in candidates
             ):
                 continue  # demoted: loses this round's visit
-            if f not in candidates:
-                # idle at its turn: drr forfeits deficit, err surplus
-                if kind is SchedulerKind.DRR:
-                    self.deficit[f] = 0
-                elif kind in (SchedulerKind.ERR, SchedulerKind.CARR):
-                    self.surplus[f] = 0
-                elif kind is SchedulerKind.EBRR and self.credit[f] <= 0:
-                    self.credit[f] = min(self.q, self.credit[f] + self.q)
-                continue
-            if kind is SchedulerKind.RR:
-                return candidates[f]
-            if kind is SchedulerKind.DRR:
-                self.deficit[f] += self.q
-                if self.deficit[f] < self.L:
-                    continue
-                self.deficit[f] -= self.L
-                self.current = f
-                self.budget = self.deficit[f]
-                return candidates[f]
-            if kind is SchedulerKind.EBRR:
-                if self.credit[f] <= 0:
-                    self.credit[f] = min(self.q, self.credit[f] + self.q)
-                    continue
-                self.credit[f] -= self.L
-                return candidates[f]
-            # err / carr: allowance in packets, elastic to one packet minimum
-            allowance = max(1, 1 + self.max_sc_prev - self.surplus[f])
-            self.surplus[f] = 1 - allowance  # first packet accounted
-            self.current = f
-            self.budget = allowance - 1
             return candidates[f]
-        return None
-
-    def _close_visit(self, still_backlogged: bool) -> None:
-        f = self.current
-        self.current = None
-        if f is None:
-            return
-        if self.kind in (SchedulerKind.ERR, SchedulerKind.CARR):
-            if not still_backlogged:
-                self.surplus[f] = 0
-            if self.surplus[f] > self.round_max:
-                self.round_max = self.surplus[f]
-        elif self.kind is SchedulerKind.DRR:
-            if still_backlogged:
-                self.deficit[f] = self.budget
-            else:
-                self.deficit[f] = 0
-        self.budget = 0
 
 
 @dataclass
@@ -333,12 +287,6 @@ class SimReport:
             )
 
 
-def measure_sij(report: SimReport) -> dict[int, dict[int, float | None]]:
-    """Occupation-to-sending ratio per (flow, router); None when the flow
-    never sent there."""
-    return report.s_matrix()
-
-
 class MeshSim:
     def __init__(self, cfg: MeshConfig):
         cfg.validate()
@@ -394,6 +342,7 @@ class MeshSim:
         else:
             self.traced = set(cfg.trace_links)
         self.traces = {link: Trace() for link in sorted(self.traced)}
+        # one ownership-span record per owned output: [flow, start, sent, blocked]
         self._open_rec: dict[tuple[int, int], list] = {}
         self._svc_count: dict[tuple[int, int], int] = {link: 0 for link in self.traced}
 
@@ -402,7 +351,6 @@ class MeshSim:
         self.sending: dict[tuple[int, int, int], int] = {}
         self.blocking: dict[tuple[int, int, int], int] = {}
         self.kcount: dict[tuple[int, int, int], int] = {}
-        self._svc_open: dict[tuple[int, int], list] = {}  # (r,o) -> [dur, sending]
 
         self.network_flits_in = 0
         self.delivered_flits = 0
@@ -477,7 +425,7 @@ class MeshSim:
             for o in (DIR_L, DIR_R, DIR_EJ):
                 pid = self.owner[r][o]
                 if pid < 0:
-                    granted = self._grant(r, o, now)
+                    granted = self._grant(r, o)
                     if granted is None:
                         continue
                     pid, i = granted
@@ -487,29 +435,21 @@ class MeshSim:
                     if post_warmup:
                         key = (flow, r, o)
                         self.kcount[key] = self.kcount.get(key, 0) + 1
-                    self._svc_open[(r, o)] = [0, 0]
-                    if (r, o) in self.traced:
-                        self._open_rec[(r, o)] = [flow, now, 0, 0]
+                    self._open_rec[(r, o)] = rec = [flow, now, 0, 0]
                 else:
                     i = self.owner_in[r][o]
+                    rec = self._open_rec[(r, o)]
                 flit = self._head_at(r, i)
                 ok = flit >= 0 and flit // L == pid
                 if ok and o != DIR_EJ and self.credits[r][o] <= 0:
                     ok = False
-                # trace records keep ownership-span accounting: every owned
-                # cycle is either a flit sent or a blocked cycle
-                svc = self._svc_open.get((r, o))
-                if svc is not None:
-                    svc[0] += 1
-                rec = self._open_rec.get((r, o))
+                # ownership-span accounting: every owned cycle is either a
+                # flit sent or a blocked cycle
                 if ok:
                     moves.append((r, i, o, flit))
                     moved_inputs.add((r, i))
-                    if svc is not None:
-                        svc[1] += 1
-                    if rec is not None:
-                        rec[2] += 1
-                elif rec is not None:
+                    rec[2] += 1
+                else:
                     rec[3] += 1
 
         # channel-time counters follow the flit view: a waiting head flit
@@ -562,12 +502,12 @@ class MeshSim:
                 self.fifos[nbr][IN_L if o == DIR_R else IN_R].append(flit)
                 self.credits[r][o] -= 1
             if seq == L - 1:
-                self._release(r, o, pid, now)
+                self._release(r, o, now)
         for r, o in credit_back:
             self.credits[r][o] += 1
         self.now = now + 1
 
-    def _grant(self, r: int, o: int, now: int) -> tuple[int, int] | None:
+    def _grant(self, r: int, o: int) -> tuple[int, int] | None:
         """Pick a packet for a free output from requesting head flits."""
         L = self.L
         cands = []  # (input port, pid)
@@ -583,14 +523,10 @@ class MeshSim:
         if not cands:
             return None
         if self.flow_mode:
-            kern = self.kernels[(r, o)]
-            port = kern.choose({self.psrc[pid]: i for i, pid in cands})
-            if port is None:
-                return None
-            for i, pid in cands:
-                if i == port:
-                    return pid, i
-            return None
+            # a flow reaches a router through one input port only
+            return self.kernels[(r, o)].choose(
+                {self.psrc[pid]: (pid, i) for i, pid in cands}
+            )
         arb = self.arbs[(r, o)]
         reqs = [
             ArbRequest(
@@ -608,21 +544,19 @@ class MeshSim:
         self.pcprod[pid] *= len(cands)
         return pid, i
 
-    def _release(self, r: int, o: int, pid: int, now: int) -> None:
+    def _release(self, r: int, o: int, now: int) -> None:
         self.owner[r][o] = -1
         self.owner_in[r][o] = -1
-        svc = self._svc_open.pop((r, o), None)
-        if svc is not None and self.flow_mode:
-            self.kernels[(r, o)].note_service(self.psrc[pid], svc[0], svc[1])
-        rec = self._open_rec.pop((r, o), None)
-        if rec is not None and rec[1] >= self.cfg.warmup:
-            link = (r, o)
+        link = (r, o)
+        flow, start, sent, blocked = self._open_rec.pop(link)
+        if self.flow_mode:
+            self.kernels[link].note_service(flow, sent + blocked, sent)
+        if link in self.traced and start >= self.cfg.warmup:
             self._svc_count[link] += 1
             self.traces[link].append(
                 ServiceRecord(
-                    flow=rec[0], round=self._svc_count[link],
-                    start=rec[1], end=now + 1,
-                    sent_units=rec[2], blocking=rec[3],
+                    flow=flow, round=self._svc_count[link], start=start,
+                    end=now + 1, sent_units=sent, blocking=blocked,
                 )
             )
 
@@ -684,10 +618,6 @@ class MeshSim:
             drops=0,
             traces=self.traces,
         )
-
-
-def build_mesh(cfg: MeshConfig) -> MeshSim:
-    return MeshSim(cfg)
 
 
 def run_mesh(cfg: MeshConfig) -> SimReport:

@@ -104,11 +104,3 @@ def hotspot_config(
         horizon=horizon, warmup=warmup, seed=seed,
     )
 
-
-EXPERIMENT_KINDS = (
-    "standalone-scheduler",
-    "mesh-hotspot",
-    "rfb-vs-cfb-pathology",
-    "eq13-feasibility",
-    "arb-convergence",
-)

@@ -65,7 +65,6 @@ class FlowState:
     initialized: bool = False
     # CARR
     congested_until: int = 0
-    pending_skips: int = 0
     # bookkeeping
     listed: bool = False
     drops: int = 0
@@ -224,7 +223,6 @@ class SchedulerBase:
             fs = self.active.popleft()
             self.visits_left -= 1
             if self._should_skip(fs):
-                fs.pending_skips += 1
                 self.active.append(fs)
                 continue
             return fs
@@ -286,15 +284,8 @@ class RoundRobinScheduler(SchedulerBase):
         return rec
 
 
-class DeficitRoundRobin(SchedulerBase):
-    """Deficit round robin.
-
-    On each visit the flow's deficit grows by its quantum; head packets are
-    sent while the head size fits the deficit (boundary size == deficit
-    included).  A flow that empties its queue forfeits the residue.
-    """
-
-    kind = SchedulerKind.DRR
+class _QuantumScheduler(SchedulerBase):
+    """A discipline with a quantum per flow: one int for all, or a dict."""
 
     def __init__(self, quantum: int | dict[FlowId, int], **kw):
         super().__init__(**kw)
@@ -315,6 +306,17 @@ class DeficitRoundRobin(SchedulerBase):
             return self._quantum[fid]
         except KeyError:
             raise ValueError(f"no quantum configured for flow {fid}") from None
+
+
+class DeficitRoundRobin(_QuantumScheduler):
+    """Deficit round robin.
+
+    On each visit the flow's deficit grows by its quantum; head packets are
+    sent while the head size fits the deficit (boundary size == deficit
+    included).  A flow that empties its queue forfeits the residue.
+    """
+
+    kind = SchedulerKind.DRR
 
     def _flow(self, fid: FlowId) -> FlowState:
         fs = super()._flow(fid)
@@ -415,14 +417,13 @@ class CongestionAwareRoundRobin(ElasticRoundRobin):
     After a visit whose occupation / sending ratio exceeds tau the flow is
     marked congested until round + demote_rounds.  While marked it loses its
     visit (once per round) whenever some non-congested flow is backlogged; it
-    is never skipped as the only backlogged flow.  By default a restored flow
-    gets no make-up allowance; compensate=True forgives the stale surplus it
-    accrued before demotion.
+    is never skipped as the only backlogged flow.  A restored flow gets no
+    make-up allowance.
     """
 
     kind = SchedulerKind.CARR
 
-    def __init__(self, tau: float = 2.0, demote_rounds: int = 2, compensate: bool = False, **kw):
+    def __init__(self, tau: float = 2.0, demote_rounds: int = 2, **kw):
         super().__init__(**kw)
         if tau <= 1.0:
             raise ValueError(f"tau must exceed 1.0, got {tau}")
@@ -430,7 +431,6 @@ class CongestionAwareRoundRobin(ElasticRoundRobin):
             raise ValueError(f"demote_rounds must be >= 1, got {demote_rounds}")
         self.tau = tau
         self.demote_rounds = demote_rounds
-        self.compensate = compensate
 
     def congested(self, fs: FlowState) -> bool:
         return self.round_number < fs.congested_until
@@ -441,9 +441,6 @@ class CongestionAwareRoundRobin(ElasticRoundRobin):
         return any(not self.congested(g) for g in self.active)
 
     def _visit(self, fs: FlowState) -> ServiceRecord | None:
-        if self.compensate and fs.pending_skips:
-            fs.surplus = 0
-        fs.pending_skips = 0
         rec = super()._visit(fs)
         if rec is not None and rec.sending > 0:
             if rec.duration / rec.sending > self.tau:
@@ -451,7 +448,7 @@ class CongestionAwareRoundRobin(ElasticRoundRobin):
         return rec
 
 
-class EligibilityRoundRobin(SchedulerBase):
+class EligibilityRoundRobin(_QuantumScheduler):
     """Eligibility-based round robin (one packet per visit).
 
     Each flow holds a signed credit, initialized to one quantum.  A
@@ -465,27 +462,10 @@ class EligibilityRoundRobin(SchedulerBase):
     kind = SchedulerKind.EBRR
 
     def __init__(self, quantum: int | dict[FlowId, int], **kw):
-        super().__init__(**kw)
-        if isinstance(quantum, int):
-            if quantum < 1:
-                raise ValueError(f"quantum must be >= 1, got {quantum}")
-        else:
-            for fid, q in quantum.items():
-                if q < 1:
-                    raise ValueError(f"quantum must be >= 1, got {q} for flow {fid}")
-            quantum = dict(quantum)
-        self._quantum = quantum
+        super().__init__(quantum, **kw)
         self.current: deque[FlowState] = deque()
         self.nxt: deque[FlowState] = deque()
         self.round_number = 1
-
-    def quantum_for(self, fid: FlowId) -> int:
-        if isinstance(self._quantum, int):
-            return self._quantum
-        try:
-            return self._quantum[fid]
-        except KeyError:
-            raise ValueError(f"no quantum configured for flow {fid}") from None
 
     def _activate(self, fs: FlowState) -> None:
         if not fs.initialized:
@@ -539,12 +519,6 @@ class EligibilityRoundRobin(SchedulerBase):
                 {"flow": fs.id, "round": served_round, "credit": credit_after_tx, "packets": 1}
             )
         return rec
-
-    def _has_backlog(self) -> bool:
-        return self._listed_count > 0
-
-    def _on_full_idle(self) -> None:
-        pass
 
 
 def make_scheduler(kind: SchedulerKind | str, **params) -> SchedulerBase:

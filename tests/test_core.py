@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairmesh.core import (
-    Clock,
     Packet,
     PacketEvent,
     ServiceRecord,
@@ -13,7 +12,6 @@ from fairmesh.core import (
     TraceError,
     latency_stats,
     occupation_in_interval,
-    record_service,
     sent_in_interval,
     throughput_by_flow,
 )
@@ -22,7 +20,7 @@ from fairmesh.core import (
 def make_trace(rows):
     t = Trace()
     for row in rows:
-        record_service(t, ServiceRecord(*row))
+        t.append(ServiceRecord(*row))
     return t
 
 
@@ -54,13 +52,13 @@ class TestRecordService:
     def test_append_and_adjacent(self):
         t = make_trace([(0, 1, 0, 10, 10, 0)])
         # starting exactly at the previous end is legal
-        record_service(t, ServiceRecord(1, 1, 10, 14, 4, 0))
+        t.append(ServiceRecord(1, 1, 10, 14, 4, 0))
         assert len(t) == 2
 
     def test_overlap_rejected(self):
         t = make_trace([(0, 1, 0, 10, 10, 0)])
         with pytest.raises(TraceError):
-            record_service(t, ServiceRecord(1, 1, 9, 12, 3, 0))
+            t.append(ServiceRecord(1, 1, 9, 12, 3, 0))
 
 
 class TestSentInInterval:
@@ -152,13 +150,6 @@ class TestSerialization:
 
 
 class TestClockAndEvents:
-    def test_clock_monotone(self):
-        c = Clock()
-        c.advance(5)
-        assert c.now == 5
-        with pytest.raises(ValueError):
-            c.advance(-1)
-
     def test_latency_stats(self):
         evs = [
             PacketEvent(0, 0, inject=0, deliver=10),

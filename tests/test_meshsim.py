@@ -3,15 +3,16 @@ import json
 import pytest
 
 from fairmesh.analysis import check_ratio_constraint
+from fairmesh.core import Packet
 from fairmesh.meshsim import (
     DIR_EJ,
     DIR_R,
     MeshConfig,
     MeshSim,
-    build_mesh,
-    measure_sij,
+    _FlowKernel,
     run_mesh,
 )
+from fairmesh.schedulers import SchedulerKind, make_scheduler
 
 
 def quiet_config(**kw):
@@ -51,7 +52,7 @@ class TestConfigValidation:
         assert MeshConfig(k=8, hotspot=3).dest_of() == 3
 
     def test_smallest_mesh_builds(self):
-        sim = build_mesh(MeshConfig(k=2, rate=[0.2, 0.0], horizon=100))
+        sim = MeshSim(MeshConfig(k=2, rate=[0.2, 0.0], horizon=100))
         rep = sim.run()
         assert rep.delivered[0] > 0
 
@@ -203,19 +204,19 @@ class TestServiceCounters:
         for t in (0, 50, 100):
             sim.inj_times[0].append(t)
         sim.run()
-        S = measure_sij(sim.report())
+        S = sim.report().s_matrix()
         assert S[0] == {0: 1.0, 1: 1.0, 2: 1.0}
 
     def test_contended_flow_ratio_above_one(self):
         rep = run_mesh(MeshConfig(k=3, rate=1.0, arbiter="round_robin",
                                   horizon=4000, warmup=400, seed=1))
-        S = measure_sij(rep)
+        S = rep.s_matrix()
         assert S[0][1] > 1.5
         assert S[1][1] > 1.5
 
     def test_never_visited_marked_undefined(self):
         rep = run_mesh(MeshConfig(k=3, rate=[0.0, 0.4, 0.0], horizon=2000, seed=1))
-        S = measure_sij(rep)
+        S = rep.s_matrix()
         assert S[1][0] is None  # flow 1 never crosses router 0
 
     def test_occupation_identity(self):
@@ -281,6 +282,41 @@ class TestFlowQueueMode:
         cfg = dict(k=4, rate=1.0, scheduler="ebrr", horizon=3000,
                    warmup=300, seed=9)
         assert run_mesh(MeshConfig(**cfg)).to_json() == run_mesh(MeshConfig(**cfg)).to_json()
+
+
+class TestKernelMatchesStandalone:
+    """Always-ready flows of L-unit packets: the mesh kernel at one output
+    serves flows in the order the standalone engine does."""
+
+    L = 4
+
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    @pytest.mark.parametrize("quantum", [1, 2, 3, L, 2 * L, 3 * L])
+    def test_service_order(self, kind, quantum):
+        L, n_flows, n_pkts = self.L, 3, 30
+        pkts = [Packet(id=f * n_pkts + j, flow=f, size=L)
+                for f in range(n_flows) for j in range(n_pkts)]
+        params = {}
+        if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
+            params["quantum"] = quantum
+        sched = make_scheduler(kind, **params)
+        sched.load(pkts)
+        want = [r.flow for r in sched.run().records
+                for _ in range(r.sent_units // L)]
+        assert len(want) == n_flows * n_pkts
+        kern = _FlowKernel(kind, L, quantum, tau=2.0, demote_rounds=2)
+        ready = {f: f for f in range(n_flows)}
+        assert [kern.choose(ready) for _ in want] == want
+
+
+class TestWorkConservation:
+    @pytest.mark.parametrize("kw", [dict(scheduler="ebrr"),
+                                    dict(scheduler="drr", quantum=1)])
+    def test_lone_saturated_source_matches_rr(self, kw):
+        # a port with a ready packet is never left idle, whatever the quantum
+        base = dict(k=2, rate=1.0, horizon=8000, warmup=800, seed=1)
+        want = run_mesh(MeshConfig(scheduler="rr", **base)).delivered
+        assert run_mesh(MeshConfig(**base, **kw)).delivered == want
 
 
 class TestReport:
