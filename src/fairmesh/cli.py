@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 from . import presets
 from .analysis import check_ratio_constraint, required_weights
 from .arbitration import empirical_grant_frequencies
-from .core import Packet, Trace, latency_stats, throughput_by_flow
+from .core import Packet, Trace, is_int, is_real, latency_stats, throughput_by_flow
 from .fairness import Accounting, FairnessReport, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
 from .schedulers import SchedulerBase, SchedulerKind, make_scheduler
@@ -80,9 +80,7 @@ def _seed_list(cfg: dict, override: int | None) -> list[int]:
     if override is not None:
         return [override]
     seeds = _require(cfg, "seeds")
-    ok = isinstance(seeds, list) and seeds and all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    )
+    ok = isinstance(seeds, list) and seeds and all(is_int(s) for s in seeds)
     if not ok:
         raise ConfigError("config key seeds must be a non-empty list of integers")
     return seeds
@@ -133,8 +131,20 @@ def _build_workload(w: dict, seed: int) -> list[Packet]:
     )
 
 
-def _int_keys(d: dict) -> dict:
-    return {int(k): v for k, v in d.items()}
+def _flow_map(params: dict, key: str, flows: Sequence[int] = ()) -> dict[int, float]:
+    """params[key] as {flow: positive number}, with an entry for each of `flows`."""
+    try:
+        out = {int(f): v for f, v in params[key].items()}
+    except (AttributeError, ValueError):
+        raise ConfigError(
+            f"config key params.{key} must be an object keyed by integer flow ids"
+        ) from None
+    if not all(is_real(v) and v > 0 for v in out.values()):
+        raise ConfigError(f"config key params.{key} values must be positive numbers")
+    missing = sorted(set(flows) - set(out))
+    if missing:
+        raise ConfigError(f"config key params.{key} has no entry for flows {missing}")
+    return out
 
 
 def _scheduler_kind(name, key: str) -> SchedulerKind:
@@ -147,20 +157,32 @@ def _scheduler_kind(name, key: str) -> SchedulerKind:
         ) from None
 
 
-def _build_scheduler(kind: SchedulerKind, w: dict, params: dict) -> SchedulerBase:
+def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
+                     flows: Sequence[int]) -> SchedulerBase:
+    """The discipline for a workload whose packets carry `flows`."""
     pathological = w["kind"] == "pathology"
     kw: dict = {}
     if pathological:
         kw["weights"] = dict(presets.PATHOLOGY_WEIGHTS)
         kw["blocked"] = presets.pathology_blocking()
     if "weights" in params:
-        kw["weights"] = _int_keys(params["weights"])
+        kw["weights"] = _flow_map(params, "weights")
     if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
-        q = params.get("quantum", dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16)
-        kw["quantum"] = _int_keys(q) if isinstance(q, dict) else q
+        q = params.get("quantum")
+        if "quantum" not in params:
+            q = dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16
+        elif isinstance(q, dict):
+            q = _flow_map(params, "quantum", flows)
+        elif not is_int(q):
+            raise ConfigError(f"config key params.quantum must be an integer or "
+                              f"an object keyed by flow id, got {q!r}")
+        kw["quantum"] = q
     if kind is SchedulerKind.CARR:
         kw["tau"] = params.get("tau", 2.0)
         kw["demote_rounds"] = params.get("demote_rounds", 2)
+        for key in ("tau", "demote_rounds"):
+            if not is_real(kw[key]):
+                raise ConfigError(f"config key params.{key} must be a number, got {kw[key]!r}")
     try:
         return make_scheduler(kind, **kw)
     except ValueError as e:
@@ -169,7 +191,7 @@ def _build_scheduler(kind: SchedulerKind, w: dict, params: dict) -> SchedulerBas
 
 def _fm_weights(w: dict, params: dict, pkts: Sequence[Packet]) -> dict[int, float]:
     if "weights" in params:
-        return _int_keys(params["weights"])
+        return _flow_map(params, "weights")
     if w["kind"] == "pathology":
         return dict(presets.PATHOLOGY_WEIGHTS)
     return {f: 1.0 for f in sorted({p.flow for p in pkts})}
@@ -179,7 +201,7 @@ def _run_one_scheduler(
     kind: SchedulerKind, w: dict, params: dict, seed: int
 ) -> tuple[Trace, FairnessReport, dict]:
     pkts = _build_workload(w, seed)
-    sched = _build_scheduler(kind, w, params)
+    sched = _build_scheduler(kind, w, params, sorted({p.flow for p in pkts}))
     sched.load(pkts)
     trace = sched.run(horizon=w.get("horizon"))
     report = rfb_estimate(trace, _fm_weights(w, params, pkts))
@@ -207,11 +229,7 @@ _MESH_PARAM_KEYS = {f.name for f in dataclasses.fields(MeshConfig)} - {"seed"}
 
 
 def _mesh_config(params: dict, seed: int, defaults: dict) -> MeshConfig:
-    merged = dict(defaults)
-    merged.update(params)
-    if merged.get("trace_links") is not None:
-        merged["trace_links"] = [tuple(x) for x in merged["trace_links"]]
-    cfg = MeshConfig(seed=seed, **merged)
+    cfg = MeshConfig(seed=seed, **dict(defaults, **params))
     try:
         cfg.validate()
     except ValueError as e:
@@ -274,13 +292,7 @@ def _exp_mesh(params: dict, seeds: list[int], outdir: Path, defaults: dict,
     return runs
 
 
-_HOTSPOT_DEFAULTS = {
-    "k": 8, "packet_len": 4, "buffer_depth": 4, "pattern": "hotspot",
-    "rate": 1.0, "arbiter": "round_robin", "policy": "vw",
-    "horizon": 200_000, "warmup": 20_000,
-}
-
-_EQ13_DEFAULTS = dict(_HOTSPOT_DEFAULTS, arbiter="probabilistic")
+_EQ13_DEFAULTS = dict(presets.HOTSPOT_DEFAULTS, arbiter="probabilistic")
 
 
 def _exp_arb_convergence(params: dict, seeds: list[int], outdir: Path) -> dict:
@@ -323,7 +335,7 @@ _EXPERIMENTS: dict[str, Callable[[dict, list[int], Path], dict]] = {
         workload=lambda p: p.get("workload", "random"),
     ),
     "mesh-hotspot": partial(
-        _exp_mesh, defaults=_HOTSPOT_DEFAULTS, with_feasibility=False
+        _exp_mesh, defaults=presets.HOTSPOT_DEFAULTS, with_feasibility=False
     ),
     "rfb-vs-cfb-pathology": partial(
         _exp_scheduler, allowed=_SCHEDULER_KEYS | {"horizon"},

@@ -12,9 +12,20 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Integral, Real
 from typing import Iterable, TextIO
 
 FlowId = int
+
+
+def is_int(x) -> bool:
+    """An integer that is not a bool (a config's true/false is no count)."""
+    return isinstance(x, Integral) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(x, Real) and not isinstance(x, bool)
 
 
 class TraceError(Exception):

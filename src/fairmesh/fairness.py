@@ -202,13 +202,7 @@ _MAX_GRID = 1500
 _N_BINS = 24
 
 
-def _grid_indices(n_bounds: int, grid: Sequence[int] | None, bounds: np.ndarray) -> tuple[np.ndarray, str]:
-    if grid is not None:
-        want = np.asarray(sorted(set(grid)))
-        idx = np.searchsorted(bounds, want)
-        idx = idx[(idx < n_bounds)]
-        idx = idx[bounds[idx] == want[: len(idx)]] if len(idx) == len(want) else np.unique(idx)
-        return np.unique(idx), f"user grid ({len(idx)} boundary points)"
+def _grid_indices(n_bounds: int) -> tuple[np.ndarray, str]:
     if n_bounds <= _MAX_GRID:
         return np.arange(n_bounds), f"all {n_bounds} record boundaries"
     step = int(np.ceil(n_bounds / _MAX_GRID))
@@ -220,8 +214,6 @@ def _grid_indices(n_bounds: int, grid: Sequence[int] | None, bounds: np.ndarray)
 def rfb_estimate(
     trace: Trace,
     weights: dict[FlowId, float],
-    window_grid: Sequence[int] | None = None,
-    horizon: int | None = None,
 ) -> FairnessReport:
     """Sweep fairness gaps over windows spanned by record boundaries.
 
@@ -237,7 +229,7 @@ def rfb_estimate(
         if w <= 0:
             raise ValueError(f"flow weight must be positive, got {w} for flow {f}")
     flows = sorted(weights)
-    backlogs = backlog_from_trace(trace, horizon=horizon)
+    backlogs = backlog_from_trace(trace)
     bounds_list = trace.boundaries()
     report = FairnessReport(
         flows=flows,
@@ -267,7 +259,7 @@ def rfb_estimate(
         np.cumsum(cum_sent[f], out=cum_sent[f])
         np.cumsum(cum_occ[f], out=cum_occ[f])
 
-    grid_idx, grid_desc = _grid_indices(nb, window_grid, bounds)
+    grid_idx, grid_desc = _grid_indices(nb)
     report.grid = grid_desc
 
     for acct, cum in ((Accounting.PACKET_SIZE, cum_sent), (Accounting.OCCUPATION, cum_occ)):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .arbitration import ArbiterKind, ArbRequest, WeightPolicy, make_arbiter
-from .core import PacketEvent, ServiceRecord, Trace
+from .core import PacketEvent, ServiceRecord, Trace, is_int, is_real
 from .rng import XorShift64Star
 from .schedulers import SchedulerKind
 
@@ -36,6 +36,11 @@ _OUT_NAMES = {DIR_L: "left", DIR_R: "right", DIR_EJ: "eject"}
 _SID_INJECT = 0
 _SID_DEST = 1
 _SID_ARB = 2
+
+_INT_FIELDS = ("k", "packet_len", "buffer_depth", "horizon", "warmup", "seed",
+               "demote_rounds", "hotspot", "quantum")
+_NONE_OK = ("hotspot", "quantum")  # None picks the default
+_REAL_FIELDS = ("weight_base", "congestion_ratio")
 
 
 @dataclass
@@ -63,6 +68,16 @@ class MeshConfig:
         return (self.k - 1) if self.hotspot is None else self.hotspot
 
     def validate(self) -> None:
+        for name in _INT_FIELDS:
+            v = getattr(self, name)
+            if not (is_int(v) or v is None and name in _NONE_OK):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+        for name in _REAL_FIELDS:
+            if not is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not (is_real(self.rate) or isinstance(self.rate, (list, tuple))
+                and all(is_real(r) for r in self.rate)):
+            raise ValueError(f"rate must be a number or a list of numbers, got {self.rate!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")
         if self.packet_len < 1:
@@ -87,12 +102,18 @@ class MeshConfig:
         if self.quantum is not None and self.quantum < 1:
             raise ValueError("quantum must be >= 1")
         if self.trace_links is not None:
+            if not isinstance(self.trace_links, (list, tuple)) or not all(
+                isinstance(link, (list, tuple)) and len(link) == 2
+                and all(is_int(x) for x in link) for link in self.trace_links
+            ):
+                raise ValueError("trace_links must be a list of [router, output] "
+                                 f"integer pairs, got {self.trace_links!r}")
             for r, o in self.trace_links:
                 if not (0 <= r < self.k) or o not in (DIR_L, DIR_R, DIR_EJ):
                     raise ValueError(f"trace link ({r}, {o}) out of range")
 
     def rates(self) -> list[float]:
-        if isinstance(self.rate, (int, float)):
+        if is_real(self.rate):
             return [float(self.rate)] * self.k
         if len(self.rate) != self.k:
             raise ValueError(f"rate list length {len(self.rate)} != k {self.k}")
@@ -220,7 +241,8 @@ class SimReport:
     shares: dict[int, float]
     mean_latency: dict[int, float]
     max_latency: dict[int, int]
-    # per (flow, router) at the output that flow uses there
+    # per (flow, router), summed over the outputs the flow uses there (two
+    # under uniform traffic: packets to either side)
     sending: dict[tuple[int, int], int]
     blocking: dict[tuple[int, int], int]
     packets_through: dict[tuple[int, int], int]
@@ -302,13 +324,15 @@ class MeshSim:
         # network state
         self.fifos = [[deque(), deque()] for _ in range(k)]  # [r][IN_L/IN_R]
         self.credits = [[cfg.buffer_depth, cfg.buffer_depth] for _ in range(k)]
-        self.owner = [[-1, -1, -1] for _ in range(k)]
-        self.owner_in = [[-1, -1, -1] for _ in range(k)]
+        # one ownership record per output, None while free:
+        # [pid, input, flow, start, sent, blocked]
+        self.owner: list[list[list | None]] = [[None, None, None] for _ in range(k)]
         self.inj_times: list[deque[int]] = [deque() for _ in range(k)]
-        self.inj_pkt: list[int] = [-1] * k  # pkt id currently streaming from source
+        self.inj_pkt: list[int] = [-1] * k  # head packet of each source queue
         self.inj_seq: list[int] = [0] * k
 
-        # packet metadata, indexed by id (materialized on first network entry)
+        # packet metadata, indexed by id (made when a packet reaches the
+        # head of its source queue)
         self.psrc: list[int] = []
         self.pdest: list[int] = []
         self.pinject: list[int] = []
@@ -340,30 +364,20 @@ class MeshSim:
             sink = cfg.dest_of() if cfg.pattern == "hotspot" else k - 1
             self.traced = {(sink, DIR_EJ)}
         else:
-            self.traced = set(cfg.trace_links)
+            self.traced = {tuple(link) for link in cfg.trace_links}
         self.traces = {link: Trace() for link in sorted(self.traced)}
-        # one ownership-span record per owned output: [flow, start, sent, blocked]
-        self._open_rec: dict[tuple[int, int], list] = {}
-        self._svc_count: dict[tuple[int, int], int] = {link: 0 for link in self.traced}
 
-        # statistics (reset at warmup)
+        # statistics per source and per (flow, router), reset at warmup
         self.stats = {n: SourceStats() for n in range(k)}
-        self.sending: dict[tuple[int, int, int], int] = {}
-        self.blocking: dict[tuple[int, int, int], int] = {}
-        self.kcount: dict[tuple[int, int, int], int] = {}
+        self.sending: dict[tuple[int, int], int] = {}
+        self.blocking: dict[tuple[int, int], int] = {}
+        self.kcount: dict[tuple[int, int], int] = {}
 
         self.network_flits_in = 0
         self.delivered_flits = 0
         self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
 
     # -- helpers ----------------------------------------------------------
-
-    def _route(self, r: int, dest: int) -> int:
-        if dest > r:
-            return DIR_R
-        if dest < r:
-            return DIR_L
-        return DIR_EJ
 
     def _new_packet(self, src: int, inject_time: int) -> int:
         if self.dest_fixed is not None:
@@ -376,20 +390,6 @@ class MeshSim:
         self.pinject.append(inject_time)
         self.pcprod.append(1.0)
         return pid
-
-    def _head_at(self, r: int, i: int) -> int:
-        """Flit code at the front of input i, or -1 when none is waiting."""
-        if i == IN_INJ:
-            pid = self.inj_pkt[r]
-            if pid < 0:
-                if not self.inj_times[r]:
-                    return -1
-                pid = self._new_packet(r, self.inj_times[r][0])
-                self.inj_pkt[r] = pid
-                self.inj_seq[r] = 0
-            return pid * self.L + self.inj_seq[r]
-        fifo = self.fifos[r][i]
-        return fifo[0] if fifo else -1
 
     def _reset_stats(self) -> None:
         self.stats = {n: SourceStats() for n in range(self.cfg.k)}
@@ -412,65 +412,69 @@ class MeshSim:
         if now == cfg.warmup:
             self._reset_stats()
 
-        # offered arrivals join the (unbounded) source queues
-        for n in range(k):
+        # offered arrivals join the (unbounded) source queues; the oldest
+        # arrival of a queue becomes its head packet
+        inj_pkt = self.inj_pkt
+        for n, queue in enumerate(self.inj_times):
             rate = self.rates[n]
             if rate > 0.0 and self.rng_inj[n].bernoulli(rate):
-                self.inj_times[n].append(now)
+                queue.append(now)
+            if inj_pkt[n] < 0 and queue:
+                inj_pkt[n] = self._new_packet(n, queue[0])
+                self.inj_seq[n] = 0
 
         moves = []  # (r, i, o, flit)
-        moved_inputs = set()
         post_warmup = now >= cfg.warmup
+        psrc = self.psrc
+        pdest = self.pdest
+        sending = self.sending
+        blocking = self.blocking
         for r in range(k):
-            for o in (DIR_L, DIR_R, DIR_EJ):
-                pid = self.owner[r][o]
-                if pid < 0:
-                    granted = self._grant(r, o)
-                    if granted is None:
-                        continue
-                    pid, i = granted
-                    self.owner[r][o] = pid
-                    self.owner_in[r][o] = i
-                    flow = self.psrc[pid]
-                    if post_warmup:
-                        key = (flow, r, o)
-                        self.kcount[key] = self.kcount.get(key, 0) + 1
-                    self._open_rec[(r, o)] = rec = [flow, now, 0, 0]
-                else:
-                    i = self.owner_in[r][o]
-                    rec = self._open_rec[(r, o)]
-                flit = self._head_at(r, i)
-                ok = flit >= 0 and flit // L == pid
-                if ok and o != DIR_EJ and self.credits[r][o] <= 0:
-                    ok = False
-                # ownership-span accounting: every owned cycle is either a
-                # flit sent or a blocked cycle
-                if ok:
-                    moves.append((r, i, o, flit))
-                    moved_inputs.add((r, i))
-                    rec[2] += 1
-                else:
-                    rec[3] += 1
-
-        # channel-time counters follow the flit view: a waiting head flit
-        # accrues blocking at the output it wants whether or not its packet
-        # already owns that output
-        if post_warmup:
-            sending = self.sending
-            blocking = self.blocking
-            psrc = self.psrc
-            pdest = self.pdest
-            for r in range(k):
-                for i in (IN_L, IN_R, IN_INJ):
-                    flit = self._head_at(r, i)
-                    if flit < 0:
-                        continue
+            fl, fr = self.fifos[r]
+            pid = inj_pkt[r]
+            heads = (fl[0] if fl else -1, fr[0] if fr else -1,
+                     pid * L + self.inj_seq[r] if pid >= 0 else -1)
+            # head-of-packet flits request the output their route takes
+            reqs = []  # (input port, pid, output)
+            for i, flit in enumerate(heads):
+                if flit >= 0 and flit % L == 0:
                     pid = flit // L
-                    key = (psrc[pid], r, self._route(r, pdest[pid]))
-                    if (r, i) in moved_inputs:
-                        sending[key] = sending.get(key, 0) + 1
-                    else:
-                        blocking[key] = blocking.get(key, 0) + 1
+                    dest = pdest[pid]
+                    reqs.append((i, pid, DIR_R if dest > r else DIR_L if dest < r else DIR_EJ))
+            owners = self.owner[r]
+            moved = [False, False, False]
+            for o in (DIR_L, DIR_R, DIR_EJ):
+                rec = owners[o]
+                if rec is None:
+                    cands = [(i, pid) for i, pid, out in reqs if out == o]
+                    if not cands:
+                        continue
+                    pid, i = self._grant(r, o, cands)
+                    flow = psrc[pid]
+                    if post_warmup:
+                        self.kcount[(flow, r)] = self.kcount.get((flow, r), 0) + 1
+                    owners[o] = rec = [pid, i, flow, now, 0, 0]
+                else:
+                    pid, i = rec[0], rec[1]
+                flit = heads[i]
+                # every owned cycle is either a flit sent or a blocked cycle
+                if flit // L == pid and (
+                    o == DIR_EJ or self.credits[r][o] > 0
+                ):
+                    moves.append((r, i, o, flit))
+                    moved[i] = True
+                    rec[4] += 1
+                else:
+                    rec[5] += 1
+            # channel-time counters follow the flit view: a waiting head flit
+            # accrues blocking whether or not its packet already owns the
+            # output it wants
+            if post_warmup:
+                for i, flit in enumerate(heads):
+                    if flit >= 0:
+                        key = (psrc[flit // L], r)
+                        counts = sending if moved[i] else blocking
+                        counts[key] = counts.get(key, 0) + 1
 
         credit_back = []
         for r, i, o, flit in moves:
@@ -507,21 +511,8 @@ class MeshSim:
             self.credits[r][o] += 1
         self.now = now + 1
 
-    def _grant(self, r: int, o: int) -> tuple[int, int] | None:
-        """Pick a packet for a free output from requesting head flits."""
-        L = self.L
-        cands = []  # (input port, pid)
-        for i in (IN_L, IN_R, IN_INJ):
-            flit = self._head_at(r, i)
-            if flit < 0:
-                continue
-            pid = flit // L
-            if flit - pid * L != 0:
-                continue  # mid-packet flit: its port owner will move it
-            if self._route(r, self.pdest[pid]) == o:
-                cands.append((i, pid))
-        if not cands:
-            return None
+    def _grant(self, r: int, o: int, cands: list[tuple[int, int]]) -> tuple[int, int]:
+        """(pid, input) granted a free output among (input, pid) requests."""
         if self.flow_mode:
             # a flow reaches a router through one input port only
             return self.kernels[(r, o)].choose(
@@ -545,17 +536,16 @@ class MeshSim:
         return pid, i
 
     def _release(self, r: int, o: int, now: int) -> None:
-        self.owner[r][o] = -1
-        self.owner_in[r][o] = -1
+        _pid, _i, flow, start, sent, blocked = self.owner[r][o]
+        self.owner[r][o] = None
         link = (r, o)
-        flow, start, sent, blocked = self._open_rec.pop(link)
         if self.flow_mode:
             self.kernels[link].note_service(flow, sent + blocked, sent)
         if link in self.traced and start >= self.cfg.warmup:
-            self._svc_count[link] += 1
-            self.traces[link].append(
+            trace = self.traces[link]
+            trace.append(
                 ServiceRecord(
-                    flow=flow, round=self._svc_count[link], start=start,
+                    flow=flow, round=len(trace.records) + 1, start=start,
                     end=now + 1, sent_units=sent, blocking=blocked,
                 )
             )
@@ -595,16 +585,6 @@ class MeshSim:
             shares[n] = st.delivered / total if total else 0.0
             mean_lat[n] = st.latency_sum / st.delivered if st.delivered else 0.0
             max_lat[n] = st.latency_max
-        # collapse output dimension: a flow uses one output per router
-        send2: dict[tuple[int, int], int] = {}
-        block2: dict[tuple[int, int], int] = {}
-        k2: dict[tuple[int, int], int] = {}
-        for (flow, r, _o), v in self.sending.items():
-            send2[(flow, r)] = send2.get((flow, r), 0) + v
-        for (flow, r, _o), v in self.blocking.items():
-            block2[(flow, r)] = block2.get((flow, r), 0) + v
-        for (flow, r, _o), v in self.kcount.items():
-            k2[(flow, r)] = k2.get((flow, r), 0) + v
         return SimReport(
             config=self.cfg.to_dict(),
             cycles=self.now,
@@ -612,9 +592,9 @@ class MeshSim:
             shares=shares,
             mean_latency=mean_lat,
             max_latency=max_lat,
-            sending=send2,
-            blocking=block2,
-            packets_through=k2,
+            sending=dict(self.sending),
+            blocking=dict(self.blocking),
+            packets_through=dict(self.kcount),
             drops=0,
             traces=self.traces,
         )

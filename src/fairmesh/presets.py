@@ -88,19 +88,16 @@ def backlogged_pair(seed: int, packets_per_flow: int = 500,
     return pkts
 
 
-def hotspot_config(
-    seed: int,
-    arbiter: str = "round_robin",
-    policy: str = "vw",
-    k: int = 8,
-    horizon: int = 200_000,
-    warmup: int = 20_000,
-) -> MeshConfig:
-    """Saturated hotspot: every source offers a packet per cycle toward the
-    far end of the line."""
-    return MeshConfig(
-        k=k, packet_len=4, buffer_depth=4, pattern="hotspot",
-        rate=1.0, arbiter=arbiter, policy=policy,
-        horizon=horizon, warmup=warmup, seed=seed,
-    )
+# saturated hotspot: every source offers a packet per cycle toward the far
+# end of the line
+HOTSPOT_DEFAULTS = {
+    "k": 8, "packet_len": 4, "buffer_depth": 4, "pattern": "hotspot",
+    "rate": 1.0, "arbiter": "round_robin", "policy": "vw",
+    "horizon": 200_000, "warmup": 20_000,
+}
+
+
+def hotspot_config(seed: int, **overrides) -> MeshConfig:
+    """The saturated hotspot line; `overrides` replace HOTSPOT_DEFAULTS entries."""
+    return MeshConfig(seed=seed, **dict(HOTSPOT_DEFAULTS, **overrides))
 

@@ -78,6 +78,36 @@ class TestConfigErrors:
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
         assert "workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("params,key", [
+        (dict(scheduler="ebrr", quantum={"0": 4}), "params.quantum"),
+        (dict(scheduler="drr", quantum="4"), "params.quantum"),
+        (dict(scheduler="drr", quantum={"a": 4}), "params.quantum"),
+        (dict(scheduler="drr", quantum=True), "params.quantum"),
+        (dict(scheduler="carr", tau="2"), "params.tau"),
+        (dict(scheduler="carr", demote_rounds=False), "params.demote_rounds"),
+        (dict(scheduler="drr", weights={"0": 0}), "params.weights"),
+        (dict(scheduler="drr", weights=[1, 2]), "params.weights"),
+    ])
+    def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
+        cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params,key", [
+        (dict(k="8"), "k must be an integer"),
+        (dict(horizon="100"), "horizon must be an integer"),
+        (dict(quantum=True), "quantum must be an integer"),
+        (dict(rate="1.0"), "rate must be a number"),
+        (dict(rate=[1.0] * 7 + ["1"]), "rate must be a number"),
+        (dict(weight_base="2"), "weight_base must be a number"),
+        (dict(trace_links=5), "trace_links must be a list"),
+        (dict(trace_links=[[1]]), "trace_links must be a list"),
+    ])
+    def test_bad_mesh_param_types_exit_2(self, tmp_path, capsys, params, key):
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert key in capsys.readouterr().err
+
     def test_runtime_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

@@ -240,15 +240,6 @@ class TestRfbEstimate:
             rep = rfb_estimate(trace, {0: 1, 1: 1})
             assert rep.rfb_estimate <= 2 * (16 + 16)
 
-    def test_user_window_grid_subsets_profile(self, two_flow_trace):
-        full = rfb_estimate(two_flow_trace, {0: 1, 1: 1})
-        coarse = rfb_estimate(two_flow_trace, {0: 1, 1: 1}, window_grid=[0, 600, 1200])
-        assert coarse.grid.startswith("user grid")
-        # exact max is grid independent; only the profile is subsampled
-        assert coarse.rfb_estimate == full.rfb_estimate
-        assert len(coarse.sweep(Accounting.PACKET_SIZE).profile) <= len(
-            full.sweep(Accounting.PACKET_SIZE).profile)
-
     def test_report_serializes(self, two_flow_trace):
         rep = rfb_estimate(two_flow_trace, {0: 1, 1: 1})
         blob = json.loads(rep.to_json())

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import pytest
@@ -99,7 +101,7 @@ class TestCycleSemantics:
             sim.step()
         assert sim.now == 10
         assert all(not f for row in sim.fifos for f in row)
-        assert all(o == -1 for row in sim.owner for o in row)
+        assert all(o is None for row in sim.owner for o in row)
 
     def test_one_grant_per_contended_port(self):
         # both sources saturated toward node 2: sink ejects at most 1 flit/cycle
@@ -350,3 +352,41 @@ class TestReport:
         for r in trace.records:
             assert r.sent_units == 4
             assert r.end - r.start - r.blocking == r.sent_units
+
+
+_HOT = dict(k=8, rate=1.0, horizon=2000, warmup=200, seed=1)
+_UNI = dict(k=16, pattern="uniform", rate=0.05, horizon=2000, warmup=200, seed=1)
+
+
+class TestGoldenReports:
+    """Byte-identical report.json plus sink trace for fixed configs.
+
+    A change that moves one of these hashes changes simulated behaviour;
+    record new hashes only together with a stated reason.
+    """
+
+    @pytest.mark.parametrize("kw,want", [
+        (dict(_HOT, arbiter="round_robin"),
+         "db847c87c9809e03ab4bca7feaeb2a2b4cc2db218b3059099d8e077891cd89de"),
+        (dict(_HOT, arbiter="age"),
+         "fc5a80ef87d85142498337a331c16e0ff1de78787b677a9ca08f325d2866d379"),
+        (dict(_HOT, arbiter="probabilistic", policy="vw"),
+         "bb48727fd52bae6cf5a8d30a432fe07df51706740163a32033d318cf1a2b5e26"),
+        (dict(_HOT, arbiter="probabilistic", policy="fw"),
+         "45d11decd3fc1a60b86600f263f2a2e8e48944b599e760bd5615b8ed4040760c"),
+        (dict(_UNI, arbiter="probabilistic"),
+         "5f94676ad5e233c685a751056388ce28722b6793a4b33cff81f2787e15ed40e0"),
+        (dict(_UNI, scheduler="drr", quantum=1),
+         "3901fb23d7c7d0a224631e6cf450f21e4812f998560c05747a223e5874097a68"),
+        (dict(_UNI, scheduler="ebrr"),
+         "dae69bc672bd19f1990cce6d38db60ac3f7eb21efac5c510e814ecd0d01cf414"),
+        (dict(_UNI, scheduler="carr"),
+         "22290e4c7eeb19a1cccf473f4cbe6f9425862b3a4bdaf7f28179d044683714f2"),
+    ], ids=["hotspot-rr", "hotspot-age", "hotspot-vw", "hotspot-fw",
+            "uniform-prob", "uniform-drr-q1", "uniform-ebrr", "uniform-carr"])
+    def test_report_hash(self, kw, want):
+        rep = run_mesh(MeshConfig(**kw))
+        csv_buf = io.StringIO()
+        rep.sink_trace().to_csv(csv_buf)
+        blob = (rep.to_json() + csv_buf.getvalue()).encode()
+        assert hashlib.sha256(blob).hexdigest() == want
