@@ -65,7 +65,8 @@ def _require(cfg: dict, key: str, what: str = "config"):
 def _check_allowed(d: dict, allowed: set[str], what: str) -> None:
     for k in d:
         if k not in allowed:
-            raise ConfigError(f"unknown {what} key: {k}")
+            name = k if what == "config" else f"{what}.{k}"
+            raise ConfigError(f"unknown config key: {name}")
 
 
 def _check_schema(cfg: dict) -> None:
@@ -233,7 +234,10 @@ def _mesh_config(params: dict, seed: int, defaults: dict) -> MeshConfig:
     try:
         cfg.validate()
     except ValueError as e:
-        raise ConfigError(str(e)) from None
+        msg = str(e)
+        if msg.startswith("warmup") and "warmup" not in params:
+            msg += f" (params.warmup was not set and defaults to {cfg.warmup})"
+        raise ConfigError(msg) from None
     return cfg
 
 
@@ -383,6 +387,7 @@ def cmd_run(args) -> int:
 
 
 _COMPARE_KEYS = {"schema_version", "schedulers", "workload", "seeds", "output_dir", "params"}
+_COMPARE_PARAM_KEYS = {"quantum", "tau", "demote_rounds", "weights"}
 
 
 def cmd_compare(args) -> int:
@@ -397,6 +402,7 @@ def cmd_compare(args) -> int:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config key params must be an object")
+    _check_allowed(params, _COMPARE_PARAM_KEYS, "params")
     seeds = _seed_list(cfg, args.seed)
     outdir = _output_dir(cfg)
     runs: dict = {}

@@ -94,7 +94,8 @@ class MeshConfig:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not (0 <= self.warmup < self.horizon):
-            raise ValueError("warmup must satisfy 0 <= warmup < horizon")
+            raise ValueError("warmup must satisfy 0 <= warmup < horizon, got "
+                             f"warmup={self.warmup} and horizon={self.horizon}")
         ArbiterKind(self.arbiter)
         WeightPolicy(self.policy)
         if self.scheduler is not None:

@@ -51,6 +51,21 @@ class TestConfigErrors:
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
         assert "krad" in capsys.readouterr().err
 
+    def test_defaulted_warmup_named_with_both_values(self, tmp_path, capsys):
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params={"horizon": 500})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "warmup=20000" in err and "horizon=500" in err
+        assert "params.warmup was not set" in err
+
+    def test_user_warmup_not_called_defaulted(self, tmp_path, capsys):
+        cfg = base_cfg(tmp_path, experiment="eq13-feasibility",
+                       params={"horizon": 500, "warmup": 500})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "warmup=500" in err and "horizon=500" in err
+        assert "not set" not in err
+
     def test_mesh_field_validation_bubbles_up(self, tmp_path, capsys):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot",
                        params={"k": 1, "horizon": 100})
@@ -214,6 +229,22 @@ class TestCompareVerb:
         assert main(["compare", path]) == 2
         err = capsys.readouterr().err
         assert "schedulers" in err and "srr" in err
+
+    @pytest.mark.parametrize("params,key", [
+        ({"quantm": 4}, "params.quantm"),
+        ({"quantum": 4, "horizon": 5}, "params.horizon"),
+    ])
+    def test_unknown_params_key_rejected(self, tmp_path, capsys, params, key):
+        path = self.compare_cfg(tmp_path, schedulers=["rr", "drr"],
+                                workload="random", params=params)
+        assert main(["compare", path]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_known_params_accepted(self, tmp_path):
+        path = self.compare_cfg(tmp_path, schedulers=["drr", "carr"], params={
+            "quantum": 8, "tau": 3, "demote_rounds": 1, "weights": {"0": 2, "1": 1},
+        })
+        assert main(["compare", path]) == 0
 
     def test_pathology_comparison(self, tmp_path):
         assert main(["compare", self.compare_cfg(tmp_path)]) == 0

@@ -1,10 +1,14 @@
 import csv
+import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from fairmesh import presets
 from fairmesh.core import PacketEvent, ServiceRecord, Trace
 from fairmesh.fairness import (
     backlog_from_trace,
@@ -13,6 +17,7 @@ from fairmesh.fairness import (
     normalized_service,
     rfb_estimate,
 )
+from fairmesh.meshsim import MeshConfig, run_mesh
 from fairmesh.schedulers import Accounting, make_scheduler
 
 from conftest import backlogged_workload, make_workload
@@ -267,3 +272,208 @@ class TestRfbEstimate:
         assert rep.rfb_estimate <= 8
         assert rep.cfb_estimate >= 8 * 18
         assert rep.sweep(Accounting.OCCUPATION).slope > 0.2
+
+
+def _pair_stretches(backlogs, fa, fb):
+    """Common backlog stretches of two flows, in time order."""
+    return sorted(
+        (max(a1, b1), min(a2, b2))
+        for a1, a2 in backlogs.get(fa, []) for b1, b2 in backlogs.get(fb, [])
+        if min(a2, b2) > max(a1, b1)
+    )
+
+
+def brute_force_profile(trace, weights, mode):
+    """Independent binned profile: every grid pair of every common backlog
+    stretch in plain Python, keeping the first (i, j) in row-major order that
+    attains each bin's max.  Valid only on an unsubsampled grid."""
+    bounds = trace.boundaries()
+    bin_w = max(1, math.ceil((bounds[-1] - bounds[0]) / 24))
+    backlogs = backlog_from_trace(trace)
+    flows = sorted(weights)
+    cum = {}
+    for f in flows:
+        at_end = {}
+        for r in trace.records:
+            if r.flow == f:
+                units = r.end - r.start if mode is Accounting.OCCUPATION else r.sent_units
+                at_end[r.end] = at_end.get(r.end, 0) + units
+        total, cum[f] = 0, []
+        for t in bounds:
+            total += at_end.get(t, 0)
+            cum[f].append(total)
+    best = {}
+    for ai, fa in enumerate(flows):
+        for fb in flows[ai + 1:]:
+            d = [x / weights[fa] - y / weights[fb] for x, y in zip(cum[fa], cum[fb])]
+            for s1, s2 in _pair_stretches(backlogs, fa, fb):
+                pts = [k for k, t in enumerate(bounds) if s1 <= t <= s2]
+                for i in pts:
+                    for j in pts:
+                        if j <= i:
+                            continue
+                        b = (bounds[j] - bounds[i]) // bin_w
+                        v = abs(d[j] - d[i])
+                        if b not in best or v > best[b][0]:
+                            best[b] = (v, bounds[i], bounds[j])
+    profile = [(int((b + 0.5) * bin_w), v, t1, t2) for b, (v, t1, t2) in sorted(best.items())]
+    if len(profile) < 2:
+        return profile, 0.0
+    xs = [p[0] for p in profile]
+    ys = [p[1] for p in profile]
+    return profile, float(np.polyfit(xs, ys, 1)[0])
+
+
+def _alternation_trace():
+    t = Trace()
+    clock = 0
+    for rnd in range(1, 31):
+        for f in (0, 1):
+            t.append(rec(f, rnd, clock, clock + 8, 8))
+            clock += 8
+    covered(t, 0, 0, clock)
+    covered(t, 1, 0, clock)
+    return t
+
+
+def _blocking_trace():
+    t = Trace()
+    clock = 0
+    for rnd in range(1, 21):
+        t.append(rec(0, rnd, clock, clock + 16, 8, blocking=8))
+        clock += 16
+        t.append(rec(1, rnd, clock, clock + 8, 8))
+        clock += 8
+    covered(t, 0, 0, clock)
+    covered(t, 1, 0, clock)
+    return t
+
+
+def _short_stretch_trace():
+    # flow 1's backlogs overlap flow 0's in stretches holding one, two and
+    # many record boundaries
+    t = Trace()
+    clock = 0
+    for rnd in range(1, 13):
+        t.append(rec(0, rnd, clock, clock + 5, 5))
+        clock += 5
+        t.append(rec(1, rnd, clock, clock + 3, 3))
+        clock += 3
+    covered(t, 0, 0, clock)
+    covered(t, 1, 6, 9)     # one boundary (8)
+    covered(t, 1, 12, 18)   # two boundaries (13, 16)
+    covered(t, 1, 30, clock)
+    return t
+
+
+def _sparse_trace(kind, seed):
+    # arrivals spread thin, so the flows' backlogs meet in several stretches
+    return run_trace(kind, make_workload(seed=seed, n_flows=3, n_packets=45,
+                                         max_size=6, spread=900),
+                     **({"quantum": 4} if kind in ("drr", "ebrr") else {}))
+
+
+def _stretch_sizes(trace, weights):
+    bounds = trace.boundaries()
+    backlogs = backlog_from_trace(trace)
+    flows = sorted(weights)
+    return [
+        sum(1 for t in bounds if s1 <= t <= s2)
+        for i, fa in enumerate(flows) for fb in flows[i + 1:]
+        for s1, s2 in _pair_stretches(backlogs, fa, fb)
+    ]
+
+
+class TestProfileMatchesBruteForce:
+    """The range-query profile against a scan over every grid pair."""
+
+    @pytest.mark.parametrize("make,weights", [
+        (_alternation_trace, {0: 1, 1: 1}),
+        (_alternation_trace, {0: 1.5, 1: 1}),
+        (_blocking_trace, {0: 1, 1: 1}),
+        (_short_stretch_trace, {0: 1, 1: 1}),
+        (_short_stretch_trace, {0: 1.5, 1: 1}),
+    ], ids=["alternation", "alternation-w1.5", "blocking", "short-stretches",
+            "short-stretches-w1.5"])
+    def test_synthetic(self, make, weights):
+        self._check(make(), weights)
+
+    @pytest.mark.parametrize("kind", ["rr", "drr", "err", "ebrr", "carr"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_several_stretches_per_pair(self, kind, seed):
+        trace = _sparse_trace(kind, seed)
+        weights = {0: 1.5, 1: 1, 2: 1}
+        sizes = _stretch_sizes(trace, weights)
+        assert len(sizes) > 3
+        self._check(trace, weights)
+
+    def test_cases_cover_one_and_two_point_stretches(self):
+        sizes = _stretch_sizes(_short_stretch_trace(), {0: 1, 1: 1})
+        assert 1 in sizes and 2 in sizes
+
+    @staticmethod
+    def _check(trace, weights):
+        rep = rfb_estimate(trace, weights)
+        assert rep.grid.startswith("all")
+        for mode in Accounting:
+            profile, slope = brute_force_profile(trace, weights, mode)
+            assert rep.sweep(mode).profile == profile
+            assert rep.sweep(mode).slope == slope
+
+
+def _pathology_trace(kind):
+    kw = {"weights": dict(presets.PATHOLOGY_WEIGHTS), "blocked": presets.pathology_blocking()}
+    if kind == "drr":
+        kw["quantum"] = dict(presets.PATHOLOGY_DRR_QUANTA)
+    sched = make_scheduler(kind, **kw)
+    sched.load(presets.pathology_workload(96_000))
+    sched.run(horizon=96_000)
+    return sched.trace, dict(presets.PATHOLOGY_WEIGHTS)
+
+
+def _random_trace(kind, n_flows, weights, **kw):
+    sched = make_scheduler(kind, weights=weights, **kw)
+    sched.load(presets.random_workload(1, n_flows=n_flows))
+    sched.run()
+    return sched.trace, weights
+
+
+def _mesh_sink_trace():
+    trace = run_mesh(MeshConfig(k=8, rate=1.0, horizon=4000, warmup=400, seed=1)).sink_trace()
+    return trace, {f: 1.0 for f in sorted({r.flow for r in trace.records})}
+
+
+class TestGoldenFairnessReports:
+    """Byte-identical fairness report plus both window CSVs for fixed traces.
+
+    A CLI compare report.json carries no profile, so these hashes are what
+    pins the binned profiles, witnesses and slopes.  Record new hashes only
+    together with a stated reason.
+    """
+
+    @pytest.mark.parametrize("make,grid,want", [
+        (lambda: _pathology_trace("rr"), "every 2th of 2744 record boundaries",
+         "720f2ef0af6b027ace2e04717ea509c219493262ab8c23a72344314036d8334f"),
+        (lambda: _pathology_trace("drr"), "every 2th of 2744 record boundaries",
+         "720f2ef0af6b027ace2e04717ea509c219493262ab8c23a72344314036d8334f"),
+        (lambda: _pathology_trace("carr"), "every 2th of 2242 record boundaries",
+         "0621f60d7e13a643053b90ac938b0c6f5034b72177728417a4f579bdc7667492"),
+        (lambda: _random_trace("drr", 3, {0: 1.5, 1: 1, 2: 0.5}, quantum=16),
+         "all 331 record boundaries",
+         "3145db51f2b9db57ee2df3f6ec6dd6550fea8e82d7770dc8925a3e20dd7de0ff"),
+        (lambda: _random_trace("err", 4, {0: 2, 1: 1, 2: 1, 3: 0.5}),
+         "all 610 record boundaries",
+         "cb03131fec8000372bf0cefd3f62871a4ec8480408a5af4607be58cf6c986593"),
+        (_mesh_sink_trace, "all 900 record boundaries",
+         "bb15bcbdf53d752757c3459e0f6b766f41afaad42e70ba9ca70a6f27c9817d44"),
+    ], ids=["pathology-rr", "pathology-drr", "pathology-carr", "random3-drr-weighted",
+            "random4-err-weighted", "mesh-hotspot-k8"])
+    def test_report_hash(self, make, grid, want):
+        trace, weights = make()
+        rep = rfb_estimate(trace, weights)
+        assert rep.grid == grid
+        buf = io.StringIO()
+        buf.write(rep.to_json())
+        for mode in Accounting:
+            rep.windows_to_csv(buf, mode)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want
