@@ -44,7 +44,7 @@ class ArbiterKind(str, Enum):
     PROBABILISTIC = "probabilistic"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ArbRequest:
     """Head-flit metadata competing for one output port."""
 

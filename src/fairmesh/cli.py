@@ -235,8 +235,9 @@ def _mesh_config(params: dict, seed: int, defaults: dict) -> MeshConfig:
         cfg.validate()
     except ValueError as e:
         msg = str(e)
-        if msg.startswith("warmup") and "warmup" not in params:
-            msg += f" (params.warmup was not set and defaults to {cfg.warmup})"
+        for name in ("k", "horizon", "warmup"):
+            if f" {name}=" in msg and name not in params:
+                msg += f" (params.{name} was not set and defaults to {getattr(cfg, name)})"
         raise ConfigError(msg) from None
     return cfg
 

@@ -41,6 +41,9 @@ _INT_FIELDS = ("k", "packet_len", "buffer_depth", "horizon", "warmup", "seed",
                "demote_rounds", "hotspot", "quantum")
 _NONE_OK = ("hotspot", "quantum")  # None picks the default
 _REAL_FIELDS = ("weight_base", "congestion_ratio")
+# size limits, so a mistyped config cannot allocate without bound
+MAX_K = 1024
+MAX_ROUTER_CYCLES = 10**8  # k * horizon
 
 
 @dataclass
@@ -80,6 +83,8 @@ class MeshConfig:
             raise ValueError(f"rate must be a number or a list of numbers, got {self.rate!r}")
         if self.k < 2:
             raise ValueError("k must be >= 2")
+        if self.k > MAX_K:
+            raise ValueError(f"k must be <= {MAX_K}, got {self.k}")
         if self.packet_len < 1:
             raise ValueError("packet_len must be >= 1")
         if self.buffer_depth < 1:
@@ -93,6 +98,9 @@ class MeshConfig:
             raise ValueError("rate entries must lie in [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.k * self.horizon > MAX_ROUTER_CYCLES:
+            raise ValueError(f"k * horizon must be <= {MAX_ROUTER_CYCLES}, got "
+                             f"k={self.k} and horizon={self.horizon}")
         if not (0 <= self.warmup < self.horizon):
             raise ValueError("warmup must satisfy 0 <= warmup < horizon, got "
                              f"warmup={self.warmup} and horizon={self.horizon}")
@@ -326,8 +334,12 @@ class MeshSim:
         self.fifos = [[deque(), deque()] for _ in range(k)]  # [r][IN_L/IN_R]
         self.credits = [[cfg.buffer_depth, cfg.buffer_depth] for _ in range(k)]
         # one ownership record per output, None while free:
-        # [pid, input, flow, start, sent, blocked]
+        # [pid, input, flow, start, sent]
         self.owner: list[list[list | None]] = [[None, None, None] for _ in range(k)]
+        # first post-warmup cycle the current head flit of each input has
+        # been at the head, [r][IN_L/IN_R/IN_INJ]
+        self.since = [[0, 0, 0] for _ in range(k)]
+        self.active = [True] * k  # routers processed in the next cycle
         self.inj_times: list[deque[int]] = [deque() for _ in range(k)]
         self.inj_pkt: list[int] = [-1] * k  # head packet of each source queue
         self.inj_seq: list[int] = [0] * k
@@ -393,10 +405,19 @@ class MeshSim:
         return pid
 
     def _reset_stats(self) -> None:
-        self.stats = {n: SourceStats() for n in range(self.cfg.k)}
+        k, warmup = self.cfg.k, self.cfg.warmup
+        self.stats = {n: SourceStats() for n in range(k)}
         self.sending = {}
         self.blocking = {}
         self.kcount = {}
+        self.since = [[warmup] * 3 for _ in range(k)]
+
+    def _heads(self, r: int) -> tuple[int, int, int]:
+        """Flit id at the head of each input of router `r`, -1 when empty."""
+        fl, fr = self.fifos[r]
+        pid = self.inj_pkt[r]
+        return (fl[0] if fl else -1, fr[0] if fr else -1,
+                pid * self.L + self.inj_seq[r] if pid >= 0 else -1)
 
     def flit_census(self) -> tuple[int, int, int]:
         """(entered network, delivered, in flight) flit counts."""
@@ -406,8 +427,18 @@ class MeshSim:
     # -- cycle ------------------------------------------------------------
 
     def step(self) -> None:
+        """Advance one cycle, processing only the routers marked active.
+
+        A router's decisions read only its input heads, its owners and
+        arbiter state, and whether each output has a credit.  So it is active
+        in a cycle when, in the cycle before, it sent a flit, a flit became
+        the head of one of its inputs, or a credit came back to an output that
+        had none; or when its source queue gets a new head packet this cycle.
+        Any other router would again decide to do nothing, as it did when last
+        active: a free output with a candidate always grants, and a granted
+        head flit that did not move is waiting for a credit.
+        """
         cfg = self.cfg
-        k = cfg.k
         L = self.L
         now = self.now
         if now == cfg.warmup:
@@ -415,6 +446,8 @@ class MeshSim:
 
         # offered arrivals join the (unbounded) source queues; the oldest
         # arrival of a queue becomes its head packet
+        active = self.active
+        since = self.since
         inj_pkt = self.inj_pkt
         for n, queue in enumerate(self.inj_times):
             rate = self.rates[n]
@@ -423,73 +456,76 @@ class MeshSim:
             if inj_pkt[n] < 0 and queue:
                 inj_pkt[n] = self._new_packet(n, queue[0])
                 self.inj_seq[n] = 0
+                since[n][IN_INJ] = now
+                active[n] = True
 
         moves = []  # (r, i, o, flit)
         post_warmup = now >= cfg.warmup
+        fifos = self.fifos
+        credits = self.credits
+        owner = self.owner
         psrc = self.psrc
         pdest = self.pdest
-        sending = self.sending
-        blocking = self.blocking
-        for r in range(k):
-            fl, fr = self.fifos[r]
-            pid = inj_pkt[r]
-            heads = (fl[0] if fl else -1, fr[0] if fr else -1,
-                     pid * L + self.inj_seq[r] if pid >= 0 else -1)
-            # head-of-packet flits request the output their route takes
-            reqs = []  # (input port, pid, output)
+        woken = [False] * cfg.k  # routers active next cycle
+        for r in range(cfg.k):
+            if not active[r]:
+                continue
+            heads = self._heads(r)
+            # head-of-packet flits request the output their route takes;
+            # a free output with requests grants one of them
+            owners = owner[r]
+            reqs = None  # per output: [(input port, pid)]
             for i, flit in enumerate(heads):
                 if flit >= 0 and flit % L == 0:
                     pid = flit // L
                     dest = pdest[pid]
-                    reqs.append((i, pid, DIR_R if dest > r else DIR_L if dest < r else DIR_EJ))
-            owners = self.owner[r]
-            moved = [False, False, False]
+                    o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
+                    if owners[o] is None:
+                        if reqs is None:
+                            reqs = [[], [], []]
+                        reqs[o].append((i, pid))
+            if reqs is not None:
+                for o, cands in enumerate(reqs):
+                    if cands:
+                        pid, i = self._grant(r, o, cands)
+                        flow = psrc[pid]
+                        if post_warmup:
+                            self.kcount[(flow, r)] = self.kcount.get((flow, r), 0) + 1
+                        owners[o] = [pid, i, flow, now, 0]
             for o in (DIR_L, DIR_R, DIR_EJ):
                 rec = owners[o]
-                if rec is None:
-                    cands = [(i, pid) for i, pid, out in reqs if out == o]
-                    if not cands:
-                        continue
-                    pid, i = self._grant(r, o, cands)
-                    flow = psrc[pid]
-                    if post_warmup:
-                        self.kcount[(flow, r)] = self.kcount.get((flow, r), 0) + 1
-                    owners[o] = rec = [pid, i, flow, now, 0, 0]
-                else:
-                    pid, i = rec[0], rec[1]
-                flit = heads[i]
-                # every owned cycle is either a flit sent or a blocked cycle
-                if flit // L == pid and (
-                    o == DIR_EJ or self.credits[r][o] > 0
-                ):
-                    moves.append((r, i, o, flit))
-                    moved[i] = True
-                    rec[4] += 1
-                else:
-                    rec[5] += 1
-            # channel-time counters follow the flit view: a waiting head flit
-            # accrues blocking whether or not its packet already owns the
-            # output it wants
-            if post_warmup:
-                for i, flit in enumerate(heads):
-                    if flit >= 0:
-                        key = (psrc[flit // L], r)
-                        counts = sending if moved[i] else blocking
-                        counts[key] = counts.get(key, 0) + 1
+                if rec is not None:
+                    i = rec[1]
+                    flit = heads[i]
+                    if flit // L == rec[0] and (o == DIR_EJ or credits[r][o] > 0):
+                        moves.append((r, i, o, flit))
+                        rec[4] += 1
 
+        sending = self.sending
+        blocking = self.blocking
         credit_back = []
         for r, i, o, flit in moves:
             pid = flit // L
             seq = flit - pid * L
+            woken[r] = True
+            # channel time is charged when the head flit moves: the cycles
+            # it waited at the head, then the cycle it is sent
+            if post_warmup:
+                key = (psrc[pid], r)
+                wait = now - since[r][i]
+                if wait > 0:
+                    blocking[key] = blocking.get(key, 0) + wait
+                sending[key] = sending.get(key, 0) + 1
+            since[r][i] = now + 1
             # consume from the input side
             if i == IN_INJ:
                 self.inj_seq[r] += 1
                 self.network_flits_in += 1
                 if seq == L - 1:
                     self.inj_times[r].popleft()
-                    self.inj_pkt[r] = -1
+                    inj_pkt[r] = -1
             else:
-                self.fifos[r][i].popleft()
+                fifos[r][i].popleft()
                 # freed slot becomes visible upstream next cycle
                 if i == IN_L:
                     credit_back.append((r - 1, DIR_R))
@@ -504,12 +540,20 @@ class MeshSim:
                     self._deliver(pid, now)
             else:
                 nbr = r + 1 if o == DIR_R else r - 1
-                self.fifos[nbr][IN_L if o == DIR_R else IN_R].append(flit)
-                self.credits[r][o] -= 1
+                j = IN_L if o == DIR_R else IN_R
+                fifo = fifos[nbr][j]
+                if not fifo:  # the flit is the new head there
+                    since[nbr][j] = now + 1
+                    woken[nbr] = True
+                fifo.append(flit)
+                credits[r][o] -= 1
             if seq == L - 1:
                 self._release(r, o, now)
         for r, o in credit_back:
-            self.credits[r][o] += 1
+            if not credits[r][o]:  # the output may send again
+                woken[r] = True
+            credits[r][o] += 1
+        self.active = woken
         self.now = now + 1
 
     def _grant(self, r: int, o: int, cands: list[tuple[int, int]]) -> tuple[int, int]:
@@ -519,26 +563,26 @@ class MeshSim:
             return self.kernels[(r, o)].choose(
                 {self.psrc[pid]: (pid, i) for i, pid in cands}
             )
-        arb = self.arbs[(r, o)]
+        psrc, pdest, pinject, pcprod = self.psrc, self.pdest, self.pinject, self.pcprod
         reqs = [
             ArbRequest(
                 input_port=i,
-                hops_total=abs(self.pdest[pid] - self.psrc[pid]),
-                hops_traversed=abs(r - self.psrc[pid]),
-                age=self.pinject[pid],
-                flow=self.psrc[pid],
-                contention_product=self.pcprod[pid],
+                hops_total=abs(pdest[pid] - psrc[pid]),
+                hops_traversed=abs(r - psrc[pid]),
+                age=pinject[pid],
+                flow=psrc[pid],
+                contention_product=pcprod[pid],
             )
             for i, pid in cands
         ]
-        win = arb.choose(reqs)
-        i, pid = cands[win]
-        self.pcprod[pid] *= len(cands)
+        i, pid = cands[self.arbs[(r, o)].choose(reqs)]
+        pcprod[pid] *= len(cands)
         return pid, i
 
     def _release(self, r: int, o: int, now: int) -> None:
-        _pid, _i, flow, start, sent, blocked = self.owner[r][o]
+        _pid, _i, flow, start, sent = self.owner[r][o]
         self.owner[r][o] = None
+        blocked = now + 1 - start - sent  # every owned cycle sends or blocks
         link = (r, o)
         if self.flow_mode:
             self.kernels[link].note_service(flow, sent + blocked, sent)
@@ -574,6 +618,15 @@ class MeshSim:
         return self.report()
 
     def report(self) -> SimReport:
+        # head flits still waiting have blocked since they reached the head
+        L, warmup = self.L, self.cfg.warmup
+        blocking = dict(self.blocking)
+        for r in range(self.cfg.k):
+            for i, flit in enumerate(self._heads(r)):
+                wait = self.now - max(self.since[r][i], warmup)
+                if flit >= 0 and wait > 0:
+                    key = (self.psrc[flit // L], r)
+                    blocking[key] = blocking.get(key, 0) + wait
         total = sum(s.delivered for s in self.stats.values())
         shares = {}
         mean_lat = {}
@@ -594,7 +647,7 @@ class MeshSim:
             mean_latency=mean_lat,
             max_latency=max_lat,
             sending=dict(self.sending),
-            blocking=dict(self.blocking),
+            blocking=blocking,
             packets_through=dict(self.kcount),
             drops=0,
             traces=self.traces,

@@ -66,6 +66,23 @@ class TestConfigErrors:
         assert "warmup=500" in err and "horizon=500" in err
         assert "not set" not in err
 
+    @pytest.mark.parametrize("params,named,defaulted", [
+        (dict(k=2000), "k must be <= 1024, got 2000", None),
+        (dict(k=1000), "k=1000 and horizon=200000", "params.horizon"),
+        (dict(horizon=10**9), "k=8 and horizon=1000000000", "params.k"),
+        (dict(k=600, horizon=200_000), "k=600 and horizon=200000", None),
+    ])
+    def test_size_bounds_name_the_set_key(self, tmp_path, capsys, params,
+                                          named, defaulted):
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "warmup" not in err
+        if defaulted:
+            assert f"{defaulted} was not set" in err
+        else:
+            assert "not set" not in err
+
     def test_mesh_field_validation_bubbles_up(self, tmp_path, capsys):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot",
                        params={"k": 1, "horizon": 100})

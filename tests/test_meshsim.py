@@ -8,7 +8,9 @@ from fairmesh.analysis import check_ratio_constraint
 from fairmesh.core import Packet
 from fairmesh.meshsim import (
     DIR_EJ,
+    DIR_L,
     DIR_R,
+    IN_INJ,
     MeshConfig,
     MeshSim,
     _FlowKernel,
@@ -39,6 +41,8 @@ class TestConfigValidation:
         (dict(horizon=100, warmup=100), "warmup"),
         (dict(trace_links=[(9, 0)]), "trace link"),
         (dict(quantum=0), "quantum"),
+        (dict(k=1025), "k must be <= 1024"),
+        (dict(k=1000, horizon=100_001), r"k \* horizon must be <= 100000000"),
     ])
     def test_errors_name_the_field(self, kw, frag):
         cfg = MeshConfig(**kw)
@@ -390,3 +394,100 @@ class TestGoldenReports:
         rep.sink_trace().to_csv(csv_buf)
         blob = (rep.to_json() + csv_buf.getvalue()).encode()
         assert hashlib.sha256(blob).hexdigest() == want
+
+    # Cases where a router wakes from an idle cycle: one-slot buffers,
+    # one-flit packets, a warmup inside a packet, the smallest line, traced
+    # middle links and a horizon that ends with heads still waiting.
+    @pytest.mark.parametrize("kw,want", [
+        (dict(_HOT, buffer_depth=1),
+         "1f624734d41ebf5445ada0b9251b3e06319d0e2b039e31f485582e1b536efb92"),
+        (dict(_HOT, packet_len=1, arbiter="probabilistic"),
+         "e94b7d02278f8a14e4a7a87adc5c4e03feb849e563c194f33b2222295ca5246d"),
+        (dict(_HOT, packet_len=3, buffer_depth=2, arbiter="age"),
+         "3dfca6250b5fb31fcc07156a9c876b8335a0e06aaadd1daee4caf6bc5a21f2a7"),
+        (dict(_HOT, warmup=0),
+         "def26997c12545221cdc380366a25f390e9cabf9838cb8170d851d9416abfeb6"),
+        (dict(_HOT, warmup=37, arbiter="probabilistic", policy="fw"),
+         "30b30972a522e337e13f36b3e96076f8fcef50a05bb8f2653f810419e2236777"),
+        (dict(_HOT, k=2),
+         "9ce54b1bf101b068aa28d7acc85a06df94bbb2e6e560e10a74ce2e8ee4ac0fa9"),
+        (dict(_UNI, k=8, rate=0.15, trace_links=[(3, DIR_L), (3, DIR_R)]),
+         "a98609d274d198ec79b74ac82231294834b4ae073e123d01ca6eafe62ff2c0d5"),
+        (dict(_UNI, k=8, rate=0.15, packet_len=1, scheduler="carr",
+              trace_links=[(4, DIR_L), (4, DIR_R), (7, DIR_EJ)]),
+         "cc771934267e2c68e7c77882830d09aaec5e290cd8f0a49c5eab41103afe5e8b"),
+        (dict(_HOT, horizon=150, warmup=10),
+         "acef0f1244eb37994f70b934480e550e455282d4e1e3aacd4e906768e2bcd000"),
+        (dict(_HOT, horizon=150, warmup=10, scheduler="drr", quantum=1),
+         "024e9e3994c38b50b82f9d36583ecdb5eb8a4b145a41eb3d69ad13d50fad917a"),
+    ], ids=["depth1", "len1-vw", "len3-depth2-age", "warmup0", "warmup37-fw",
+            "k2", "uniform-mid-links", "uniform-len1-carr", "short-rr",
+            "short-drr-q1"])
+    def test_full_output_hash(self, kw, want):
+        sim = MeshSim(MeshConfig(log_ejects=True, **kw))
+        rep = sim.run()
+        parts = [rep.to_json()]
+        for link in sorted(rep.traces):
+            buf = io.StringIO()
+            rep.traces[link].to_csv(buf)
+            parts += [str(link), buf.getvalue(), repr(rep.traces[link].events)]
+        parts.append(repr(sim.eject_log))
+        blob = "\n".join(parts).encode()
+        assert hashlib.sha256(blob).hexdigest() == want
+
+
+def recount_channel_time(sim):
+    """Run `sim` to its horizon one cycle at a time and recount the
+    per-(flow, router) sending and blocking cycles from its public state.
+
+    Every input head present at the start of a post-warmup cycle is either
+    sent (the input shows another flit, or none, after the cycle) or blocked.
+    A source's head packet is made inside the cycle, so packets new in
+    `psrc` join that cycle's heads with their first flit.
+    """
+    L, k, warmup = sim.L, sim.cfg.k, sim.cfg.warmup
+    sending, blocking = {}, {}
+
+    def heads():
+        out = {}
+        for r in range(k):
+            for i, fifo in enumerate(sim.fifos[r]):
+                if fifo:
+                    out[(r, i)] = fifo[0]
+            if sim.inj_pkt[r] >= 0:
+                out[(r, IN_INJ)] = sim.inj_pkt[r] * L + sim.inj_seq[r]
+        return out
+
+    while sim.now < sim.cfg.horizon:
+        now, before, made = sim.now, heads(), len(sim.psrc)
+        sim.step()
+        for pid in range(made, len(sim.psrc)):
+            before[(sim.psrc[pid], IN_INJ)] = pid * L
+        if now < warmup:
+            continue
+        after = heads()
+        for (r, i), flit in before.items():
+            tally = blocking if after.get((r, i)) == flit else sending
+            key = (sim.psrc[flit // L], r)
+            tally[key] = tally.get(key, 0) + 1
+    return sending, blocking
+
+
+class TestChannelTimeOracle:
+    @pytest.mark.parametrize("kw", [
+        dict(k=6, rate=1.0, arbiter="round_robin", warmup=150),
+        dict(k=6, rate=1.0, arbiter="age", warmup=37),
+        dict(k=6, rate=1.0, arbiter="probabilistic", policy="vw", warmup=0),
+        dict(k=8, pattern="uniform", rate=0.2, arbiter="probabilistic", warmup=150),
+        dict(k=8, pattern="uniform", rate=0.2, scheduler="carr", warmup=150),
+        dict(k=6, rate=1.0, scheduler="drr", quantum=1, packet_len=3,
+             buffer_depth=2, warmup=41),
+    ], ids=["hotspot-rr", "hotspot-age", "hotspot-vw", "uniform-vw",
+            "uniform-carr", "hotspot-drr-len3"])
+    def test_counters_match_recount(self, kw):
+        sim = MeshSim(MeshConfig(horizon=1200, seed=3, **kw))
+        sending, blocking = recount_channel_time(sim)
+        rep = sim.report()
+        assert sum(blocking.values()) > 0
+        assert rep.sending == sending
+        assert rep.blocking == blocking
