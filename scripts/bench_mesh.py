@@ -3,19 +3,17 @@
 
 Times in-process `MeshSim(cfg).run()` calls on the saturated k=8 hotspot
 line (each port arbiter and each flow-queue discipline) and on k=16 uniform
-traffic at rate 0.03 under CARR.  Each `--src NAME=DIR` is a source tree
-holding the `fairmesh` package, so one call can measure a parent checkout
-and a change side by side:
+traffic at rate 0.03 under CARR, for this repository's `src/` and, with
+`--src DIR`, the `fairmesh` package of a parent checkout side by side:
 
-    python scripts/bench_mesh.py --src parent=../parent/src --src change=src \\
-        --out BENCH.json
+    python scripts/bench_mesh.py --src ../parent/src --out BENCH.json
 
 Every timed run is its own process, and the trees take turns run by run,
 so slow drift of the host hits both alike.  Per config and tree it reports
-the median and all run times, simulated cycles/s at the median, the
-`tracemalloc` peak of one further run, and the sha256 of the report JSON
-plus every trace CSV (equal hashes mean equal behaviour).  Needs nothing
-beyond the standard library and what `fairmesh` itself imports.
+the median of RUNS run times and all of them, simulated cycles/s at the
+median, the `tracemalloc` peak of one further run, and the sha256 of the
+report JSON plus every trace CSV (equal hashes mean equal behaviour).  Needs
+nothing beyond the standard library and what `fairmesh` itself imports.
 """
 
 from __future__ import annotations
@@ -34,6 +32,9 @@ import tracemalloc
 
 HOTSPOT = {"k": 8, "rate": 1.0}
 UNIFORM = {"k": 16, "pattern": "uniform", "rate": 0.03, "scheduler": "carr"}
+HORIZON = 40_000
+RUNS = 5  # timed runs per config and tree
+CHANGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 CONFIGS = {
     **{f"hotspot-{a}": dict(HOTSPOT, arbiter=a)
        for a in ("round_robin", "age", "probabilistic")},
@@ -43,11 +44,11 @@ CONFIGS = {
 }
 
 
-def one_run(name: str, horizon: int, traced: bool) -> dict:
+def one_run(name: str, traced: bool) -> dict:
     """Run one config in this process; `fairmesh` must be importable."""
     from fairmesh.meshsim import MeshConfig, MeshSim
 
-    cfg = MeshConfig(horizon=horizon, warmup=horizon // 10, seed=1, **CONFIGS[name])
+    cfg = MeshConfig(horizon=HORIZON, warmup=HORIZON // 10, seed=1, **CONFIGS[name])
     if traced:
         tracemalloc.start()
     t0 = time.perf_counter()
@@ -66,28 +67,28 @@ def one_run(name: str, horizon: int, traced: bool) -> dict:
     return out
 
 
-def spawn(src: str, name: str, horizon: int, traced: bool) -> dict:
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", name,
-           "--horizon", str(horizon)] + (["--traced"] if traced else [])
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+def spawn(src: str, name: str, traced: bool) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", name]
+    cmd += ["--traced"] if traced else []
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def measure(trees: dict[str, str], horizon: int, runs: int) -> dict:
+def measure(trees: dict[str, str]) -> dict:
     table = {}
     for name in CONFIGS:
         order = list(trees)
         times = {t: [] for t in order}
         shas = {t: set() for t in order}
-        for n in range(runs):
+        for n in range(RUNS):
             for tree in order if n % 2 == 0 else order[::-1]:
-                res = spawn(trees[tree], name, horizon, traced=False)
+                res = spawn(trees[tree], name, traced=False)
                 times[tree].append(res["seconds"])
                 shas[tree].add(res["report_sha256"])
         row = {}
         for tree in order:
-            traced = spawn(trees[tree], name, horizon, traced=True)
+            traced = spawn(trees[tree], name, traced=True)
             shas[tree].add(traced["report_sha256"])
             if len(shas[tree]) != 1:
                 raise SystemExit(f"{name} on {tree}: report hash differs between runs")
@@ -95,17 +96,14 @@ def measure(trees: dict[str, str], horizon: int, runs: int) -> dict:
             row[tree] = {
                 "median_s": round(med, 4),
                 "runs_s": [round(t, 4) for t in times[tree]],
-                "cycles_per_s": round(horizon / med),
+                "cycles_per_s": round(HORIZON / med),
                 "peak_mb": round(traced["peak_mb"], 2),
                 "report_sha256": shas[tree].pop(),
             }
-        if len(order) > 1:
-            base = row[order[0]]["median_s"]
-            for tree in order[1:]:
-                row[tree]["speedup_vs_" + order[0]] = round(base / row[tree]["median_s"], 2)
-                row[tree]["same_report"] = (
-                    row[tree]["report_sha256"] == row[order[0]]["report_sha256"]
-                )
+        if "parent" in row:
+            new, old = row["change"], row["parent"]
+            new["speedup_vs_parent"] = round(old["median_s"] / new["median_s"], 2)
+            new["same_report"] = new["report_sha256"] == old["report_sha256"]
         table[name] = row
         print(name, json.dumps(row), flush=True)
     return table
@@ -120,30 +118,27 @@ def machine() -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", action="append", metavar="NAME=DIR",
-                    help="source tree holding the fairmesh package (repeatable; "
-                         "the first is the base of the speedups); default: src")
-    ap.add_argument("--horizon", type=int, default=40_000)
-    ap.add_argument("--runs", type=int, default=5, help="timed runs per config and tree")
+    ap.add_argument("--src", metavar="DIR",
+                    help="source tree of a parent checkout (DIR/fairmesh) to time "
+                         "against this repository's src/")
     ap.add_argument("--out", help="write the table as JSON here")
     ap.add_argument("--child", choices=sorted(CONFIGS), help=argparse.SUPPRESS)
     ap.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.child:
-        print(json.dumps(one_run(args.child, args.horizon, args.traced)))
+        print(json.dumps(one_run(args.child, args.traced)))
         return
-    trees = {}
-    for spec in args.src or ["src=src"]:
-        name, sep, path = spec.partition("=")
-        if not sep or not os.path.isdir(os.path.join(path, "fairmesh")):
-            ap.error(f"--src {spec!r}: want NAME=DIR with DIR/fairmesh present")
-        trees[name] = path
-    table = measure(trees, args.horizon, args.runs)
+    trees = {"change": CHANGE}
+    if args.src:
+        if not os.path.isdir(os.path.join(args.src, "fairmesh")):
+            ap.error(f"--src {args.src!r}: no fairmesh package there")
+        trees = {"parent": os.path.abspath(args.src), **trees}
+    table = measure(trees)
     doc = {
         "what": "in-process MeshSim(cfg).run() per config, seed 1, warmup horizon/10",
-        "horizon": args.horizon,
-        "runs": args.runs,
+        "horizon": HORIZON,
+        "runs": RUNS,
         "machine": machine(),
         "layer": {"mesh": table},
     }

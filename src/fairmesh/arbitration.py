@@ -44,7 +44,7 @@ class ArbiterKind(str, Enum):
     PROBABILISTIC = "probabilistic"
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True)
 class ArbRequest:
     """Head-flit metadata competing for one output port."""
 
@@ -124,9 +124,16 @@ def grant_round_robin(
 
     Returns (granted request index, advanced pointer).
     """
-    if not reqs:
+    return grant_round_robin_ports([r.input_port for r in reqs], pointer, num_ports)
+
+
+def grant_round_robin_ports(
+    ports: Sequence[int], pointer: int, num_ports: int
+) -> tuple[int, int]:
+    """`grant_round_robin` from the requesting input ports alone."""
+    if not ports:
         raise ValueError("arbitration needs at least one request")
-    by_port = {r.input_port: i for i, r in enumerate(reqs)}
+    by_port = {p: i for i, p in enumerate(ports)}
     for off in range(num_ports):
         port = (pointer + off) % num_ports
         if port in by_port:
@@ -142,7 +149,11 @@ class RoundRobinArbiter:
         self.pointer = 0
 
     def choose(self, reqs: Sequence[ArbRequest]) -> int:
-        idx, self.pointer = grant_round_robin(reqs, self.pointer, self.num_ports)
+        return self.choose_ports([r.input_port for r in reqs])
+
+    def choose_ports(self, ports: Sequence[int]) -> int:
+        """Grant among requests given by their input ports, all this reads."""
+        idx, self.pointer = grant_round_robin_ports(ports, self.pointer, self.num_ports)
         return idx
 
 

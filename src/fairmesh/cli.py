@@ -235,8 +235,8 @@ def _mesh_config(params: dict, seed: int, defaults: dict) -> MeshConfig:
         cfg.validate()
     except ValueError as e:
         msg = str(e)
-        for name in ("k", "horizon", "warmup"):
-            if f" {name}=" in msg and name not in params:
+        for name in getattr(e, "fields", ()):
+            if name not in params:
                 msg += f" (params.{name} was not set and defaults to {getattr(cfg, name)})"
         raise ConfigError(msg) from None
     return cfg

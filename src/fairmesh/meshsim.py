@@ -46,6 +46,14 @@ MAX_K = 1024
 MAX_ROUTER_CYCLES = 10**8  # k * horizon
 
 
+class FieldsError(ValueError):
+    """A config error whose message states the values of `fields`."""
+
+    def __init__(self, msg: str, *fields: str):
+        super().__init__(msg)
+        self.fields = fields
+
+
 @dataclass
 class MeshConfig:
     k: int = 8
@@ -99,11 +107,12 @@ class MeshConfig:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.k * self.horizon > MAX_ROUTER_CYCLES:
-            raise ValueError(f"k * horizon must be <= {MAX_ROUTER_CYCLES}, got "
-                             f"k={self.k} and horizon={self.horizon}")
+            raise FieldsError(f"k * horizon must be <= {MAX_ROUTER_CYCLES}, got "
+                              f"k={self.k} and horizon={self.horizon}", "k", "horizon")
         if not (0 <= self.warmup < self.horizon):
-            raise ValueError("warmup must satisfy 0 <= warmup < horizon, got "
-                             f"warmup={self.warmup} and horizon={self.horizon}")
+            raise FieldsError("warmup must satisfy 0 <= warmup < horizon, got "
+                              f"warmup={self.warmup} and horizon={self.horizon}",
+                              "warmup", "horizon")
         ArbiterKind(self.arbiter)
         WeightPolicy(self.policy)
         if self.scheduler is not None:
@@ -564,18 +573,22 @@ class MeshSim:
                 {self.psrc[pid]: (pid, i) for i, pid in cands}
             )
         psrc, pdest, pinject, pcprod = self.psrc, self.pdest, self.pinject, self.pcprod
-        reqs = [
-            ArbRequest(
-                input_port=i,
-                hops_total=abs(pdest[pid] - psrc[pid]),
-                hops_traversed=abs(r - psrc[pid]),
-                age=pinject[pid],
-                flow=psrc[pid],
-                contention_product=pcprod[pid],
-            )
-            for i, pid in cands
-        ]
-        i, pid = cands[self.arbs[(r, o)].choose(reqs)]
+        arb = self.arbs[(r, o)]
+        if arb.kind is ArbiterKind.ROUND_ROBIN:
+            idx = arb.choose_ports([i for i, _pid in cands])
+        else:
+            idx = arb.choose([
+                ArbRequest(
+                    input_port=i,
+                    hops_total=abs(pdest[pid] - psrc[pid]),
+                    hops_traversed=abs(r - psrc[pid]),
+                    age=pinject[pid],
+                    flow=psrc[pid],
+                    contention_product=pcprod[pid],
+                )
+                for i, pid in cands
+            ])
+        i, pid = cands[idx]
         pcprod[pid] *= len(cands)
         return pid, i
 

@@ -137,6 +137,17 @@ class TestRoundRobinGrant:
         grants = [arb.choose(reqs) for _ in range(6)]
         assert grants == [0, 1, 0, 1, 0, 1]
 
+    def test_ports_alone_grant_as_requests_do(self):
+        by_reqs, by_ports = RoundRobinArbiter(3), RoundRobinArbiter(3)
+        for ports in ([2], [0, 2], [1], [0, 1, 2], [1, 2], [0], [0, 2], [2]):
+            assert by_reqs.choose([req(port=p) for p in ports]) == by_ports.choose_ports(ports)
+            assert by_reqs.pointer == by_ports.pointer
+
+    def test_frozen_request_rejects_edits(self):
+        r = req(total=2, traversed=1)
+        with pytest.raises(AttributeError):
+            r.hops_traversed = 5
+
 
 class TestFactory:
     def test_kinds(self):

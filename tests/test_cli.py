@@ -83,6 +83,13 @@ class TestConfigErrors:
         else:
             assert "not set" not in err
 
+    def test_only_fields_a_message_states_get_a_default_note(self, tmp_path, capsys):
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot",
+                       params={"hotspot": 9, "horizon": 100, "warmup": 0})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "hotspot 9 out of range for k=8" in err and "not set" not in err
+
     def test_mesh_field_validation_bubbles_up(self, tmp_path, capsys):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot",
                        params={"k": 1, "horizon": 100})
