@@ -5,14 +5,14 @@ probabilistic arbitration where each request is granted with probability
 proportional to a weight.  Weights grow exponentially with distance so that
 packets which have already crossed many merge points are not starved by
 locally fair coin flips: a request of weight w_i wins with probability
-w_i / sum(w).  The exponent is either the full route length, the hops already
-traversed, or, in the contention-tracking variant, the packet's accumulated
-product of observed contention degrees.
+w_i / sum(w).  A weight is a base raised to the full route length or to the
+hops already traversed, or, in the contention-tracking variant, the packet's
+accumulated product of observed contention degrees.  Each arbiter's `choose`
+takes only the value it reads per request and returns the granted index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -28,9 +28,8 @@ class WeightPolicy(str, Enum):
         count; fixed for the packet's lifetime.
     CW: static base raised to the hops traversed so far; grows as the packet
         advances.
-    VW: the contention actually experienced.  When the request carries an
-        accumulated contention product the weight is that product; otherwise
-        the current contention degree raised to the hops traversed stands in.
+    VW: the contention actually experienced: the packet's running product of
+        the contention degrees it met at the arbitrations it has won.
     """
 
     FW = "fw"
@@ -42,50 +41,6 @@ class ArbiterKind(str, Enum):
     ROUND_ROBIN = "round_robin"
     AGE = "age"
     PROBABILISTIC = "probabilistic"
-
-
-@dataclass(frozen=True)
-class ArbRequest:
-    """Head-flit metadata competing for one output port."""
-
-    input_port: int
-    hops_total: int
-    hops_traversed: int
-    age: int  # inject cycle
-    flow: int
-    # running product of contention degrees seen at arbitrations already won;
-    # None means the carrier does not track it
-    contention_product: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.hops_total < 0 or self.hops_traversed < 0:
-            raise ValueError("hop counts must be nonnegative")
-        if self.hops_traversed > self.hops_total:
-            raise ValueError(
-                f"hops_traversed {self.hops_traversed} exceeds hops_total {self.hops_total}"
-            )
-        if self.contention_product is not None and self.contention_product <= 0:
-            raise ValueError("contention product must be positive")
-
-
-def weight_for(
-    req: ArbRequest,
-    policy: WeightPolicy,
-    live_contention: int,
-    base: float = 2.0,
-) -> float:
-    """Arbitration weight of one request; zero hops always weighs 1."""
-    if live_contention < 1:
-        raise ValueError("live contention counts the requesters, so it is >= 1")
-    if base < 1:
-        raise ValueError("weight base must be >= 1")
-    if policy is WeightPolicy.FW:
-        return float(base) ** req.hops_total
-    if policy is WeightPolicy.CW:
-        return float(base) ** req.hops_traversed
-    if req.contention_product is not None:
-        return float(req.contention_product)
-    return float(live_contention) ** req.hops_traversed
 
 
 def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
@@ -105,32 +60,13 @@ def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
     return len(weights) - 1  # guard against accumulated rounding
 
 
-def grant_age_based(reqs: Sequence[ArbRequest]) -> int:
-    """Oldest inject cycle wins; ties go to the lowest input port."""
-    if not reqs:
-        raise ValueError("arbitration needs at least one request")
-    best = 0
-    for i in range(1, len(reqs)):
-        r, b = reqs[i], reqs[best]
-        if (r.age, r.input_port) < (b.age, b.input_port):
-            best = i
-    return best
-
-
 def grant_round_robin(
-    reqs: Sequence[ArbRequest], pointer: int, num_ports: int
+    ports: Sequence[int], pointer: int, num_ports: int
 ) -> tuple[int, int]:
-    """First requesting port at or after the pointer, cyclically.
+    """First requesting input port at or after the pointer, cyclically.
 
     Returns (granted request index, advanced pointer).
     """
-    return grant_round_robin_ports([r.input_port for r in reqs], pointer, num_ports)
-
-
-def grant_round_robin_ports(
-    ports: Sequence[int], pointer: int, num_ports: int
-) -> tuple[int, int]:
-    """`grant_round_robin` from the requesting input ports alone."""
     if not ports:
         raise ValueError("arbitration needs at least one request")
     by_port = {p: i for i, p in enumerate(ports)}
@@ -148,48 +84,48 @@ class RoundRobinArbiter:
         self.num_ports = num_ports
         self.pointer = 0
 
-    def choose(self, reqs: Sequence[ArbRequest]) -> int:
-        return self.choose_ports([r.input_port for r in reqs])
-
-    def choose_ports(self, ports: Sequence[int]) -> int:
-        """Grant among requests given by their input ports, all this reads."""
-        idx, self.pointer = grant_round_robin_ports(ports, self.pointer, self.num_ports)
+    def choose(self, ports: Sequence[int]) -> int:
+        """Grant among requests given by their input ports."""
+        idx, self.pointer = grant_round_robin(ports, self.pointer, self.num_ports)
         return idx
 
 
 class AgeArbiter:
     kind = ArbiterKind.AGE
 
-    def __init__(self, num_ports: int):
-        self.num_ports = num_ports
-
-    def choose(self, reqs: Sequence[ArbRequest]) -> int:
-        return grant_age_based(reqs)
+    def choose(self, keys: Sequence[tuple[int, int]]) -> int:
+        """Grant the smallest (inject cycle, input port): the oldest packet,
+        ties to the lowest input port."""
+        return keys.index(min(keys))
 
 
 class ProbabilisticArbiter:
-    """Weighted-random arbiter; the contention degree fed to the weight rule
-    is the number of requests in the current cycle."""
+    """Weighted-random arbiter over requests given as routes
+    (hops_total, hops_traversed, contention_product)."""
 
     kind = ArbiterKind.PROBABILISTIC
 
     def __init__(
         self,
-        num_ports: int,
         policy: WeightPolicy = WeightPolicy.VW,
         base: float = 2.0,
         seed: int = 0,
         stream_id: int = 0,
     ):
-        self.num_ports = num_ports
         self.policy = WeightPolicy(policy)
         self.base = base
         self.rng = XorShift64Star(seed, stream_id)
 
-    def choose(self, reqs: Sequence[ArbRequest]) -> int:
-        live = len(reqs)
-        weights = [weight_for(r, self.policy, live, self.base) for r in reqs]
-        return grant_probabilistic(weights, self.rng)
+    def weights(self, routes: Sequence[tuple[int, int, float]]) -> list[float]:
+        """Weight of each route under the policy; zero hops always weighs 1."""
+        if self.policy is WeightPolicy.FW:
+            return [float(self.base) ** total for total, _, _ in routes]
+        if self.policy is WeightPolicy.CW:
+            return [float(self.base) ** traversed for _, traversed, _ in routes]
+        return [float(product) for _, _, product in routes]
+
+    def choose(self, routes: Sequence[tuple[int, int, float]]) -> int:
+        return grant_probabilistic(self.weights(routes), self.rng)
 
 
 Arbiter = RoundRobinArbiter | AgeArbiter | ProbabilisticArbiter
@@ -207,8 +143,8 @@ def make_arbiter(
     if k is ArbiterKind.ROUND_ROBIN:
         return RoundRobinArbiter(num_ports)
     if k is ArbiterKind.AGE:
-        return AgeArbiter(num_ports)
-    return ProbabilisticArbiter(num_ports, WeightPolicy(policy), base, seed, stream_id)
+        return AgeArbiter()
+    return ProbabilisticArbiter(WeightPolicy(policy), base, seed, stream_id)
 
 
 def empirical_grant_frequencies(

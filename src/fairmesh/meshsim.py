@@ -17,11 +17,12 @@ credits) so iteration order never leaks into results.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .arbitration import ArbiterKind, ArbRequest, WeightPolicy, make_arbiter
+from .arbitration import ArbiterKind, WeightPolicy, make_arbiter
 from .core import PacketEvent, ServiceRecord, Trace, is_int, is_real
 from .rng import XorShift64Star
 from .schedulers import SchedulerKind
@@ -39,7 +40,9 @@ _SID_ARB = 2
 
 _INT_FIELDS = ("k", "packet_len", "buffer_depth", "horizon", "warmup", "seed",
                "demote_rounds", "hotspot", "quantum")
-_NONE_OK = ("hotspot", "quantum")  # None picks the default
+_NONE_OK = ("hotspot", "quantum", "scheduler")  # None picks the default
+_ENUM_FIELDS = (("arbiter", ArbiterKind), ("policy", WeightPolicy),
+                ("scheduler", SchedulerKind))
 _REAL_FIELDS = ("weight_base", "congestion_ratio")
 # size limits, so a mistyped config cannot allocate without bound
 MAX_K = 1024
@@ -113,10 +116,35 @@ class MeshConfig:
             raise FieldsError("warmup must satisfy 0 <= warmup < horizon, got "
                               f"warmup={self.warmup} and horizon={self.horizon}",
                               "warmup", "horizon")
-        ArbiterKind(self.arbiter)
-        WeightPolicy(self.policy)
-        if self.scheduler is not None:
-            SchedulerKind(self.scheduler)
+        for name, kinds in _ENUM_FIELDS:
+            v = getattr(self, name)
+            if v is None and name in _NONE_OK:
+                continue
+            try:
+                kinds(v)
+            except ValueError:
+                names = ", ".join(x.value for x in kinds)
+                raise ValueError(f"{name} must be one of [{names}], got {v!r}") from None
+        if self.scheduler is None and ArbiterKind(self.arbiter) is ArbiterKind.PROBABILISTIC:
+            if not self.weight_base >= 1:
+                raise ValueError(f"weight_base must be >= 1, got {self.weight_base}")
+            # on a line the heaviest grant weighs a route of k - 1 hops
+            # against one injected a hop later, of at most k - 2
+            b = float(self.weight_base)
+            try:
+                top = b ** (self.k - 1) + b ** (self.k - 2)
+            except OverflowError:
+                top = math.inf
+            if not math.isfinite(top):
+                raise FieldsError("the largest weight sum, weight_base ** (k - 1) + "
+                                  "weight_base ** (k - 2), must be finite, got "
+                                  f"weight_base={self.weight_base} and k={self.k}",
+                                  "weight_base", "k")
+        if self.scheduler is not None and SchedulerKind(self.scheduler) is SchedulerKind.CARR:
+            if not self.congestion_ratio > 1:
+                raise ValueError(f"congestion_ratio must exceed 1, got {self.congestion_ratio}")
+            if self.demote_rounds < 1:
+                raise ValueError(f"demote_rounds must be >= 1, got {self.demote_rounds}")
         if self.quantum is not None and self.quantum < 1:
             raise ValueError("quantum must be >= 1")
         if self.trace_links is not None:
@@ -575,19 +603,12 @@ class MeshSim:
         psrc, pdest, pinject, pcprod = self.psrc, self.pdest, self.pinject, self.pcprod
         arb = self.arbs[(r, o)]
         if arb.kind is ArbiterKind.ROUND_ROBIN:
-            idx = arb.choose_ports([i for i, _pid in cands])
-        else:
-            idx = arb.choose([
-                ArbRequest(
-                    input_port=i,
-                    hops_total=abs(pdest[pid] - psrc[pid]),
-                    hops_traversed=abs(r - psrc[pid]),
-                    age=pinject[pid],
-                    flow=psrc[pid],
-                    contention_product=pcprod[pid],
-                )
-                for i, pid in cands
-            ])
+            idx = arb.choose([i for i, _pid in cands])
+        elif arb.kind is ArbiterKind.AGE:
+            idx = arb.choose([(pinject[pid], i) for i, pid in cands])
+        else:  # routes: (hops_total, hops_traversed, contention_product)
+            idx = arb.choose([(abs(pdest[pid] - psrc[pid]), abs(r - psrc[pid]), pcprod[pid])
+                              for _i, pid in cands])
         i, pid = cands[idx]
         pcprod[pid] *= len(cands)
         return pid, i

@@ -1,58 +1,46 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fairmesh.arbitration import (
     AgeArbiter,
     ArbiterKind,
-    ArbRequest,
     ProbabilisticArbiter,
     RoundRobinArbiter,
     WeightPolicy,
     empirical_grant_frequencies,
-    grant_age_based,
     grant_probabilistic,
     grant_round_robin,
     make_arbiter,
-    weight_for,
 )
+from fairmesh.meshsim import MeshConfig, run_mesh
 from fairmesh.rng import XorShift64Star
 
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
-def req(port=0, total=0, traversed=0, age=0, flow=0, product=None):
-    return ArbRequest(input_port=port, hops_total=total, hops_traversed=traversed,
-                      age=age, flow=flow, contention_product=product)
+
+def weights(policy, routes, base=2.0):
+    return ProbabilisticArbiter(policy, base).weights(routes)
 
 
 class TestWeights:
     def test_traversed_distance_exponent(self):
-        assert weight_for(req(total=5, traversed=3), WeightPolicy.CW, 1, base=2.0) == 8
+        assert weights(WeightPolicy.CW, [(5, 3, 1.0)]) == [8]
 
     def test_full_route_exponent(self):
-        assert weight_for(req(total=5, traversed=3), WeightPolicy.FW, 1, base=2.0) == 32
+        assert weights(WeightPolicy.FW, [(5, 3, 1.0)]) == [32]
 
     @pytest.mark.parametrize("policy", list(WeightPolicy))
     def test_zero_hops_weighs_one(self, policy):
-        assert weight_for(req(), policy, live_contention=3) == 1
+        assert weights(policy, [(0, 0, 1.0)]) == [1]
 
-    def test_contention_based_uses_live_degree(self):
-        assert weight_for(req(total=4, traversed=2), WeightPolicy.VW, 2) == 4
-        assert weight_for(req(total=4, traversed=2), WeightPolicy.VW, 3) == 9
-
-    def test_contention_product_overrides_live(self):
-        r = req(total=4, traversed=2, product=6.0)
-        assert weight_for(r, WeightPolicy.VW, 2) == 6.0
+    def test_contention_product_under_vw_only(self):
+        route = (4, 2, 6.0)
+        assert weights(WeightPolicy.VW, [route]) == [6.0]
         # static-base policies ignore the product
-        assert weight_for(r, WeightPolicy.CW, 2, base=2.0) == 4
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            weight_for(req(), WeightPolicy.CW, 0)
-        with pytest.raises(ValueError):
-            weight_for(req(), WeightPolicy.CW, 2, base=0.5)
-        with pytest.raises(ValueError):
-            req(total=1, traversed=2)
-        with pytest.raises(ValueError):
-            req(product=0.0)
+        assert weights(WeightPolicy.CW, [route]) == [4]
 
 
 class TestProbabilisticGrant:
@@ -102,51 +90,35 @@ class TestProbabilisticGrant:
 
 
 class TestAgeGrant:
+    # requests as (inject cycle, input port)
     def test_oldest_wins(self):
-        reqs = [req(port=0, age=100), req(port=1, age=40), req(port=2, age=77)]
-        assert grant_age_based(reqs) == 1
+        assert AgeArbiter().choose([(100, 0), (40, 1), (77, 2)]) == 1
 
     def test_tie_goes_to_lowest_port(self):
-        reqs = [req(port=2, age=40), req(port=1, age=40)]
-        assert grant_age_based(reqs) == 1
+        assert AgeArbiter().choose([(40, 2), (40, 1)]) == 1
 
     def test_single(self):
-        assert grant_age_based([req(port=5, age=9)]) == 0
+        assert AgeArbiter().choose([(9, 5)]) == 0
 
 
 class TestRoundRobinGrant:
     def test_pointer_at_first_request(self):
-        idx, ptr = grant_round_robin([req(port=0), req(port=1)], 0, 3)
-        assert (idx, ptr) == (0, 1)
+        assert grant_round_robin([0, 1], 0, 3) == (0, 1)
 
     def test_pointer_skips_served_port(self):
-        idx, ptr = grant_round_robin([req(port=0), req(port=1)], 1, 3)
-        assert (idx, ptr) == (1, 2)
+        assert grant_round_robin([0, 1], 1, 3) == (1, 2)
 
     def test_cyclic_wraparound(self):
-        idx, ptr = grant_round_robin([req(port=0)], 2, 3)
-        assert (idx, ptr) == (0, 1)
+        assert grant_round_robin([0], 2, 3) == (0, 1)
 
     def test_out_of_range_port(self):
         with pytest.raises(ValueError):
-            grant_round_robin([req(port=9)], 0, 3)
+            grant_round_robin([9], 0, 3)
 
     def test_arbiter_alternates(self):
         arb = RoundRobinArbiter(num_ports=2)
-        reqs = [req(port=0), req(port=1)]
-        grants = [arb.choose(reqs) for _ in range(6)]
+        grants = [arb.choose([0, 1]) for _ in range(6)]
         assert grants == [0, 1, 0, 1, 0, 1]
-
-    def test_ports_alone_grant_as_requests_do(self):
-        by_reqs, by_ports = RoundRobinArbiter(3), RoundRobinArbiter(3)
-        for ports in ([2], [0, 2], [1], [0, 1, 2], [1, 2], [0], [0, 2], [2]):
-            assert by_reqs.choose([req(port=p) for p in ports]) == by_ports.choose_ports(ports)
-            assert by_reqs.pointer == by_ports.pointer
-
-    def test_frozen_request_rejects_edits(self):
-        r = req(total=2, traversed=1)
-        with pytest.raises(AttributeError):
-            r.hops_traversed = 5
 
 
 class TestFactory:
@@ -158,14 +130,41 @@ class TestFactory:
         assert arb.policy is WeightPolicy.VW
 
     def test_probabilistic_arbiter_replay(self):
-        reqs = [req(port=0, total=3, traversed=1), req(port=1, total=3, traversed=2)]
+        routes = [(3, 1, 1.0), (3, 2, 1.0)]
         a = make_arbiter("probabilistic", 3, policy="cw", seed=9, stream_id=1)
         b = make_arbiter("probabilistic", 3, policy="cw", seed=9, stream_id=1)
-        assert [a.choose(reqs) for _ in range(200)] == [b.choose(reqs) for _ in range(200)]
+        assert [a.choose(routes) for _ in range(200)] == [b.choose(routes) for _ in range(200)]
 
     def test_probabilistic_biases_toward_traveled(self):
         # hops 3 vs 0 under traversed-distance weights: 8:1 odds
-        reqs = [req(port=0, total=3, traversed=3), req(port=1, total=3, traversed=0)]
+        routes = [(3, 3, 1.0), (3, 0, 1.0)]
         arb = make_arbiter("probabilistic", 2, policy="cw", seed=2)
-        wins = sum(1 for _ in range(9000) if arb.choose(reqs) == 0)
+        wins = sum(1 for _ in range(9000) if arb.choose(routes) == 0)
         assert abs(wins / 9000 - 8 / 9) < 0.02
+
+
+class TestMeshGrantsThroughChoose:
+    """The mesh grants every packet through its arbiter's `choose`, the
+    method perfbench's trace mode wraps to time arbitration."""
+
+    @pytest.mark.parametrize("kind", list(ArbiterKind))
+    def test_one_choose_call_per_grant(self, monkeypatch, kind):
+        cls = type(make_arbiter(kind, 3))
+        choose = cls.choose
+        calls = []
+
+        def counted(self, xs):
+            calls.append(len(xs))
+            return choose(self, xs)
+
+        monkeypatch.setattr(cls, "choose", counted)
+        rep = run_mesh(MeshConfig(k=4, rate=1.0, horizon=300, warmup=0, arbiter=kind))
+        assert len(calls) == sum(rep.packets_through.values()) > 0
+        assert max(calls) > 1  # contended grants go through choose too
+
+    def test_trace_targets_resolve(self):
+        spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+        child = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(child)
+        for _layer, owner, attr in child.TARGETS:
+            assert callable(getattr(child._owner(owner), attr, None)), (owner, attr)

@@ -141,6 +141,12 @@ class TestConfigErrors:
         (dict(weight_base="2"), "weight_base must be a number"),
         (dict(trace_links=5), "trace_links must be a list"),
         (dict(trace_links=[[1]]), "trace_links must be a list"),
+        (dict(arbiter="probabilistic", weight_base=0.5), "weight_base must be >= 1"),
+        (dict(arbiter="probabilistic", policy="fw", k=700, weight_base=3.0,
+              horizon=100, warmup=0), "the largest weight sum"),
+        (dict(arbiter="bogus"), "arbiter must be one of [round_robin, age, probabilistic]"),
+        (dict(scheduler="carr", congestion_ratio=0.5), "congestion_ratio must exceed 1"),
+        (dict(scheduler="carr", demote_rounds=0), "demote_rounds must be >= 1"),
     ])
     def test_bad_mesh_param_types_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)

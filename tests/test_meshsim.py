@@ -43,6 +43,17 @@ class TestConfigValidation:
         (dict(quantum=0), "quantum"),
         (dict(k=1025), "k must be <= 1024"),
         (dict(k=1000, horizon=100_001), r"k \* horizon must be <= 100000000"),
+        (dict(arbiter="probabilistic", weight_base=0.5), "weight_base must be >= 1"),
+        (dict(arbiter="probabilistic", policy="fw", k=700, weight_base=3.0, horizon=100),
+         "the largest weight sum"),
+        # each weight is finite, but two of them sum to inf
+        (dict(arbiter="probabilistic", policy="fw", k=1024, weight_base=2.001, horizon=50),
+         r"weight_base \*\* \(k - 1\) \+ weight_base \*\* \(k - 2\), must be finite"),
+        (dict(arbiter="bogus"), r"arbiter must be one of \[round_robin, age, probabilistic\]"),
+        (dict(policy="bogus"), r"policy must be one of \[fw, cw, vw\]"),
+        (dict(scheduler="bogus"), r"scheduler must be one of \[rr, drr, err, ebrr, carr\]"),
+        (dict(scheduler="carr", congestion_ratio=0.5), "congestion_ratio must exceed 1"),
+        (dict(scheduler="carr", demote_rounds=0), "demote_rounds must be >= 1"),
     ])
     def test_errors_name_the_field(self, kw, frag):
         cfg = MeshConfig(**kw)
@@ -386,8 +397,15 @@ class TestGoldenReports:
          "dae69bc672bd19f1990cce6d38db60ac3f7eb21efac5c510e814ecd0d01cf414"),
         (dict(_UNI, scheduler="carr"),
          "22290e4c7eeb19a1cccf473f4cbe6f9425862b3a4bdaf7f28179d044683714f2"),
+        (dict(_HOT, arbiter="probabilistic", policy="cw"),
+         "77e346ffa26d994b087deef86a8272119500fd8987976be9135ed3e8a447638e"),
+        (dict(_HOT, arbiter="probabilistic", policy="fw", weight_base=3.0),
+         "e155aee220fd2ca776988a045512f9cbf9d14d23522de6a0d7de89bedcb29f33"),
+        (dict(_UNI, k=12, rate=0.2, arbiter="age"),
+         "22f6d2b95dd8989b0fba3f79b6ef283ecb81a54a0cbb4f827261d38be8ba0b07"),
     ], ids=["hotspot-rr", "hotspot-age", "hotspot-vw", "hotspot-fw",
-            "uniform-prob", "uniform-drr-q1", "uniform-ebrr", "uniform-carr"])
+            "uniform-prob", "uniform-drr-q1", "uniform-ebrr", "uniform-carr",
+            "hotspot-cw", "hotspot-fw-base3", "uniform-age"])
     def test_report_hash(self, kw, want):
         rep = run_mesh(MeshConfig(**kw))
         csv_buf = io.StringIO()
