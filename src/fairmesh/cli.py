@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -181,9 +182,10 @@ def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
     if kind is SchedulerKind.CARR:
         kw["tau"] = params.get("tau", 2.0)
         kw["demote_rounds"] = params.get("demote_rounds", 2)
-        for key in ("tau", "demote_rounds"):
-            if not is_real(kw[key]):
-                raise ConfigError(f"config key params.{key} must be a number, got {kw[key]!r}")
+        for key, valid, what in (("tau", is_real, "a number"),
+                                 ("demote_rounds", is_int, "an integer")):
+            if not valid(kw[key]):
+                raise ConfigError(f"config key params.{key} must be {what}, got {kw[key]!r}")
     try:
         return make_scheduler(kind, **kw)
     except ValueError as e:
@@ -303,12 +305,12 @@ _EQ13_DEFAULTS = dict(presets.HOTSPOT_DEFAULTS, arbiter="probabilistic")
 def _exp_arb_convergence(params: dict, seeds: list[int], outdir: Path) -> dict:
     _check_allowed(params, {"weights", "trials"}, "params")
     ws = params.get("weights", list(presets.ARB_CONVERGENCE_WEIGHTS))
-    if not isinstance(ws, list) or len(ws) < 2 or any(
-        not isinstance(x, (int, float)) or x <= 0 for x in ws
+    if not isinstance(ws, list) or len(ws) < 2 or not all(
+        is_real(x) and 0 < x < math.inf for x in ws
     ):
-        raise ConfigError("config key params.weights must list at least two positive numbers")
+        raise ConfigError("config key params.weights must list at least two positive finite numbers")
     trials = params.get("trials", presets.ARB_CONVERGENCE_TRIALS)
-    if not isinstance(trials, int) or trials < 1:
+    if not is_int(trials) or trials < 1:
         raise ConfigError("config key params.trials must be a positive integer")
     expected = [x / sum(ws) for x in ws]
     runs = {}

@@ -198,17 +198,8 @@ class FairnessReport:
             w.writerow([t1, t2, fm])
 
 
-_MAX_GRID = 1500
 _N_BINS = 24
-
-
-def _grid_indices(n_bounds: int) -> tuple[np.ndarray, str]:
-    if n_bounds <= _MAX_GRID:
-        return np.arange(n_bounds), f"all {n_bounds} record boundaries"
-    step = int(np.ceil(n_bounds / _MAX_GRID))
-    return np.arange(0, n_bounds, step), (
-        f"every {step}th of {n_bounds} record boundaries"
-    )
+_BLOCK = 256  # window starts per step of the profile fold
 
 
 def rfb_estimate(
@@ -217,16 +208,15 @@ def rfb_estimate(
 ) -> FairnessReport:
     """Sweep fairness gaps over windows spanned by record boundaries.
 
-    Both accounting modes are swept.  The overall estimate per mode is exact
-    over all boundary windows inside common backlog stretches (cumulative
-    curves make every window a pair difference, so the max is a
-    max-minus-min).  The FM-versus-window-length profile holds, per length
-    bin, the largest gap over every window of the grid (exact on the grid; the
-    grid subsamples traces of more than _MAX_GRID boundaries), found with
-    range max/min queries in O(G log G + G*B) per stretch of G grid points
-    and B bins.  Its least-squares slope is the boundedness statistic: near
-    zero for a fair discipline, positive when the gap grows with window
-    length.
+    Both accounting modes are swept over every record boundary.  The overall
+    estimate per mode is exact over all boundary windows inside common
+    backlog stretches (cumulative curves make every window a pair
+    difference, so the max is a max-minus-min).  The FM-versus-window-length
+    profile holds, per length bin, the largest gap over the same windows,
+    found with range max/min queries in O(N log N + N*B) per flow pair for N
+    boundaries and B bins.  Its least-squares slope is the boundedness
+    statistic: near zero for a fair discipline, positive when the gap grows
+    with window length.
     """
     for f, w in weights.items():
         if w <= 0:
@@ -240,64 +230,59 @@ def rfb_estimate(
         grid="empty trace",
         backlogs={f: backlogs.get(f, []) for f in flows},
     )
+    modes = (Accounting.PACKET_SIZE, Accounting.OCCUPATION)
     if len(bounds_list) < 2 or len(flows) < 1:
-        for acct in Accounting:
+        for acct in modes:
             report.sweeps[acct.value] = ModeSweep(0.0, None, [], 0.0)
         return report
 
     bounds = np.asarray(bounds_list, dtype=np.int64)
     nb = len(bounds)
-    # cumulative units per flow at each boundary; records never straddle a
-    # boundary of the same trace, so these are exact integers
-    cum_sent = {f: np.zeros(nb, dtype=np.int64) for f in flows}
-    cum_occ = {f: np.zeros(nb, dtype=np.int64) for f in flows}
+    report.grid = f"all {nb} record boundaries"
+    # cumulative units per flow at each boundary, one table per mode; records
+    # never straddle a boundary of the same trace, so these are exact integers
+    cums = tuple({f: np.zeros(nb, dtype=np.int64) for f in flows} for _ in modes)
     pos = {int(t): k for k, t in enumerate(bounds)}
     for r in trace.records:
-        if r.flow not in cum_sent:
+        if r.flow not in cums[0]:
             continue
         k = pos[r.end]
-        cum_sent[r.flow][k] += r.sent_units
-        cum_occ[r.flow][k] += r.end - r.start
-    for f in flows:
-        np.cumsum(cum_sent[f], out=cum_sent[f])
-        np.cumsum(cum_occ[f], out=cum_occ[f])
+        cums[0][r.flow][k] += r.sent_units
+        cums[1][r.flow][k] += r.end - r.start
+    for cum in cums:
+        for f in flows:
+            np.cumsum(cum[f], out=cum[f])
 
-    grid_idx, grid_desc = _grid_indices(nb)
-    report.grid = grid_desc
-    grid_t = bounds[grid_idx]
-
-    for acct, cum in ((Accounting.PACKET_SIZE, cum_sent), (Accounting.OCCUPATION, cum_occ)):
-        best = 0.0
-        witness: Interval | None = None
-        bin_best: dict[int, tuple[float, int, int]] = {}
-        max_len = int(bounds[-1] - bounds[0])
-        bin_w = max(1, int(np.ceil(max_len / _N_BINS)))
-        for ai in range(len(flows)):
-            for bi in range(ai + 1, len(flows)):
-                fa, fb = flows[ai], flows[bi]
-                d = cum[fa] / weights[fa] - cum[fb] / weights[fb]
-                grid_d = d[grid_idx]
-                table = _range_table(grid_d)
-                for a1, a2 in _common_stretches(backlogs.get(fa, []), backlogs.get(fb, [])):
-                    lo = int(np.searchsorted(bounds, a1, side="left"))
-                    hi = int(np.searchsorted(bounds, a2, side="right"))
-                    if hi - lo < 2:
-                        continue
+    bin_w = max(1, int(np.ceil(int(bounds[-1] - bounds[0]) / _N_BINS)))
+    # per mode: the exact max, its witness, and the best (gap, t1, t2) per bin
+    best, witness, bin_best = [0.0, 0.0], [None, None], [{}, {}]
+    for ai in range(len(flows)):
+        for bi in range(ai + 1, len(flows)):
+            fa, fb = flows[ai], flows[bi]
+            st = np.array(_common_stretches(backlogs.get(fa, []), backlogs.get(fb, [])),
+                          dtype=np.int64).reshape(-1, 2)
+            los = np.searchsorted(bounds, st[:, 0], side="left").tolist()
+            his = np.searchsorted(bounds, st[:, 1], side="right").tolist()
+            spans = [(lo, hi) for lo, hi in zip(los, his) if hi - lo >= 2]
+            if not spans:
+                continue
+            ds = [cum[fa] / weights[fa] - cum[fb] / weights[fb] for cum in cums]
+            for m, d in enumerate(ds):
+                for lo, hi in spans:
                     seg = d[lo:hi]
                     k_max = int(np.argmax(seg))
                     k_min = int(np.argmin(seg))
                     gap = float(seg[k_max] - seg[k_min])
-                    if gap > best:
-                        best = gap
+                    if gap > best[m]:
+                        best[m] = gap
                         w1, w2 = sorted((int(bounds[lo + k_max]), int(bounds[lo + k_min])))
-                        witness = (w1, w2)
-                    # binned profile over the window grid points in the stretch
-                    p0, p1 = (int(p) for p in np.searchsorted(grid_idx, (lo, hi)))
-                    if p1 - p0 >= 2:
-                        _bin_stretch(grid_t, grid_d, table, p0, p1, bin_w, bin_best)
+                        witness[m] = (w1, w2)
+            _fold_profile(bounds, ds, spans, bin_w, bin_best)
+
+    for m, acct in enumerate(modes):
         profile = [
             (int((b + 0.5) * bin_w), v, t1, t2)
-            for b, (v, t1, t2) in sorted(bin_best.items())
+            for b, (v, t1, t2) in sorted(bin_best[m].items())
         ]
         if len(profile) >= 2:
             xs = np.array([p[0] for p in profile], dtype=float)
@@ -305,69 +290,77 @@ def rfb_estimate(
             slope = float(np.polyfit(xs, ys, 1)[0])
         else:
             slope = 0.0
-        report.sweeps[acct.value] = ModeSweep(best, witness, profile, slope)
+        report.sweeps[acct.value] = ModeSweep(best[m], witness[m], profile, slope)
     return report
 
 
 def _range_table(x: np.ndarray) -> np.ndarray:
     """Sparse table for range max/min queries over `x`.
 
-    `table[k, s]` holds (max, -min) of `x[s : s + 2**k]`; entries whose range
-    would run past the end are never queried.
+    Row `k * len(x) + s` holds (max, -min) of `x[s : s + 2**k]`; rows whose
+    range would run past the end are never queried.
     """
-    levels = [np.stack([x, -x], axis=1)]
-    h = 1
-    while 2 * h <= len(x):
-        prev = levels[-1]
-        nxt = prev.copy()
-        np.maximum(prev[:-h], prev[h:], out=nxt[:-h])
-        levels.append(nxt)
-        h *= 2
-    return np.stack(levels)
+    table = np.empty((len(x).bit_length(), len(x), 2))
+    table[0, :, 0] = x
+    table[0, :, 1] = -x
+    for k in range(1, len(table)):
+        h = 1 << (k - 1)
+        table[k] = table[k - 1]
+        np.maximum(table[k - 1, :-h], table[k - 1, h:], out=table[k, :-h])
+    return table.reshape(-1, 2)
 
 
-def _bin_stretch(
-    gt: np.ndarray,
-    gd: np.ndarray,
-    table: np.ndarray,
-    p0: int,
-    p1: int,
+def _fold_profile(
+    t: np.ndarray,
+    ds: Sequence[np.ndarray],
+    spans: Sequence[Interval],
     bin_w: int,
-    bin_best: dict[int, tuple[float, int, int]],
+    bin_best: Sequence[dict[int, tuple[float, int, int]]],
 ) -> None:
-    """Fold the largest gap per window-length bin over grid points p0..p1-1
-    into `bin_best`, keeping an existing entry unless strictly beaten.
+    """Fold one flow pair's largest gap per window-length bin into each
+    mode's `bin_best`, keeping an existing entry unless strictly beaten.
 
-    Grid times are increasing, so for start i the ends in length bin b form
-    one index range; a range max/min of `gd` gives the row's best gap in that
-    bin, at O(G log G + G*B) per stretch.  Ties go to the first (i, j) in
-    row-major order, as a scan over every pair would choose.
+    `ds` holds the pair's gap curve per mode at the boundary times `t`, and
+    `spans` the [lo, hi) boundary index ranges of its common stretches.  Each
+    boundary of a span but its last starts windows ending inside the span.
+    Times increase, so the ends of start i in length bin b form one index
+    range, and a range max/min of the curve gives its best gap.  The ranges
+    are found per block of _BLOCK starts and shared by both modes.  Ties go
+    to the first (i, j) in row-major order, as a scan over every pair would.
     """
-    t = gt[p0:p1]
-    g = p1 - p0
+    starts = np.concatenate([np.arange(lo, hi - 1) for lo, hi in spans])
+    stops = np.concatenate([np.full(hi - 1 - lo, hi) for lo, hi in spans])
     n_bins = int(t[-1] - t[0]) // bin_w + 1
-    ends = np.searchsorted(t, t[:, None] + bin_w * np.arange(n_bins + 1))
-    lo = np.maximum(ends[:, :-1], np.arange(1, g + 1)[:, None])
-    hi = ends[:, 1:]
-    ok = lo < hi
-    # absolute grid positions; an empty range queries a one-point range instead
-    lo = np.where(ok, lo, 0) + p0
-    hi = np.where(ok, hi, 1) + p0
-    lev = np.frexp(hi - lo)[1] - 1
-    q = np.maximum(table[lev, lo], table[lev, hi - (1 << lev)])
-    x = gd[p0:p1, None]
-    # rounding is monotone, so this is max |gd[j] - gd[i]| over the range
-    rows = np.where(ok, np.maximum(q[..., 0] - x, x + q[..., 1]), -np.inf)
-    first = rows.argmax(axis=0)
-    tops = rows[first, np.arange(n_bins)].tolist()
-    for b, val in enumerate(tops):
-        cur = bin_best.get(b)
-        if val == -np.inf or cur is not None and val <= cur[0]:
-            continue
-        i = int(first[b])
-        a, z = int(lo[i, b]), int(hi[i, b])
-        j = a + int(np.argmax(np.abs(gd[a:z] - gd[p0 + i])))
-        bin_best[b] = (val, int(gt[p0 + i]), int(gt[j]))
+    edges = bin_w * np.arange(n_bins + 1)
+    cols = np.arange(n_bins)
+    tables = [_range_table(d) for d in ds]
+    for k in range(0, len(starts), _BLOCK):
+        i = starts[k:k + _BLOCK]
+        # one row per bin edge, so the keys searched ascend along each row
+        ends = np.searchsorted(t, edges[:, None] + t[i])
+        lo = np.maximum(ends[:-1], i + 1)
+        hi = np.minimum(ends[1:], stops[k:k + _BLOCK])
+        ok = lo < hi
+        # an empty range queries a one-point range instead
+        lo = np.where(ok, lo, 0)
+        hi = np.where(ok, hi, 1)
+        lev = np.frexp(hi - lo)[1] - 1
+        head = lev * len(t) + lo
+        tail = head + (hi - lo) - (1 << lev)
+        for d, table, bins in zip(ds, tables, bin_best):
+            q = np.maximum(table.take(head, axis=0), table.take(tail, axis=0))
+            x = d[i]
+            # rounding is monotone, so this is max |d[j] - d[i]| over the range
+            rows = np.where(ok, np.maximum(q[..., 0] - x, x + q[..., 1]), -np.inf)
+            first = rows.argmax(axis=1)
+            for b, val in enumerate(rows[cols, first].tolist()):
+                cur = bins.get(b)
+                if val == -np.inf or cur is not None and val <= cur[0]:
+                    continue
+                c = int(first[b])
+                a, z = int(lo[b, c]), int(hi[b, c])
+                j = a + int(np.argmax(np.abs(d[a:z] - x[c])))
+                bins[b] = (val, int(t[i[c]]), int(t[j]))
 
 
 def _common_stretches(a: Sequence[Interval], b: Sequence[Interval]) -> list[Interval]:

@@ -4,6 +4,7 @@ byte-for-byte deterministic reports."""
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -126,9 +127,20 @@ class TestConfigErrors:
         (dict(scheduler="carr", demote_rounds=False), "params.demote_rounds"),
         (dict(scheduler="drr", weights={"0": 0}), "params.weights"),
         (dict(scheduler="drr", weights=[1, 2]), "params.weights"),
+        (dict(scheduler="carr", demote_rounds=2.5), "params.demote_rounds"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params,key", [
+        (dict(weights=[True, 2]), "params.weights"),
+        (dict(weights=[float("nan"), 1]), "params.weights"),
+        (dict(trials=True), "params.trials"),
+    ], ids=["bool-weight", "nan-weight", "bool-trials"])
+    def test_bad_arb_convergence_params_exit_2(self, tmp_path, capsys, params, key):
+        cfg = base_cfg(tmp_path, params=params)
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
         assert key in capsys.readouterr().err
 
@@ -270,6 +282,11 @@ class TestCompareVerb:
         assert main(["compare", path]) == 2
         assert key in capsys.readouterr().err
 
+    def test_fractional_demote_rounds_rejected(self, tmp_path, capsys):
+        path = self.compare_cfg(tmp_path, params={"demote_rounds": 2.5})
+        assert main(["compare", path]) == 2
+        assert "params.demote_rounds" in capsys.readouterr().err
+
     def test_known_params_accepted(self, tmp_path):
         path = self.compare_cfg(tmp_path, schedulers=["drr", "carr"], params={
             "quantum": 8, "tau": 3, "demote_rounds": 1, "weights": {"0": 2, "1": 1},
@@ -371,3 +388,29 @@ class TestPathologyPreset:
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 0
         run = json.loads((tmp_path / "out" / "report.json").read_text())["runs"]["1"]
         assert run["cfb_estimate"] <= 100  # no runaway occupation gap
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+# size keys that cut each example to a run of a moment
+_SMALL_PARAMS = {
+    "mesh-hotspot": {"horizon": 2000, "warmup": 200},
+    "eq13-feasibility": {"horizon": 2000, "warmup": 200},
+    "arb-convergence": {"trials": 1000},
+}
+
+
+def test_every_example_runs(tmp_path):
+    seen = set()
+    for path in sorted(EXAMPLES.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        cfg["output_dir"] = str(tmp_path / path.stem)
+        if "schedulers" in cfg:
+            verb, name = "compare", "compare"
+            cfg["workload"]["horizon"] = 2000
+        else:
+            verb, name = "run", cfg["experiment"]
+            cfg["params"].update(_SMALL_PARAMS[name])
+        assert main([verb, write_cfg(tmp_path, path.name, **cfg)]) == 0, path.name
+        seen.add(name)
+    assert seen == {*_SMALL_PARAMS, "compare"}

@@ -11,6 +11,7 @@ import pytest
 from fairmesh import presets
 from fairmesh.core import PacketEvent, ServiceRecord, Trace
 from fairmesh.fairness import (
+    _BLOCK,
     backlog_from_trace,
     backlog_intervals,
     fm_over_interval,
@@ -202,10 +203,13 @@ class TestRfbEstimate:
         assert float(got) == rep.rfb_estimate
 
     def test_max_equals_profile_max_on_full_grid(self, two_flow_trace):
-        rep = rfb_estimate(two_flow_trace, {0: 1, 1: 1})
-        sweep = rep.sweep(Accounting.PACKET_SIZE)
-        assert rep.grid.startswith("all")
-        assert sweep.max_fm == pytest.approx(max(p[1] for p in sweep.profile))
+        # 800 alternation rounds give 1601 boundaries; an every-other-boundary
+        # grid would sit at one phase of the round and read a 0.0 profile
+        for trace in (two_flow_trace, _alternation_trace(rounds=800)):
+            rep = rfb_estimate(trace, {0: 1, 1: 1})
+            sweep = rep.sweep(Accounting.PACKET_SIZE)
+            assert rep.grid.startswith("all")
+            assert sweep.max_fm == pytest.approx(max(p[1] for p in sweep.profile))
 
     def test_modes_agree_without_blocking(self):
         trace = run_trace("drr", make_workload(seed=3, n_flows=3), quantum=16)
@@ -286,7 +290,8 @@ def _pair_stretches(backlogs, fa, fb):
 def brute_force_profile(trace, weights, mode):
     """Independent binned profile: every grid pair of every common backlog
     stretch in plain Python, keeping the first (i, j) in row-major order that
-    attains each bin's max.  Valid only on an unsubsampled grid."""
+    attains each bin's max.  The grid is every record boundary, as in
+    rfb_estimate."""
     bounds = trace.boundaries()
     bin_w = max(1, math.ceil((bounds[-1] - bounds[0]) / 24))
     backlogs = backlog_from_trace(trace)
@@ -324,10 +329,10 @@ def brute_force_profile(trace, weights, mode):
     return profile, float(np.polyfit(xs, ys, 1)[0])
 
 
-def _alternation_trace():
+def _alternation_trace(rounds=30):
     t = Trace()
     clock = 0
-    for rnd in range(1, 31):
+    for rnd in range(1, rounds + 1):
         for f in (0, 1):
             t.append(rec(f, rnd, clock, clock + 8, 8))
             clock += 8
@@ -363,6 +368,22 @@ def _short_stretch_trace():
     covered(t, 1, 6, 9)     # one boundary (8)
     covered(t, 1, 12, 18)   # two boundaries (13, 16)
     covered(t, 1, 30, clock)
+    return t
+
+
+def _many_stretches_trace():
+    # 800 rounds (1601 boundaries) with flow 1 backlogged in short stretches
+    # of one to four boundaries, so the brute force stays fast
+    t = Trace()
+    clock = 0
+    for rnd in range(1, 801):
+        t.append(rec(0, rnd, clock, clock + 5, 5))
+        clock += 5
+        t.append(rec(1, rnd, clock, clock + 3, 3))
+        clock += 3
+    covered(t, 0, 0, clock)
+    for k, start in enumerate(range(6, clock - 32, 32)):
+        covered(t, 1, start, start + 3 + 4 * (k % 4))
     return t
 
 
@@ -411,6 +432,17 @@ class TestProfileMatchesBruteForce:
         sizes = _stretch_sizes(_short_stretch_trace(), {0: 1, 1: 1})
         assert 1 in sizes and 2 in sizes
 
+    @pytest.mark.parametrize("weights", [{0: 1, 1: 1}, {0: 1.5, 1: 1}],
+                             ids=["unit", "w1.5"])
+    def test_many_stretches_past_one_block(self, weights):
+        trace = _many_stretches_trace()
+        assert len(trace.boundaries()) > 1500
+        # every boundary of a stretch but its last starts windows; the first
+        # block of starts must end inside a stretch
+        starts = np.cumsum([n - 1 for n in _stretch_sizes(trace, weights)])
+        assert starts[-1] > _BLOCK and _BLOCK not in starts
+        self._check(trace, weights)
+
     @staticmethod
     def _check(trace, weights):
         rep = rfb_estimate(trace, weights)
@@ -449,15 +481,21 @@ class TestGoldenFairnessReports:
     A CLI compare report.json carries no profile, so these hashes are what
     pins the binned profiles, witnesses and slopes.  Record new hashes only
     together with a stated reason.
+
+    The three pathology hashes were re-recorded when the window grid became
+    every record boundary.  Before, traces of more than 1500 boundaries kept
+    every k-th one, which aliased with the periodic schedule: the sent-size
+    profile read 0.0 in every bin where the exact max is 16 (rr, drr) or 32
+    (carr).
     """
 
     @pytest.mark.parametrize("make,grid,want", [
-        (lambda: _pathology_trace("rr"), "every 2th of 2744 record boundaries",
-         "720f2ef0af6b027ace2e04717ea509c219493262ab8c23a72344314036d8334f"),
-        (lambda: _pathology_trace("drr"), "every 2th of 2744 record boundaries",
-         "720f2ef0af6b027ace2e04717ea509c219493262ab8c23a72344314036d8334f"),
-        (lambda: _pathology_trace("carr"), "every 2th of 2242 record boundaries",
-         "0621f60d7e13a643053b90ac938b0c6f5034b72177728417a4f579bdc7667492"),
+        (lambda: _pathology_trace("rr"), "all 2744 record boundaries",
+         "372e32b7dd07f8b124bdf646f010d8993cf3da34d0c4874193bc6ee600a1e8b5"),
+        (lambda: _pathology_trace("drr"), "all 2744 record boundaries",
+         "372e32b7dd07f8b124bdf646f010d8993cf3da34d0c4874193bc6ee600a1e8b5"),
+        (lambda: _pathology_trace("carr"), "all 2242 record boundaries",
+         "4cb5c0a4337b7c1cd71544f7e806cc832e253d8aefe0cf8340be7eeae8233b45"),
         (lambda: _random_trace("drr", 3, {0: 1.5, 1: 1, 2: 0.5}, quantum=16),
          "all 331 record boundaries",
          "3145db51f2b9db57ee2df3f6ec6dd6550fea8e82d7770dc8925a3e20dd7de0ff"),
