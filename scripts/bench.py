@@ -1,0 +1,229 @@
+#!/usr/bin/env python3
+"""Layer timings of fairmesh: mesh, standalone schedulers and fairness sweeps.
+
+Three layers, each a set of rows timed in process for this repository's
+`src/` and, with `--src DIR`, the `fairmesh` package of a parent checkout
+side by side:
+
+    python scripts/bench.py --src ../parent/src --out BENCH.json
+
+* `mesh`: `MeshSim(cfg).run()` on the saturated k=8 hotspot line (each port
+  arbiter and each flow-queue discipline) and on k=16 uniform traffic at
+  rate 0.03 under CARR, MESH_HORIZON cycles, seed 1; cycles/s.
+* `schedulers`: `SchedulerBase.run` for each of the five disciplines on the
+  credit-withheld pathology workload, built as `fairmesh compare` builds
+  it, at horizon SCHED_HORIZON; scheduled cycles/s.
+* `rfb_estimate`: the fairness sweep of the SINK_HORIZON-cycle k=8 hotspot
+  sink trace (equal weights) and of each discipline's SCHED_HORIZON
+  pathology trace; trace records/s.
+
+Every timed run is its own process, and the trees take turns run by run,
+so slow drift of the host hits both alike.  Per row and tree it reports the
+median of RUNS run times and all of them, the rate at the median, the
+`tracemalloc` peak of one further run, and the sha256 of what the timed
+call produced (equal hashes mean equal behaviour).  Needs nothing beyond
+the standard library and what `fairmesh` itself imports.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+import tracemalloc
+
+HOTSPOT = {"k": 8, "rate": 1.0}
+UNIFORM = {"k": 16, "pattern": "uniform", "rate": 0.03, "scheduler": "carr"}
+MESH_HORIZON = 40_000
+SCHED_HORIZON = 96_000
+SINK_HORIZON = 40_000
+RUNS = 5  # timed runs per row and tree
+CHANGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+KINDS = ("rr", "drr", "err", "ebrr", "carr")
+MESH_CONFIGS = {
+    **{f"hotspot-{a}": dict(HOTSPOT, arbiter=a)
+       for a in ("round_robin", "age", "probabilistic")},
+    **{f"hotspot-fq-{s}": dict(HOTSPOT, scheduler=s) for s in KINDS},
+    "uniform-k16-carr": UNIFORM,
+}
+LAYERS = {
+    "mesh": {"rows": list(MESH_CONFIGS), "unit": "cycles"},
+    "schedulers": {"rows": [f"pathology-{s}" for s in KINDS], "unit": "cycles"},
+    "rfb_estimate": {"rows": ["hotspot-sink"] + [f"pathology-{s}" for s in KINDS],
+                     "unit": "records"},
+}
+
+
+def _sha(*parts: str) -> str:
+    return hashlib.sha256("".join(parts).encode()).hexdigest()
+
+
+def _timed(fn, traced: bool):
+    """Call fn(); returns (result, seconds, tracemalloc peak in MB or None)."""
+    if traced:
+        tracemalloc.start()
+    t0 = time.perf_counter()
+    result = fn()
+    elapsed = time.perf_counter() - t0
+    peak = None
+    if traced:
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+    return result, elapsed, peak
+
+
+def _pathology_scheduler(kind: str):
+    """A loaded scheduler for the pathology workload, as `compare` builds it."""
+    from fairmesh import cli, presets
+    from fairmesh.schedulers import SchedulerKind
+
+    w = {"kind": "pathology", "horizon": SCHED_HORIZON}
+    sched = cli._build_scheduler(SchedulerKind(kind), w, {}, [0, 1])
+    sched.load(presets.pathology_workload(SCHED_HORIZON))
+    return sched
+
+
+def _mesh_row(name: str, traced: bool) -> dict:
+    from fairmesh.meshsim import MeshConfig, MeshSim
+
+    cfg = MeshConfig(horizon=MESH_HORIZON, warmup=MESH_HORIZON // 10, seed=1,
+                     **MESH_CONFIGS[name])
+    rep, elapsed, peak = _timed(MeshSim(cfg).run, traced)
+    blob = [rep.to_json()]
+    for link in sorted(rep.traces):
+        buf = io.StringIO()
+        rep.traces[link].to_csv(buf)
+        blob.append(buf.getvalue())
+    return {"seconds": elapsed, "peak_mb": peak, "work": MESH_HORIZON, "sha256": _sha(*blob)}
+
+
+def _schedulers_row(name: str, traced: bool) -> dict:
+    sched = _pathology_scheduler(name.removeprefix("pathology-"))
+    trace, elapsed, peak = _timed(lambda: sched.run(horizon=SCHED_HORIZON), traced)
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    events = [[e.packet_id, e.flow, e.inject, e.deliver] for e in trace.events]
+    state = json.dumps([events, sched.drops(), sched.clock.now])
+    return {"seconds": elapsed, "peak_mb": peak, "work": SCHED_HORIZON,
+            "sha256": _sha(buf.getvalue(), state)}
+
+
+def _rfb_estimate_row(name: str, traced: bool) -> dict:
+    from fairmesh import presets
+    from fairmesh.fairness import rfb_estimate
+    from fairmesh.meshsim import MeshConfig, MeshSim
+
+    if name == "hotspot-sink":
+        cfg = MeshConfig(horizon=SINK_HORIZON, warmup=SINK_HORIZON // 10, seed=1, **HOTSPOT)
+        trace = MeshSim(cfg).run().sink_trace()
+        weights = {f: 1.0 for f in trace.flows()}
+    else:
+        trace = _pathology_scheduler(name.removeprefix("pathology-")).run(horizon=SCHED_HORIZON)
+        weights = dict(presets.PATHOLOGY_WEIGHTS)
+    report, elapsed, peak = _timed(lambda: rfb_estimate(trace, weights), traced)
+    return {"seconds": elapsed, "peak_mb": peak, "work": len(trace.records),
+            "sha256": _sha(report.to_json())}
+
+
+ROW_FNS = {"mesh": _mesh_row, "schedulers": _schedulers_row,
+           "rfb_estimate": _rfb_estimate_row}
+
+
+def spawn(src: str, layer: str, name: str, traced: bool) -> dict:
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", layer, name]
+    cmd += ["--traced"] if traced else []
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def measure(trees: dict[str, str], layer: str) -> dict:
+    unit = LAYERS[layer]["unit"]
+    table = {}
+    for name in LAYERS[layer]["rows"]:
+        order = list(trees)
+        times = {t: [] for t in order}
+        shas = {t: set() for t in order}
+        for n in range(RUNS):
+            for tree in order if n % 2 == 0 else order[::-1]:
+                res = spawn(trees[tree], layer, name, traced=False)
+                times[tree].append(res["seconds"])
+                shas[tree].add(res["sha256"])
+        row = {}
+        for tree in order:
+            traced = spawn(trees[tree], layer, name, traced=True)
+            shas[tree].add(traced["sha256"])
+            if len(shas[tree]) != 1:
+                raise SystemExit(f"{layer}/{name} on {tree}: hash differs between runs")
+            med = statistics.median(times[tree])
+            row[tree] = {
+                "median_s": round(med, 4),
+                "runs_s": [round(t, 4) for t in times[tree]],
+                f"{unit}_per_s": round(traced["work"] / med),
+                "peak_mb": round(traced["peak_mb"], 2),
+                "sha256": shas[tree].pop(),
+            }
+        if "parent" in row:
+            new, old = row["change"], row["parent"]
+            new["speedup_vs_parent"] = round(old["median_s"] / new["median_s"], 2)
+            new["same_output"] = new["sha256"] == old["sha256"]
+        table[name] = row
+        print(layer, name, json.dumps(row), flush=True)
+    return table
+
+
+def machine() -> dict:
+    import numpy
+
+    return {"nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy.__version__, "machine": platform.machine()}
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", metavar="DIR",
+                    help="source tree of a parent checkout (DIR/fairmesh) to time "
+                         "against this repository's src/")
+    ap.add_argument("--out", help="write the table as JSON here")
+    ap.add_argument("--child", nargs=2, metavar=("LAYER", "ROW"), help=argparse.SUPPRESS)
+    ap.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args()
+
+    if args.child:
+        layer, name = args.child
+        print(json.dumps(ROW_FNS[layer](name, args.traced)))
+        return
+    trees = {"change": CHANGE}
+    if args.src:
+        if not os.path.isdir(os.path.join(args.src, "fairmesh")):
+            ap.error(f"--src {args.src!r}: no fairmesh package there")
+        trees = {"parent": os.path.abspath(args.src), **trees}
+    doc = {
+        "what": {
+            "mesh": "in-process MeshSim(cfg).run() per config, seed 1, warmup horizon/10",
+            "schedulers": "in-process SchedulerBase.run on the pathology workload "
+                          "as `compare` builds it",
+            "rfb_estimate": "in-process rfb_estimate on the k=8 hotspot sink trace "
+                            "(equal weights) and on each pathology trace",
+        },
+        "horizon": {"mesh": MESH_HORIZON, "schedulers": SCHED_HORIZON,
+                    "rfb_estimate": {"hotspot-sink": SINK_HORIZON, "pathology": SCHED_HORIZON}},
+        "runs": RUNS,
+        "machine": machine(),
+        "layer": {layer: measure(trees, layer) for layer in LAYERS},
+    }
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,7 +18,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 from functools import partial
@@ -28,7 +27,7 @@ from typing import Callable, Sequence
 from . import presets
 from .analysis import check_ratio_constraint, required_weights
 from .arbitration import empirical_grant_frequencies
-from .core import Packet, Trace, is_int, is_real, latency_stats, throughput_by_flow
+from .core import Packet, Trace, is_finite, is_int, latency_stats, throughput_by_flow
 from .fairness import Accounting, FairnessReport, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
 from .schedulers import SchedulerBase, SchedulerKind, make_scheduler
@@ -141,8 +140,8 @@ def _flow_map(params: dict, key: str, flows: Sequence[int] = ()) -> dict[int, fl
         raise ConfigError(
             f"config key params.{key} must be an object keyed by integer flow ids"
         ) from None
-    if not all(is_real(v) and v > 0 for v in out.values()):
-        raise ConfigError(f"config key params.{key} values must be positive numbers")
+    if not all(is_finite(v) and v > 0 for v in out.values()):
+        raise ConfigError(f"config key params.{key} values must be positive finite numbers")
     missing = sorted(set(flows) - set(out))
     if missing:
         raise ConfigError(f"config key params.{key} has no entry for flows {missing}")
@@ -182,7 +181,7 @@ def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
     if kind is SchedulerKind.CARR:
         kw["tau"] = params.get("tau", 2.0)
         kw["demote_rounds"] = params.get("demote_rounds", 2)
-        for key, valid, what in (("tau", is_real, "a number"),
+        for key, valid, what in (("tau", is_finite, "a finite number"),
                                  ("demote_rounds", is_int, "an integer")):
             if not valid(kw[key]):
                 raise ConfigError(f"config key params.{key} must be {what}, got {kw[key]!r}")
@@ -306,7 +305,7 @@ def _exp_arb_convergence(params: dict, seeds: list[int], outdir: Path) -> dict:
     _check_allowed(params, {"weights", "trials"}, "params")
     ws = params.get("weights", list(presets.ARB_CONVERGENCE_WEIGHTS))
     if not isinstance(ws, list) or len(ws) < 2 or not all(
-        is_real(x) and 0 < x < math.inf for x in ws
+        is_finite(x) and x > 0 for x in ws
     ):
         raise ConfigError("config key params.weights must list at least two positive finite numbers")
     trials = params.get("trials", presets.ARB_CONVERGENCE_TRIALS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Integral, Real
@@ -26,6 +27,11 @@ def is_int(x) -> bool:
 def is_real(x) -> bool:
     """A real number that is not a bool."""
     return isinstance(x, Real) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """A finite real number that is not a bool (JSON's NaN and Infinity are not)."""
+    return is_real(x) and math.isfinite(x)
 
 
 class TraceError(Exception):

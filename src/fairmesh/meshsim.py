@@ -105,7 +105,7 @@ class MeshConfig:
         if self.pattern == "hotspot" and not (0 <= self.dest_of() < self.k):
             raise ValueError(f"hotspot {self.dest_of()} out of range for k={self.k}")
         rates = self.rates()
-        if any(r < 0 or r > 1 for r in rates):
+        if not all(0 <= r <= 1 for r in rates):  # false for NaN as well
             raise ValueError("rate entries must lie in [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -141,8 +141,9 @@ class MeshConfig:
                                   f"weight_base={self.weight_base} and k={self.k}",
                                   "weight_base", "k")
         if self.scheduler is not None and SchedulerKind(self.scheduler) is SchedulerKind.CARR:
-            if not self.congestion_ratio > 1:
-                raise ValueError(f"congestion_ratio must exceed 1, got {self.congestion_ratio}")
+            if not 1 < self.congestion_ratio < math.inf:
+                raise ValueError("congestion_ratio must exceed 1 and be finite, "
+                                 f"got {self.congestion_ratio}")
             if self.demote_rounds < 1:
                 raise ValueError(f"demote_rounds must be >= 1, got {self.demote_rounds}")
         if self.quantum is not None and self.quantum < 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .core import Packet
 from .meshsim import MeshConfig
 from .rng import XorShift64Star
-from .schedulers import BlockedFn, periodic_blocking
+from .schedulers import PeriodicBlocking
 
 # the published decay series for an 8-node saturated hotspot under
 # round-robin port arbitration: sources at P0..P6, sink at P7
@@ -31,9 +31,9 @@ ARB_CONVERGENCE_WEIGHTS = (1.0, 1.0, 2.0)
 ARB_CONVERGENCE_TRIALS = 1_000_000
 
 
-def pathology_blocking() -> BlockedFn:
-    return periodic_blocking(flow=0, period=PATHOLOGY_BLOCK_PERIOD,
-                             blocked_slots=PATHOLOGY_BLOCK_SLOTS)
+def pathology_blocking() -> PeriodicBlocking:
+    return PeriodicBlocking(flow=0, period=PATHOLOGY_BLOCK_PERIOD,
+                            blocked_slots=PATHOLOGY_BLOCK_SLOTS)
 
 
 def pathology_workload(horizon: int = PATHOLOGY_HORIZON) -> list[Packet]:

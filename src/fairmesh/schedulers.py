@@ -1,7 +1,8 @@
 """Round-robin service disciplines behind one serve-one-visit contract.
 
-Five disciplines share an engine that injects arrivals, advances a cycle
-clock one service unit at a time, and emits one ServiceRecord per visit:
+Five disciplines share an engine that injects arrivals, sends a visit's
+packets one whole packet at a time on a cycle clock, and emits one
+ServiceRecord per visit:
 
 * RR    - plain round robin, one whole packet per visit.
 * DRR   - deficit round robin with a per-flow quantum and deficit counter.
@@ -16,8 +17,9 @@ clock one service unit at a time, and emits one ServiceRecord per visit:
 Accounting mode selects the unit the disciplines budget with: packet sizes,
 or channel occupation (sending plus blocking cycles).  Control flow is
 identical in both modes; only the decrement applied to deficit / surplus /
-credit changes.  Blocking itself comes from an optional callable modelling
-downstream back-pressure: blocked(flow, cycle) -> bool.
+credit changes.  Blocking itself comes from an optional PeriodicBlocking,
+which models downstream back-pressure on one flow and gives each packet's
+finish cycle in closed form.
 
 A newly active flow joins the tail of the schedule and is first served in
 the following round; the one exception is a brand-new EBRR flow, whose
@@ -26,14 +28,13 @@ initialization grants a full credit and immediate eligibility.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import Clock, FlowId, Packet, PacketEvent, ServiceRecord, Trace
-
-BlockedFn = Callable[[FlowId, int], bool]
 
 
 class Accounting(Enum):
@@ -83,7 +84,7 @@ class SchedulerBase:
         self,
         accounting: Accounting = Accounting.PACKET_SIZE,
         queue_capacity: int | None = None,
-        blocked: BlockedFn | None = None,
+        blocked: PeriodicBlocking | None = None,
         weights: dict[FlowId, float] | None = None,
         log_visits: bool = False,
     ):
@@ -171,27 +172,25 @@ class SchedulerBase:
     # -- transmission -----------------------------------------------------
 
     def _transmit_packet(self, fs: FlowState, pkt: Packet) -> int:
-        """Move one whole packet, one unit per non-blocked cycle.
+        """Send one whole packet, one unit per non-blocked cycle.
 
-        Returns the number of blocked cycles.  Arrivals occurring while the
-        clock advances are injected immediately so activation order is exact.
+        Returns the number of blocked cycles.  Arrivals up to the finish
+        cycle join once, at the end.  That is exact: they are sorted, and
+        enqueueing reads neither the clock nor anything a send changes, so
+        they join in the order and state they would cycle by cycle.
         """
-        blocked = self.blocked
-        clock = self.clock
-        blocking = 0
-        for _ in range(pkt.size):
-            if blocked is not None:
-                while blocked(fs.id, clock.now):
-                    blocking += 1
-                    clock.now += 1
-                    self._inject_due()
-            clock.now += 1
-            self._inject_due()
-        pkt.deliver_time = clock.now
+        start = self.clock.now
+        if self.blocked is None:
+            end = start + pkt.size
+        else:
+            end = self.blocked.finish(fs.id, start, pkt.size)
+        self.clock.now = end
+        self._inject_due()
+        pkt.deliver_time = end
         ev = self._events.get(pkt.id)
         if ev is not None:
-            ev.deliver = clock.now
-        return blocking
+            ev.deliver = end
+        return end - start - pkt.size
 
     def _used_units(self, size: int, blocking: int) -> int:
         if self.accounting is Accounting.OCCUPATION:
@@ -425,8 +424,8 @@ class CongestionAwareRoundRobin(ElasticRoundRobin):
 
     def __init__(self, tau: float = 2.0, demote_rounds: int = 2, **kw):
         super().__init__(**kw)
-        if tau <= 1.0:
-            raise ValueError(f"tau must exceed 1.0, got {tau}")
+        if not 1.0 < tau < math.inf:
+            raise ValueError(f"tau must exceed 1.0 and be finite, got {tau}")
         if demote_rounds < 1:
             raise ValueError(f"demote_rounds must be >= 1, got {demote_rounds}")
         self.tau = tau
@@ -538,14 +537,28 @@ def make_scheduler(kind: SchedulerKind | str, **params) -> SchedulerBase:
     raise ValueError(f"unknown scheduler kind: {kind}")
 
 
-def periodic_blocking(flow: FlowId, period: int = 10, blocked_slots: int = 6) -> BlockedFn:
-    """Back-pressure model: the given flow cannot advance during the first
-    blocked_slots cycles of every period."""
-    if not 0 <= blocked_slots < period:
-        raise ValueError("blocked_slots must lie in [0, period); a fully blocked "
-                         "period would never let the head advance")
+@dataclass(frozen=True)
+class PeriodicBlocking:
+    """Back-pressure model: `flow` cannot advance during the first
+    `blocked_slots` cycles of every `period`; other flows never block."""
 
-    def blocked(fid: FlowId, cycle: int) -> bool:
-        return fid == flow and (cycle % period) < blocked_slots
+    flow: FlowId
+    period: int
+    blocked_slots: int
 
-    return blocked
+    def __post_init__(self) -> None:
+        if not 0 <= self.blocked_slots < self.period:
+            raise ValueError("blocked_slots must lie in [0, period); a fully blocked "
+                             "period would never let the head advance")
+
+    def finish(self, fid: FlowId, start: int, size: int) -> int:
+        """One past the cycle that sends the last of `size` >= 1 units when
+        sending starts at cycle `start`."""
+        if fid != self.flow:
+            return start + size
+        slots = self.blocked_slots
+        q, r = divmod(start, self.period)
+        # the last unit's place among the free cycles [slots, period) of
+        # period q onward
+        periods, free = divmod(max(r - slots, 0) + size - 1, self.period - slots)
+        return (q + periods) * self.period + slots + free + 1

@@ -1,0 +1,30 @@
+"""scripts/bench.py keeps running: each layer's row function, at a tiny size,
+gives the same output hash twice, untraced and traced."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    spec = importlib.util.spec_from_file_location("fairmesh_bench_script", BENCH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(mod, "MESH_HORIZON", 300)
+    monkeypatch.setattr(mod, "SCHED_HORIZON", 2000)
+    monkeypatch.setattr(mod, "SINK_HORIZON", 300)
+    return mod
+
+
+@pytest.mark.parametrize("layer", ["mesh", "schedulers", "rfb_estimate"])
+def test_each_layer_row_is_deterministic(bench, layer):
+    for name in bench.LAYERS[layer]["rows"][:2]:
+        plain = bench.ROW_FNS[layer](name, traced=False)
+        traced = bench.ROW_FNS[layer](name, traced=True)
+        assert plain["sha256"] == traced["sha256"]
+        assert plain["peak_mb"] is None and traced["peak_mb"] > 0
+        assert plain["work"] > 0 and plain["seconds"] >= 0

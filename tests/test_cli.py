@@ -4,6 +4,7 @@ byte-for-byte deterministic reports."""
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,11 @@ class TestConfigErrors:
         (dict(scheduler="drr", weights={"0": 0}), "params.weights"),
         (dict(scheduler="drr", weights=[1, 2]), "params.weights"),
         (dict(scheduler="carr", demote_rounds=2.5), "params.demote_rounds"),
+        # JSON's NaN and Infinity tokens are numbers, but no valid setting
+        (dict(scheduler="carr", tau=math.nan), "params.tau"),
+        (dict(scheduler="carr", tau=math.inf), "params.tau"),
+        (dict(scheduler="drr", weights={"0": math.inf, "1": 1, "2": 1}), "params.weights"),
+        (dict(scheduler="ebrr", quantum={"0": math.inf, "1": 4, "2": 4}), "params.quantum"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
@@ -159,6 +165,10 @@ class TestConfigErrors:
         (dict(arbiter="bogus"), "arbiter must be one of [round_robin, age, probabilistic]"),
         (dict(scheduler="carr", congestion_ratio=0.5), "congestion_ratio must exceed 1"),
         (dict(scheduler="carr", demote_rounds=0), "demote_rounds must be >= 1"),
+        (dict(scheduler="carr", congestion_ratio=math.inf),
+         "congestion_ratio must exceed 1 and be finite"),
+        (dict(rate=math.nan), "rate entries must lie in [0, 1]"),
+        (dict(rate=[1.0] * 7 + [math.nan]), "rate entries must lie in [0, 1]"),
     ])
     def test_bad_mesh_param_types_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)

@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from conftest import backlogged_workload, make_workload
 
@@ -8,10 +11,10 @@ from fairmesh.schedulers import (
     DeficitRoundRobin,
     ElasticRoundRobin,
     EligibilityRoundRobin,
+    PeriodicBlocking,
     RoundRobinScheduler,
     SchedulerKind,
     make_scheduler,
-    periodic_blocking,
 )
 
 
@@ -183,7 +186,7 @@ class TestEligibilityRoundRobin:
 
 class TestCongestionAware:
     def test_blocked_flow_is_demoted_and_skipped(self):
-        blocked = periodic_blocking(flow=0, period=10, blocked_slots=6)
+        blocked = PeriodicBlocking(flow=0, period=10, blocked_slots=6)
         s = CongestionAwareRoundRobin(blocked=blocked, log_visits=True)
         run(s, pkts(*([(0, 16)] * 6 + [(1, 16)] * 12)))
         rounds0 = [v["round"] for v in s.visit_log if v["flow"] == 0]
@@ -199,7 +202,7 @@ class TestCongestionAware:
         assert all(fs.congested_until == 0 for fs in s.flows.values())
 
     def test_sole_backlogged_flow_served_despite_demotion(self):
-        blocked = periodic_blocking(flow=0, period=10, blocked_slots=6)
+        blocked = PeriodicBlocking(flow=0, period=10, blocked_slots=6)
         s = CongestionAwareRoundRobin(blocked=blocked, log_visits=True)
         trace = run(s, pkts((0, 16), (0, 16), (0, 16)))
         # no other flow exists, so every packet is still served
@@ -208,6 +211,9 @@ class TestCongestionAware:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             CongestionAwareRoundRobin(tau=1.0)
+        for tau in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                CongestionAwareRoundRobin(tau=tau)
         with pytest.raises(ValueError):
             CongestionAwareRoundRobin(demote_rounds=0)
 
@@ -250,7 +256,7 @@ class TestEngineBehavior:
         assert [(r.start, r.end) for r in trace.records] == [(0, 5), (100, 105)]
 
     def test_blocking_is_counted_not_retried(self):
-        blocked = periodic_blocking(flow=0, period=4, blocked_slots=2)
+        blocked = PeriodicBlocking(flow=0, period=4, blocked_slots=2)
         s = RoundRobinScheduler(blocked=blocked)
         trace = run(s, pkts((0, 4)))
         rec = trace.records[0]
@@ -290,6 +296,90 @@ class TestEngineBehavior:
         assert isinstance(make_scheduler(SchedulerKind.CARR), CongestionAwareRoundRobin)
         with pytest.raises(ValueError):
             make_scheduler("wfq")
+
+
+class SteppingTransmit:
+    """The engine's send, stepped one cycle at a time: the exact oracle for
+    `SchedulerBase._transmit_packet` and `PeriodicBlocking.finish`."""
+
+    def _transmit_packet(self, fs, pkt):
+        pb, clock = self.blocked, self.clock
+        blocking = 0
+        for _ in range(pkt.size):
+            while pb is not None and fs.id == pb.flow and clock.now % pb.period < pb.blocked_slots:
+                blocking += 1
+                clock.now += 1
+                self._inject_due()
+            clock.now += 1
+            self._inject_due()
+        pkt.deliver_time = clock.now
+        ev = self._events.get(pkt.id)
+        if ev is not None:
+            ev.deliver = clock.now
+        return blocking
+
+
+def stepping_finish(pb, fid, start, size):
+    now = start
+    for _ in range(size):
+        while fid == pb.flow and now % pb.period < pb.blocked_slots:
+            now += 1
+        now += 1
+    return now
+
+
+class TestSendMatchesCycleStepping:
+    def test_finish_against_stepping(self):
+        for period in range(1, 14):
+            for slots in range(period):
+                pb = PeriodicBlocking(flow=0, period=period, blocked_slots=slots)
+                for start in range(3 * period):
+                    for size in range(1, 41):
+                        assert pb.finish(0, start, size) == stepping_finish(pb, 0, start, size), (
+                            period, slots, start, size)
+                        assert pb.finish(1, start, size) == start + size
+
+    def test_finish_cases(self):
+        pb = PeriodicBlocking(flow=0, period=10, blocked_slots=6)
+        assert pb.finish(0, 16, 4) == 20  # fills the rest of the period exactly
+        assert pb.finish(0, 16, 5) == 27  # one unit spills past the next blocked slots
+        assert pb.finish(0, 12, 1) == 17  # starts inside the blocked slots
+        assert PeriodicBlocking(flow=0, period=10, blocked_slots=0).finish(0, 13, 25) == 38
+
+    def test_rejects_fully_blocked_period(self):
+        for period, slots in ((10, 10), (4, 5), (4, -1)):
+            with pytest.raises(ValueError):
+                PeriodicBlocking(flow=0, period=period, blocked_slots=slots)
+
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    @pytest.mark.parametrize("accounting", list(Accounting))
+    def test_engine_equals_stepping_oracle(self, kind, accounting):
+        for seed in range(40):
+            rng = random.Random(seed)
+            period = rng.randint(1, 12)
+            kw = {
+                "accounting": accounting,
+                "blocked": PeriodicBlocking(flow=rng.randrange(3), period=period,
+                                            blocked_slots=rng.randrange(period)),
+                "queue_capacity": rng.choice([None, 2, 5]),
+                "log_visits": True,
+            }
+            if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
+                kw["quantum"] = rng.choice([8, 16, {0: 24, 1: 16, 2: 8}])
+            if kind is SchedulerKind.CARR:
+                kw["tau"] = rng.choice([1.5, 2.0, 3.0])
+            w = make_workload(seed, n_flows=3, n_packets=40, spread=rng.choice([50, 400]))
+            horizon = rng.choice([None, 150, 600])
+            fast = make_scheduler(kind, **kw)
+            cls = type(fast)
+            slow = type("Stepping" + cls.__name__, (SteppingTransmit, cls), {})(**kw)
+            for s in (fast, slow):
+                run(s, [Packet(**vars(p)) for p in w], horizon=horizon)
+            assert fast.trace.records == slow.trace.records
+            assert fast.trace.events == slow.trace.events
+            assert fast.visit_log == slow.visit_log
+            assert fast.drops() == slow.drops()
+            assert fast.clock.now == slow.clock.now
 
 
 def make_sched(kind, **kw):
