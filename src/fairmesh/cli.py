@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from functools import partial
@@ -107,7 +108,9 @@ _WORKLOAD_DEFAULTS = {
 }
 
 
-def _normalize_workload(given) -> dict:
+def _normalize_workload(given, where: str = "workload") -> dict:
+    """The workload with defaults filled in; `where` is the config key that
+    holds its counts (an experiment may take them from params)."""
     if isinstance(given, str):
         given = {"kind": given}
     if not isinstance(given, dict):
@@ -119,6 +122,9 @@ def _normalize_workload(given) -> dict:
     merged = dict(_WORKLOAD_DEFAULTS[kind], kind=kind)
     _check_allowed(given, set(merged), "workload")
     merged.update(given)
+    for key, v in merged.items():
+        if key != "kind" and not (is_int(v) and v > 0):
+            raise ConfigError(f"config key {where}.{key} must be a positive integer, got {v!r}")
     return merged
 
 
@@ -164,10 +170,7 @@ def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
     pathological = w["kind"] == "pathology"
     kw: dict = {}
     if pathological:
-        kw["weights"] = dict(presets.PATHOLOGY_WEIGHTS)
         kw["blocked"] = presets.pathology_blocking()
-    if "weights" in params:
-        kw["weights"] = _flow_map(params, "weights")
     if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
         q = params.get("quantum")
         if "quantum" not in params:
@@ -203,10 +206,11 @@ def _run_one_scheduler(
     kind: SchedulerKind, w: dict, params: dict, seed: int
 ) -> tuple[Trace, FairnessReport, dict]:
     pkts = _build_workload(w, seed)
+    weights = _fm_weights(w, params, pkts)
     sched = _build_scheduler(kind, w, params, sorted({p.flow for p in pkts}))
     sched.load(pkts)
     trace = sched.run(horizon=w.get("horizon"))
-    report = rfb_estimate(trace, _fm_weights(w, params, pkts))
+    report = rfb_estimate(trace, weights)
     summary = {
         "scheduler": kind.value,
         "throughput": {str(f): n for f, n in sorted(throughput_by_flow(trace).items())},
@@ -255,11 +259,11 @@ def _write_mesh_csvs(outdir: Path, rep: SimReport) -> None:
 _SCHEDULER_KEYS = {"scheduler", "quantum", "tau", "demote_rounds"}
 
 
-def _exp_scheduler(params: dict, seeds: list[int], outdir: Path,
-                   allowed: set[str], workload: Callable[[dict], object]) -> dict:
+def _exp_scheduler(params: dict, seeds: list[int], outdir: Path, allowed: set[str],
+                   workload: Callable[[dict], object], where: str = "workload") -> dict:
     """One discipline on a standalone workload; `workload(params)` names it."""
     _check_allowed(params, allowed, "params")
-    w = _normalize_workload(workload(params))
+    w = _normalize_workload(workload(params), where)
     kind = _scheduler_kind(params.get("scheduler", "drr"), "params.scheduler")
     runs = {}
     for i, seed in enumerate(seeds):
@@ -349,6 +353,7 @@ _EXPERIMENTS: dict[str, Callable[[dict, list[int], Path], dict]] = {
             "kind": "pathology",
             "horizon": p.get("horizon", presets.PATHOLOGY_HORIZON),
         },
+        where="params",
     ),
     "eq13-feasibility": partial(
         _exp_mesh, defaults=_EQ13_DEFAULTS, with_feasibility=True
@@ -456,6 +461,8 @@ def _s_matrix_from_payload(payload: dict, seed: str) -> dict[int, dict[int, floa
 
 
 def cmd_analyze(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     rep = _load_json(args.report, what="report")
     runs = rep.get("runs")
     if not isinstance(runs, dict) or not runs:

@@ -31,8 +31,6 @@ from .schedulers import SchedulerKind
 DIR_L, DIR_R, DIR_EJ = 0, 1, 2
 IN_L, IN_R, IN_INJ = 0, 1, 2
 
-_OUT_NAMES = {DIR_L: "left", DIR_R: "right", DIR_EJ: "eject"}
-
 # stream-id spacing so every component draws from its own sequence
 _SID_INJECT = 0
 _SID_DEST = 1

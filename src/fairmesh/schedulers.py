@@ -1,8 +1,8 @@
-"""Round-robin service disciplines behind one serve-one-visit contract.
+"""Round-robin service disciplines on one shared rotation.
 
-Five disciplines share an engine that injects arrivals, sends a visit's
-packets one whole packet at a time on a cycle clock, and emits one
-ServiceRecord per visit:
+Five disciplines share an engine that injects arrivals, keeps the
+backlogged flows in one rotation, sends a visit's packets one whole packet
+at a time on a cycle clock, and emits one ServiceRecord per visit:
 
 * RR    - plain round robin, one whole packet per visit.
 * DRR   - deficit round robin with a per-flow quantum and deficit counter.
@@ -21,9 +21,10 @@ credit changes.  Blocking itself comes from an optional PeriodicBlocking,
 which models downstream back-pressure on one flow and gives each packet's
 finish cycle in closed form.
 
-A newly active flow joins the tail of the schedule and is first served in
-the following round; the one exception is a brand-new EBRR flow, whose
-initialization grants a full credit and immediate eligibility.
+A newly active flow joins the tail of the rotation and is first served in
+the following round; the one exception is an EBRR flow with positive
+credit, which joins the current round.  Fairness weights are not a
+scheduler setting: they belong to the fairness measure.
 """
 
 from __future__ import annotations
@@ -54,29 +55,25 @@ class SchedulerKind(Enum):
 class FlowState:
     id: FlowId
     queue: deque[Packet] = field(default_factory=deque)
-    weight: float = 1.0
     # DRR
     deficit: int = 0
     # ERR / CARR
     surplus: int = 0
-    allowance: int = 1
     # EBRR
     credit: int = 0
-    eligible_round: int = 0
-    initialized: bool = False
     # CARR
     congested_until: int = 0
     # bookkeeping
     listed: bool = False
     drops: int = 0
 
-    @property
-    def backlogged(self) -> bool:
-        return bool(self.queue)
-
 
 class SchedulerBase:
-    """Engine shared by all disciplines: arrivals, clock, trace, rounds."""
+    """Engine shared by all disciplines: arrivals, clock, trace, rounds.
+
+    `active` is the rotation of backlogged flows; its first `visits_left`
+    entries are the current round's remaining visits.
+    """
 
     kind: SchedulerKind
 
@@ -85,7 +82,6 @@ class SchedulerBase:
         accounting: Accounting = Accounting.PACKET_SIZE,
         queue_capacity: int | None = None,
         blocked: PeriodicBlocking | None = None,
-        weights: dict[FlowId, float] | None = None,
         log_visits: bool = False,
     ):
         self.accounting = accounting
@@ -99,11 +95,9 @@ class SchedulerBase:
         self.visits_left = 0
         self.log_visits = log_visits
         self.visit_log: list[dict] = []
-        self._given_weights = dict(weights) if weights else {}
         self._arrivals: list[Packet] = []
         self._next_arrival = 0
         self._events: dict[int, PacketEvent] = {}
-        self._listed_count = 0
 
     # -- workload ---------------------------------------------------------
 
@@ -113,12 +107,8 @@ class SchedulerBase:
         self._arrivals = sorted(packets, key=lambda p: p.inject_time)
         self._next_arrival = 0
 
-    def _flow(self, fid: FlowId) -> FlowState:
-        fs = self.flows.get(fid)
-        if fs is None:
-            fs = FlowState(id=fid, weight=self._given_weights.get(fid, 1.0))
-            self.flows[fid] = fs
-        return fs
+    def _new_flow(self, fid: FlowId) -> FlowState:
+        return FlowState(id=fid)
 
     def _inject_due(self) -> None:
         arr = self._arrivals
@@ -130,7 +120,9 @@ class SchedulerBase:
         self._next_arrival = i
 
     def _enqueue(self, pkt: Packet) -> None:
-        fs = self._flow(pkt.flow)
+        fs = self.flows.get(pkt.flow)
+        if fs is None:
+            fs = self.flows[pkt.flow] = self._new_flow(pkt.flow)
         if self.queue_capacity is not None and len(fs.queue) >= self.queue_capacity:
             fs.drops += 1  # tail drop, packet never enters the queue
             return
@@ -140,36 +132,34 @@ class SchedulerBase:
         self.trace.add_event(ev)
         if not fs.listed:
             fs.listed = True
-            self._listed_count += 1
             self._activate(fs)
 
     def _activate(self, fs: FlowState) -> None:
+        """Put a backlogged flow into the rotation: by default at its tail,
+        so it is first served in the following round."""
         self.active.append(fs)
-
-    def _delist(self, fs: FlowState) -> None:
-        fs.listed = False
-        self._listed_count -= 1
-        if self._listed_count == 0:
-            self.visits_left = 0
-            self._on_full_idle()
-
-    def _has_backlog(self) -> bool:
-        return self._listed_count > 0
 
     # -- rounds -----------------------------------------------------------
 
     def _start_round(self) -> None:
         self.round_number += 1
         self.visits_left = len(self.active)
-        self._on_round_start()
 
-    def _on_round_start(self) -> None:
-        pass
+    def _pop_for_service(self) -> FlowState:
+        while True:
+            if self.visits_left <= 0:
+                self._start_round()
+            fs = self.active.popleft()
+            self.visits_left -= 1
+            if self._should_skip(fs):
+                self.active.append(fs)
+                continue
+            return fs
 
-    def _on_full_idle(self) -> None:
-        pass
+    def _should_skip(self, fs: FlowState) -> bool:
+        return False
 
-    # -- transmission -----------------------------------------------------
+    # -- one visit --------------------------------------------------------
 
     def _transmit_packet(self, fs: FlowState, pkt: Packet) -> int:
         """Send one whole packet, one unit per non-blocked cycle.
@@ -197,40 +187,24 @@ class SchedulerBase:
             return size + blocking
         return size
 
-    def _emit(self, fs: FlowState, start: int, sent: int, blocking: int) -> ServiceRecord | None:
+    def _visit(self, fs: FlowState) -> ServiceRecord | None:
+        raise NotImplementedError
+
+    def _emit(self, fs: FlowState, start: int, sent: int, blocking: int, /,
+              **log_fields) -> ServiceRecord | None:
+        """End a visit: log it, put the flow back in the rotation (or delist
+        it if its queue is empty), and record it if it moved data."""
+        if self.log_visits:
+            self.visit_log.append({"flow": fs.id, "round": self.round_number, **log_fields})
+        if fs.queue:
+            self._activate(fs)
+        else:
+            fs.listed = False
         if sent == 0:
             return None
         rec = ServiceRecord(fs.id, self.round_number, start, self.clock.now, sent, blocking)
         self.trace.append(rec)
         return rec
-
-    # -- the uniform contract --------------------------------------------
-
-    def serve_next(self) -> ServiceRecord | None:
-        """Serve one visit of the discipline; returns its record, or None if
-        the visit moved no data (idle, or a bookkeeping-only visit)."""
-        self._inject_due()
-        if not self.active:
-            return None
-        fs = self._pop_for_service()
-        return self._visit(fs)
-
-    def _pop_for_service(self) -> FlowState:
-        while True:
-            if self.visits_left <= 0:
-                self._start_round()
-            fs = self.active.popleft()
-            self.visits_left -= 1
-            if self._should_skip(fs):
-                self.active.append(fs)
-                continue
-            return fs
-
-    def _should_skip(self, fs: FlowState) -> bool:
-        return False
-
-    def _visit(self, fs: FlowState) -> ServiceRecord | None:
-        raise NotImplementedError
 
     # -- driver -----------------------------------------------------------
 
@@ -241,7 +215,7 @@ class SchedulerBase:
         backlogged."""
         while True:
             self._inject_due()
-            if not self._has_backlog():
+            if not self.active:
                 if self._next_arrival >= len(self._arrivals):
                     break
                 nxt = self._arrivals[self._next_arrival].inject_time
@@ -252,11 +226,8 @@ class SchedulerBase:
                 continue
             if horizon is not None and self.clock.now >= horizon:
                 break
-            self.serve_next()
+            self._visit(self._pop_for_service())
         return self.trace
-
-    def weights(self) -> dict[FlowId, float]:
-        return {fid: fs.weight for fid, fs in sorted(self.flows.items())}
 
     def drops(self) -> dict[FlowId, int]:
         return {fid: fs.drops for fid, fs in sorted(self.flows.items())}
@@ -271,16 +242,7 @@ class RoundRobinScheduler(SchedulerBase):
         start = self.clock.now
         pkt = fs.queue.popleft()
         blocking = self._transmit_packet(fs, pkt)
-        if fs.queue:
-            self.active.append(fs)
-        else:
-            self._delist(fs)
-        rec = self._emit(fs, start, pkt.size, blocking)
-        if self.log_visits:
-            self.visit_log.append(
-                {"flow": fs.id, "round": self.round_number, "packets": 1}
-            )
-        return rec
+        return self._emit(fs, start, pkt.size, blocking, packets=1)
 
 
 class _QuantumScheduler(SchedulerBase):
@@ -317,14 +279,6 @@ class DeficitRoundRobin(_QuantumScheduler):
 
     kind = SchedulerKind.DRR
 
-    def _flow(self, fid: FlowId) -> FlowState:
-        fs = super()._flow(fid)
-        if fid not in self._given_weights and not isinstance(self._quantum, int):
-            # DRR flow weights follow the quantum ratio
-            qmin = min(self._quantum.values())
-            fs.weight = self.quantum_for(fid) / qmin
-        return fs
-
     def _visit(self, fs: FlowState) -> ServiceRecord | None:
         fs.deficit += self.quantum_for(fs.id)
         start = self.clock.now
@@ -335,17 +289,9 @@ class DeficitRoundRobin(_QuantumScheduler):
             fs.deficit -= self._used_units(pkt.size, b)
             sent += pkt.size
             blocking += b
-        if fs.queue:
-            self.active.append(fs)
-        else:
+        if not fs.queue:
             fs.deficit = 0  # residue is not carried across idle
-            self._delist(fs)
-        rec = self._emit(fs, start, sent, blocking)
-        if self.log_visits:
-            self.visit_log.append(
-                {"flow": fs.id, "round": self.round_number, "deficit": fs.deficit, "sent": sent}
-            )
-        return rec
+        return self._emit(fs, start, sent, blocking, deficit=fs.deficit, sent=sent)
 
 
 class ElasticRoundRobin(SchedulerBase):
@@ -356,7 +302,9 @@ class ElasticRoundRobin(SchedulerBase):
     gets exactly one unit.  Packets are sent whole while the accounted units
     stay below the allowance, so the final packet may overshoot; the
     overshoot becomes the next surplus.  A flow that goes idle has its
-    surplus reset to zero.
+    surplus reset to zero.  MaxSC needs no reset when every flow goes idle:
+    every flow served in the last round then went idle with surplus zero, so
+    that round's MaxSC is already zero when the next round starts.
     """
 
     kind = SchedulerKind.ERR
@@ -366,48 +314,27 @@ class ElasticRoundRobin(SchedulerBase):
         self.max_sc_prev = 0
         self._round_max_sc = 0
 
-    def _on_round_start(self) -> None:
+    def _start_round(self) -> None:
+        super()._start_round()
         self.max_sc_prev = self._round_max_sc
         self._round_max_sc = 0
 
-    def _on_full_idle(self) -> None:
-        self.max_sc_prev = 0
-        self._round_max_sc = 0
-
-    def _allowance(self, fs: FlowState) -> int:
+    def _visit(self, fs: FlowState) -> ServiceRecord | None:
         # the max() guard only matters for CARR, where a demoted flow can
         # carry a stale surplus above the current MaxSC
-        return max(1, 1 + self.max_sc_prev - fs.surplus)
-
-    def _visit(self, fs: FlowState) -> ServiceRecord | None:
-        fs.allowance = self._allowance(fs)
+        allowance = max(1, 1 + self.max_sc_prev - fs.surplus)
         start = self.clock.now
         sent = blocking = accounted = 0
-        while fs.queue and accounted < fs.allowance:
+        while fs.queue and accounted < allowance:
             pkt = fs.queue.popleft()
             b = self._transmit_packet(fs, pkt)
             accounted += self._used_units(pkt.size, b)
             sent += pkt.size
             blocking += b
-        if fs.queue:
-            fs.surplus = accounted - fs.allowance
-            self.active.append(fs)
-        else:
-            fs.surplus = 0
-            self._delist(fs)
+        fs.surplus = accounted - allowance if fs.queue else 0
         self._round_max_sc = max(self._round_max_sc, fs.surplus)
-        rec = self._emit(fs, start, sent, blocking)
-        if self.log_visits:
-            self.visit_log.append(
-                {
-                    "flow": fs.id,
-                    "round": self.round_number,
-                    "allowance": fs.allowance,
-                    "surplus": fs.surplus,
-                    "sent": sent,
-                }
-            )
-        return rec
+        return self._emit(fs, start, sent, blocking,
+                          allowance=allowance, surplus=fs.surplus, sent=sent)
 
 
 class CongestionAwareRoundRobin(ElasticRoundRobin):
@@ -450,91 +377,56 @@ class CongestionAwareRoundRobin(ElasticRoundRobin):
 class EligibilityRoundRobin(_QuantumScheduler):
     """Eligibility-based round robin (one packet per visit).
 
-    Each flow holds a signed credit, initialized to one quantum.  A
-    transmission debits the packet's accounted units, which may push the
-    credit negative; the flow is then deferred, gaining one quantum per round
-    boundary it sits out, and becomes eligible again once the credit is
-    positive.  Credit survives idle periods, so a flow cannot launder an
-    overdraft by going briefly idle.
+    Each flow holds a signed credit, initialized to one quantum.  A flow with
+    positive credit joins the current round; it keeps getting visits in it
+    until a transmission's accounted units push the credit to zero or below.
+    It is then deferred to the tail of the rotation, gaining one quantum per
+    round boundary it sits out, until the credit is positive again.  Credit
+    survives idle periods, so a flow cannot launder an overdraft by going
+    briefly idle.
     """
 
     kind = SchedulerKind.EBRR
 
     def __init__(self, quantum: int | dict[FlowId, int], **kw):
         super().__init__(quantum, **kw)
-        self.current: deque[FlowState] = deque()
-        self.nxt: deque[FlowState] = deque()
+        # round 1 is open from the start: eligible flows join it on arrival
         self.round_number = 1
 
-    def _activate(self, fs: FlowState) -> None:
-        if not fs.initialized:
-            # FlowInit: full credit, eligible in the current round
-            fs.initialized = True
-            fs.credit = self.quantum_for(fs.id)
-            fs.eligible_round = self.round_number
-            self.current.append(fs)
-            return
-        if fs.credit > 0 and fs.eligible_round <= self.round_number:
-            self.current.append(fs)
-        else:
-            if fs.credit <= 0:
-                fs.credit += self.quantum_for(fs.id)
-            fs.eligible_round = self.round_number + 1
-            self.nxt.append(fs)
+    def _new_flow(self, fid: FlowId) -> FlowState:
+        return FlowState(id=fid, credit=self.quantum_for(fid))
 
-    def _defer(self, fs: FlowState) -> None:
+    def _should_skip(self, fs: FlowState) -> bool:
+        """An overdrawn flow sits out a round boundary and gains a quantum."""
+        if fs.credit > 0:
+            return False
         fs.credit += self.quantum_for(fs.id)
-        fs.eligible_round = self.round_number + 1
-        self.nxt.append(fs)
+        return True
 
-    def serve_next(self) -> ServiceRecord | None:
-        self._inject_due()
-        while True:
-            if not self.current:
-                if not self.nxt:
-                    return None
-                self.current, self.nxt = self.nxt, self.current
-                self.round_number += 1
-            fs = self.current.popleft()
-            if fs.credit <= 0:
-                self._defer(fs)
-                continue
-            break
+    def _activate(self, fs: FlowState) -> None:
+        if self._should_skip(fs):
+            self.active.append(fs)
+        else:  # eligible: joins the current round
+            self.active.insert(self.visits_left, fs)
+            self.visits_left += 1
+
+    def _visit(self, fs: FlowState) -> ServiceRecord | None:
         start = self.clock.now
-        served_round = self.round_number
         pkt = fs.queue.popleft()
         blocking = self._transmit_packet(fs, pkt)
         fs.credit -= self._used_units(pkt.size, blocking)
-        credit_after_tx = fs.credit
-        if not fs.queue:
-            self._delist(fs)  # credit retained across the idle period
-        elif fs.credit > 0:
-            self.current.append(fs)
-        else:
-            self._defer(fs)
-        rec = self._emit(fs, start, pkt.size, blocking)
-        if self.log_visits:
-            self.visit_log.append(
-                {"flow": fs.id, "round": served_round, "credit": credit_after_tx, "packets": 1}
-            )
-        return rec
+        return self._emit(fs, start, pkt.size, blocking, credit=fs.credit, packets=1)
+
+
+_KINDS = {cls.kind: cls for cls in (RoundRobinScheduler, DeficitRoundRobin, ElasticRoundRobin,
+                                    EligibilityRoundRobin, CongestionAwareRoundRobin)}
 
 
 def make_scheduler(kind: SchedulerKind | str, **params) -> SchedulerBase:
     """Build a scheduler by kind; params go to the class constructor."""
     if isinstance(kind, str):
         kind = SchedulerKind(kind.lower())
-    if kind is SchedulerKind.RR:
-        return RoundRobinScheduler(**params)
-    if kind is SchedulerKind.DRR:
-        return DeficitRoundRobin(**params)
-    if kind is SchedulerKind.ERR:
-        return ElasticRoundRobin(**params)
-    if kind is SchedulerKind.EBRR:
-        return EligibilityRoundRobin(**params)
-    if kind is SchedulerKind.CARR:
-        return CongestionAwareRoundRobin(**params)
-    raise ValueError(f"unknown scheduler kind: {kind}")
+    return _KINDS[kind](**params)
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,7 @@ def vw_hotspot():
 
 
 def _pathology_run(kind: str) -> Trace:
-    kw = {
-        "weights": dict(presets.PATHOLOGY_WEIGHTS),
-        "blocked": presets.pathology_blocking(),
-    }
+    kw = {"blocked": presets.pathology_blocking()}
     if kind == "drr":
         kw["quantum"] = dict(presets.PATHOLOGY_DRR_QUANTA)
     sched = make_scheduler(kind, **kw)

@@ -134,11 +134,24 @@ class TestConfigErrors:
         (dict(scheduler="carr", tau=math.inf), "params.tau"),
         (dict(scheduler="drr", weights={"0": math.inf, "1": 1, "2": 1}), "params.weights"),
         (dict(scheduler="ebrr", quantum={"0": math.inf, "1": 4, "2": 4}), "params.quantum"),
+        # workload counts must be positive integers; a NaN spread used to hang the run
+        (dict(workload={"kind": "random", "spread": math.nan}), "workload.spread"),
+        (dict(workload={"kind": "random", "n_flows": 1.5}), "workload.n_flows"),
+        (dict(workload={"kind": "random", "packets_per_flow": True}), "workload.packets_per_flow"),
+        (dict(workload={"kind": "backlogged-pair", "max_size": 0}), "workload.max_size"),
+        (dict(workload={"kind": "pathology", "horizon": -5}), "workload.horizon"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("horizon", [1.5, math.nan, math.inf, "x", -5, 0, True])
+    def test_bad_pathology_horizon_exit_2(self, tmp_path, capsys, horizon):
+        cfg = base_cfg(tmp_path, experiment="rfb-vs-cfb-pathology",
+                       params={"horizon": horizon})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert "params.horizon" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params,key", [
         (dict(weights=[True, 2]), "params.weights"),
@@ -292,6 +305,15 @@ class TestCompareVerb:
         assert main(["compare", path]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workload,key", [
+        ({"kind": "random", "n_flows": True}, "workload.n_flows"),
+        ({"kind": "pathology", "horizon": 1.5}, "workload.horizon"),
+    ])
+    def test_bad_workload_values_rejected(self, tmp_path, capsys, workload, key):
+        path = self.compare_cfg(tmp_path, workload=workload)
+        assert main(["compare", path]) == 2
+        assert key in capsys.readouterr().err
+
     def test_fractional_demote_rounds_rejected(self, tmp_path, capsys):
         path = self.compare_cfg(tmp_path, params={"demote_rounds": 2.5})
         assert main(["compare", path]) == 2
@@ -359,6 +381,14 @@ class TestAnalyzeVerb:
         assert main(["analyze", str(report), "--tolerance", "1e9"]) == 0
         saved = json.loads(capsys.readouterr().out)
         assert saved["per_run"]["1"]["feasibility"]["feasible"] is True
+
+    def test_analyze_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys):
+        report = self.run_eq13(tmp_path)
+        capsys.readouterr()
+        for bad in ("nan", "-1", "inf"):
+            assert main(["analyze", str(report), "--tolerance", bad]) == 2
+            assert "--tolerance" in capsys.readouterr().err
+        assert not (report.parent / "analysis.json").exists()
 
     def test_analyze_missing_s_matrix(self, tmp_path, capsys):
         p = tmp_path / "rep.json"

@@ -454,7 +454,7 @@ class TestProfileMatchesBruteForce:
 
 
 def _pathology_trace(kind):
-    kw = {"weights": dict(presets.PATHOLOGY_WEIGHTS), "blocked": presets.pathology_blocking()}
+    kw = {"blocked": presets.pathology_blocking()}
     if kind == "drr":
         kw["quantum"] = dict(presets.PATHOLOGY_DRR_QUANTA)
     sched = make_scheduler(kind, **kw)
@@ -464,7 +464,7 @@ def _pathology_trace(kind):
 
 
 def _random_trace(kind, n_flows, weights, **kw):
-    sched = make_scheduler(kind, weights=weights, **kw)
+    sched = make_scheduler(kind, **kw)
     sched.load(presets.random_workload(1, n_flows=n_flows))
     sched.run()
     return sched.trace, weights
