@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Layer timings of fairmesh: mesh, standalone schedulers and fairness sweeps.
+"""Layer timings of fairmesh: mesh, standalone schedulers, fairness sweeps
+and the random draws of the sampling oracles.
 
-Three layers, each a set of rows timed in process for this repository's
+Four layers, each a set of rows timed in process for this repository's
 `src/` and, with `--src DIR`, the `fairmesh` package of a parent checkout
 side by side:
 
@@ -16,6 +17,11 @@ side by side:
 * `rfb_estimate`: the fairness sweep of the SINK_HORIZON-cycle k=8 hotspot
   sink trace (equal weights) and of each discipline's SCHED_HORIZON
   pathology trace; trace records/s.
+* `sampling`: BERNOULLI_DRAWS `XorShift64Star.bernoulli` draws at the
+  uniform row's rate; the merge-chain oracle `simulate_acceptance_counts`
+  for MERGE_GRANTS grants at router MERGE_ROUTER on the first weight table
+  acceptance criterion 4 draws; and `empirical_grant_frequencies` for
+  GRANT_TRIALS trials on `presets.ARB_CONVERGENCE_WEIGHTS`; samples/s.
 
 Every timed run is its own process, and the trees take turns run by run,
 so slow drift of the host hits both alike.  Per row and tree it reports the
@@ -44,6 +50,10 @@ UNIFORM = {"k": 16, "pattern": "uniform", "rate": 0.03, "scheduler": "carr"}
 MESH_HORIZON = 40_000
 SCHED_HORIZON = 96_000
 SINK_HORIZON = 40_000
+BERNOULLI_DRAWS = 640_000  # k x MESH_HORIZON, the uniform-k16-carr row's arrival draws
+MERGE_GRANTS = 100_000
+MERGE_ROUTER = 3
+GRANT_TRIALS = 1_000_000
 RUNS = 5  # timed runs per row and tree
 CHANGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 KINDS = ("rr", "drr", "err", "ebrr", "carr")
@@ -58,6 +68,8 @@ LAYERS = {
     "schedulers": {"rows": [f"pathology-{s}" for s in KINDS], "unit": "cycles"},
     "rfb_estimate": {"rows": ["hotspot-sink"] + [f"pathology-{s}" for s in KINDS],
                      "unit": "records"},
+    "sampling": {"rows": ["bernoulli", "merge-chain", "grant-frequencies"],
+                 "unit": "samples"},
 }
 
 
@@ -132,8 +144,34 @@ def _rfb_estimate_row(name: str, traced: bool) -> dict:
             "sha256": _sha(report.to_json())}
 
 
+def _sampling_row(name: str, traced: bool) -> dict:
+    from fairmesh import presets
+    from fairmesh.analysis import WeightTable, simulate_acceptance_counts
+    from fairmesh.arbitration import empirical_grant_frequencies
+    from fairmesh.rng import XorShift64Star
+
+    if name == "bernoulli":
+        rng, rate, n = XorShift64Star(1, stream_id=0), UNIFORM["rate"], BERNOULLI_DRAWS
+        result, elapsed, peak = _timed(lambda: sum(rng.bernoulli(rate) for _ in range(n)),
+                                       traced)
+        result = [result, rng.state]
+    elif name == "merge-chain":
+        # acceptance criterion 4's first table: entries 1..4, routers 1..3
+        rng, n = XorShift64Star(2024, stream_id=7), MERGE_GRANTS
+        w = WeightTable({(i, j): 1 + rng.randrange(4)
+                         for j in range(1, MERGE_ROUTER + 1) for i in range(j + 1)})
+        result, elapsed, peak = _timed(
+            lambda: simulate_acceptance_counts(w, MERGE_ROUTER, n, seed=100), traced)
+    else:
+        n = GRANT_TRIALS
+        freqs, elapsed, peak = _timed(lambda: empirical_grant_frequencies(
+            presets.ARB_CONVERGENCE_WEIGHTS, n, seed=1), traced)
+        result = [float(f) for f in freqs]
+    return {"seconds": elapsed, "peak_mb": peak, "work": n, "sha256": _sha(json.dumps(result))}
+
+
 ROW_FNS = {"mesh": _mesh_row, "schedulers": _schedulers_row,
-           "rfb_estimate": _rfb_estimate_row}
+           "rfb_estimate": _rfb_estimate_row, "sampling": _sampling_row}
 
 
 def spawn(src: str, layer: str, name: str, traced: bool) -> dict:
@@ -212,9 +250,13 @@ def main() -> None:
                           "as `compare` builds it",
             "rfb_estimate": "in-process rfb_estimate on the k=8 hotspot sink trace "
                             "(equal weights) and on each pathology trace",
+            "sampling": "in-process bernoulli draws at the uniform rate, the "
+                        "merge-chain oracle and empirical_grant_frequencies",
         },
         "horizon": {"mesh": MESH_HORIZON, "schedulers": SCHED_HORIZON,
                     "rfb_estimate": {"hotspot-sink": SINK_HORIZON, "pathology": SCHED_HORIZON}},
+        "samples": {"bernoulli": BERNOULLI_DRAWS, "merge-chain": MERGE_GRANTS,
+                    "grant-frequencies": GRANT_TRIALS},
         "runs": RUNS,
         "machine": machine(),
         "layer": {layer: measure(trees, layer) for layer in LAYERS},

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import presets
-from .analysis import check_ratio_constraint, required_weights
+from .analysis import RequiredWeights, check_ratio_constraint, required_weights
 from .arbitration import empirical_grant_frequencies
 from .core import Packet, Trace, is_finite, is_int, latency_stats, throughput_by_flow
 from .fairness import Accounting, FairnessReport, rfb_estimate
@@ -68,31 +68,6 @@ def _check_allowed(d: dict, allowed: set[str], what: str) -> None:
         if k not in allowed:
             name = k if what == "config" else f"{what}.{k}"
             raise ConfigError(f"unknown config key: {name}")
-
-
-def _check_schema(cfg: dict) -> None:
-    v = _require(cfg, "schema_version")
-    if v != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config key schema_version must be {SCHEMA_VERSION}, got {v!r}"
-        )
-
-
-def _seed_list(cfg: dict, override: int | None) -> list[int]:
-    if override is not None:
-        return [override]
-    seeds = _require(cfg, "seeds")
-    ok = isinstance(seeds, list) and seeds and all(is_int(s) for s in seeds)
-    if not ok:
-        raise ConfigError("config key seeds must be a non-empty list of integers")
-    return seeds
-
-
-def _output_dir(cfg: dict) -> Path:
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    d = Path(env) if env else Path(cfg.get("output_dir", "out"))
-    d.mkdir(parents=True, exist_ok=True)
-    return d
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -177,9 +152,13 @@ def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
             q = dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16
         elif isinstance(q, dict):
             q = _flow_map(params, "quantum", flows)
+            if not all(map(is_int, q.values())):
+                raise ConfigError("config key params.quantum values must be integers")
         elif not is_int(q):
             raise ConfigError(f"config key params.quantum must be an integer or "
                               f"an object keyed by flow id, got {q!r}")
+        elif q < 1:
+            raise ConfigError(f"config key params.quantum must be >= 1, got {q}")
         kw["quantum"] = q
     if kind is SchedulerKind.CARR:
         kw["tau"] = params.get("tau", 2.0)
@@ -256,6 +235,23 @@ def _write_mesh_csvs(outdir: Path, rep: SimReport) -> None:
             sink.to_csv(fh)
 
 
+def _feasibility_entry(s: dict, **eps) -> tuple[dict, RequiredWeights | None]:
+    """The feasibility verdict on `s` (`eps` is its tolerance) and the
+    first-hop weight ratios `s` implies, or why it implies none."""
+    entry: dict = {"feasibility": check_ratio_constraint(s, **eps).to_dict()}
+    try:
+        rw = required_weights(s)
+    except ValueError as e:
+        entry["required_weights"] = None
+        entry["required_weights_error"] = str(e)
+        return entry, None
+    entry["required_weights"] = {
+        "from_first_router": rw.from_first_router,
+        "from_second_router": rw.from_second_router,
+    }
+    return entry, rw
+
+
 _SCHEDULER_KEYS = {"scheduler", "quantum", "tau", "demote_rounds"}
 
 
@@ -277,6 +273,32 @@ def _exp_scheduler(params: dict, seeds: list[int], outdir: Path, allowed: set[st
     return runs
 
 
+def _exp_compare(params: dict, seeds: list[int], outdir: Path,
+                 kinds: list[SchedulerKind], w: dict) -> dict:
+    """Each discipline of `kinds` on one workload; comparison.csv holds the
+    first seed's summaries, one row per scheduler and flow."""
+    _check_allowed(params, _SCHEDULER_KEYS - {"scheduler"} | {"weights"}, "params")
+    runs = {}
+    for seed in seeds:
+        # the workload is rebuilt from the seed for every scheduler, so
+        # each one replays an identical arrival stream
+        runs[str(seed)] = {k.value: _run_one_scheduler(k, w, params, seed)[2] for k in kinds}
+    first = runs[str(seeds[0])]
+    with open(outdir / "comparison.csv", "w", newline="") as fh:
+        wcsv = csv.writer(fh)
+        wcsv.writerow([
+            "scheduler", "flow", "throughput", "mean_latency", "max_latency",
+            "fm_size", "fm_occupation",
+        ])
+        for kind in kinds:
+            s = first[kind.value]
+            for f, n in s["throughput"].items():
+                st = s["latency"].get(f, {"mean": 0.0, "max": 0.0})
+                wcsv.writerow([kind.value, f, n, st["mean"], st["max"],
+                               s["rfb_estimate"], s["cfb_estimate"]])
+    return runs
+
+
 def _exp_mesh(params: dict, seeds: list[int], outdir: Path, defaults: dict,
               with_feasibility: bool) -> dict:
     _check_allowed(params, _MESH_PARAM_KEYS, "params")
@@ -285,17 +307,7 @@ def _exp_mesh(params: dict, seeds: list[int], outdir: Path, defaults: dict,
         rep = run_mesh(_mesh_config(params, seed, defaults))
         payload: dict = {"mesh": rep.to_dict()}
         if with_feasibility:
-            s = rep.s_matrix()
-            payload["feasibility"] = check_ratio_constraint(s).to_dict()
-            try:
-                rw = required_weights(s)
-                payload["required_weights"] = {
-                    "from_first_router": rw.from_first_router,
-                    "from_second_router": rw.from_second_router,
-                }
-            except ValueError as e:
-                payload["required_weights"] = None
-                payload["required_weights_error"] = str(e)
+            payload.update(_feasibility_entry(rep.s_matrix())[0])
         runs[str(seed)] = payload
         if i == 0:
             _write_mesh_csvs(outdir, rep)
@@ -364,87 +376,58 @@ _EXPERIMENTS: dict[str, Callable[[dict, list[int], Path], dict]] = {
 
 # -- verbs -----------------------------------------------------------------
 
-_TOP_KEYS = {"schema_version", "experiment", "seeds", "output_dir", "params"}
-
-
-def cmd_run(args) -> int:
-    cfg = _load_json(args.config)
-    _check_schema(cfg)
-    _check_allowed(cfg, _TOP_KEYS, "config")
+def _run_verb(cfg: dict) -> tuple[dict, Callable]:
     exp = _require(cfg, "experiment")
     if exp not in _EXPERIMENTS:
         names = ", ".join(_EXPERIMENTS)
         raise ConfigError(f"config key experiment must be one of [{names}], got {exp!r}")
-    seeds = _seed_list(cfg, args.seed)
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("config key params must be an object")
-    outdir = _output_dir(cfg)
-    runs = _EXPERIMENTS[exp](params, seeds, outdir)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": exp,
-        "seeds": seeds,
-        "params": params,
-        "runs": runs,
-    }
-    _dump_json(outdir / "report.json", report)
-    print(f"wrote {outdir / 'report.json'}")
-    return 0
+    return {"experiment": exp}, _EXPERIMENTS[exp]
 
 
-_COMPARE_KEYS = {"schema_version", "schedulers", "workload", "seeds", "output_dir", "params"}
-_COMPARE_PARAM_KEYS = {"quantum", "tau", "demote_rounds", "weights"}
-
-
-def cmd_compare(args) -> int:
-    cfg = _load_json(args.config)
-    _check_schema(cfg)
-    _check_allowed(cfg, _COMPARE_KEYS, "config")
+def _compare_verb(cfg: dict) -> tuple[dict, Callable]:
     names = _require(cfg, "schedulers")
     if not isinstance(names, list) or len(names) < 2:
         raise ConfigError("config key schedulers must list at least two scheduler kinds")
     kinds = [_scheduler_kind(n, "schedulers") for n in names]
     w = _normalize_workload(cfg.get("workload", "pathology"))
+    header = {"schedulers": [k.value for k in kinds], "workload": w}
+    return header, partial(_exp_compare, kinds=kinds, w=w)
+
+
+# verb -> (help, its own top-level keys, the check of those keys that
+# returns the report header and run(params, seeds, outdir) -> runs)
+_VERBS = {
+    "run": ("run one experiment config", {"experiment"}, _run_verb),
+    "compare": ("same workload through several schedulers",
+                {"schedulers", "workload"}, _compare_verb),
+}
+_TOP_KEYS = {"schema_version", "seeds", "output_dir", "params"}
+
+
+def cmd_config(args) -> int:
+    """`run` and `compare`: check the config, run its seeds, write report.json."""
+    _, keys, verb = _VERBS[args.verb]
+    cfg = _load_json(args.config)
+    v = _require(cfg, "schema_version")
+    if v != SCHEMA_VERSION:
+        raise ConfigError(f"config key schema_version must be {SCHEMA_VERSION}, got {v!r}")
+    _check_allowed(cfg, _TOP_KEYS | keys, "config")
+    header, run = verb(cfg)
+    seeds = [args.seed] if args.seed is not None else _require(cfg, "seeds")
+    if not (isinstance(seeds, list) and seeds and all(is_int(s) for s in seeds)):
+        raise ConfigError("config key seeds must be a non-empty list of integers")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config key params must be an object")
-    _check_allowed(params, _COMPARE_PARAM_KEYS, "params")
-    seeds = _seed_list(cfg, args.seed)
-    outdir = _output_dir(cfg)
-    runs: dict = {}
-    first_rows: list[list] = []
-    for i, seed in enumerate(seeds):
-        per = {}
-        for kind in kinds:
-            # the workload is rebuilt from the seed for every scheduler, so
-            # each one replays an identical arrival stream
-            trace, report, summary = _run_one_scheduler(kind, w, params, seed)
-            per[kind.value] = summary
-            if i == 0:
-                stats = latency_stats(trace.events)
-                for f in sorted(throughput_by_flow(trace)):
-                    st = stats.get(f, {"mean": 0.0, "max": 0.0})
-                    first_rows.append([
-                        kind.value, f, summary["throughput"][str(f)],
-                        st["mean"], st["max"],
-                        summary["rfb_estimate"], summary["cfb_estimate"],
-                    ])
-        runs[str(seed)] = per
-    with open(outdir / "comparison.csv", "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow([
-            "scheduler", "flow", "throughput", "mean_latency", "max_latency",
-            "fm_size", "fm_occupation",
-        ])
-        wcsv.writerows(first_rows)
+    env = os.environ.get(OUTPUT_DIR_ENV)
+    outdir = Path(env) if env else Path(cfg.get("output_dir", "out"))
+    outdir.mkdir(parents=True, exist_ok=True)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "schedulers": [k.value for k in kinds],
-        "workload": w,
+        **header,
         "seeds": seeds,
         "params": params,
-        "runs": runs,
+        "runs": run(params, seeds, outdir),
     }
     _dump_json(outdir / "report.json", report)
     print(f"wrote {outdir / 'report.json'}")
@@ -470,18 +453,9 @@ def cmd_analyze(args) -> int:
     per_run = {}
     for seed in sorted(runs):
         s = _s_matrix_from_payload(runs[seed], seed)
-        verdict = check_ratio_constraint(s, eps=args.tolerance)
-        entry: dict = {"feasibility": verdict.to_dict()}
-        try:
-            rw = required_weights(s)
-            entry["required_weights"] = {
-                "from_first_router": rw.from_first_router,
-                "from_second_router": rw.from_second_router,
-                "consistent": rw.consistent(args.tolerance),
-            }
-        except ValueError as e:
-            entry["required_weights"] = None
-            entry["required_weights_error"] = str(e)
+        entry, rw = _feasibility_entry(s, eps=args.tolerance)
+        if rw is not None:
+            entry["required_weights"]["consistent"] = rw.consistent(args.tolerance)
         per_run[seed] = entry
     out = {
         "schema_version": SCHEMA_VERSION,
@@ -507,17 +481,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    run = sub.add_parser("run", help="run one experiment config")
-    run.add_argument("config")
-    run.add_argument("--seed", type=int, default=None,
-                     help="replace the config's seed list with this one seed")
-    run.set_defaults(func=cmd_run)
-
-    comp = sub.add_parser("compare", help="same workload through several schedulers")
-    comp.add_argument("config")
-    comp.add_argument("--seed", type=int, default=None,
-                      help="replace the config's seed list with this one seed")
-    comp.set_defaults(func=cmd_compare)
+    for verb, (help_, _, _) in _VERBS.items():
+        sp = sub.add_parser(verb, help=help_)
+        sp.add_argument("config")
+        sp.add_argument("--seed", type=int, default=None,
+                        help="replace the config's seed list with this one seed")
+        sp.set_defaults(func=cmd_config)
 
     an = sub.add_parser("analyze", help="feasibility check on a run report")
     an.add_argument("report")

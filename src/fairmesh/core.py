@@ -21,7 +21,7 @@ FlowId = int
 
 def is_int(x) -> bool:
     """An integer that is not a bool (a config's true/false is no count)."""
-    return isinstance(x, Integral) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
 
 
 def is_real(x) -> bool:
@@ -51,8 +51,11 @@ class Packet:
     deliver_time: int | None = None
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"packet size must be >= 1, got {self.size}")
+        if not (is_int(self.size) and self.size >= 1):
+            raise ValueError(f"packet size must be an integer >= 1, got {self.size!r}")
+        if not (is_int(self.inject_time) and self.inject_time >= 0):
+            raise ValueError(f"packet inject_time must be an integer >= 0, "
+                             f"got {self.inject_time!r}")
         if self.deliver_time is not None and self.deliver_time < self.inject_time:
             raise ValueError("deliver_time precedes inject_time")
 

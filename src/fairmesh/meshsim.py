@@ -496,7 +496,6 @@ class MeshSim:
                 active[n] = True
 
         moves = []  # (r, i, o, flit)
-        post_warmup = now >= cfg.warmup
         fifos = self.fifos
         credits = self.credits
         owner = self.owner
@@ -525,8 +524,7 @@ class MeshSim:
                     if cands:
                         pid, i = self._grant(r, o, cands)
                         flow = psrc[pid]
-                        if post_warmup:
-                            self.kcount[(flow, r)] = self.kcount.get((flow, r), 0) + 1
+                        self.kcount[(flow, r)] = self.kcount.get((flow, r), 0) + 1
                         owners[o] = [pid, i, flow, now, 0]
             for o in (DIR_L, DIR_R, DIR_EJ):
                 rec = owners[o]
@@ -546,12 +544,11 @@ class MeshSim:
             woken[r] = True
             # channel time is charged when the head flit moves: the cycles
             # it waited at the head, then the cycle it is sent
-            if post_warmup:
-                key = (psrc[pid], r)
-                wait = now - since[r][i]
-                if wait > 0:
-                    blocking[key] = blocking.get(key, 0) + wait
-                sending[key] = sending.get(key, 0) + 1
+            key = (psrc[pid], r)
+            wait = now - since[r][i]
+            if wait > 0:
+                blocking[key] = blocking.get(key, 0) + wait
+            sending[key] = sending.get(key, 0) + 1
             since[r][i] = now + 1
             # consume from the input side
             if i == IN_INJ:

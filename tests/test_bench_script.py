@@ -17,12 +17,15 @@ def bench(monkeypatch):
     monkeypatch.setattr(mod, "MESH_HORIZON", 300)
     monkeypatch.setattr(mod, "SCHED_HORIZON", 2000)
     monkeypatch.setattr(mod, "SINK_HORIZON", 300)
+    monkeypatch.setattr(mod, "BERNOULLI_DRAWS", 500)
+    monkeypatch.setattr(mod, "MERGE_GRANTS", 500)
+    monkeypatch.setattr(mod, "GRANT_TRIALS", 500)
     return mod
 
 
-@pytest.mark.parametrize("layer", ["mesh", "schedulers", "rfb_estimate"])
+@pytest.mark.parametrize("layer", ["mesh", "schedulers", "rfb_estimate", "sampling"])
 def test_each_layer_row_is_deterministic(bench, layer):
-    for name in bench.LAYERS[layer]["rows"][:2]:
+    for name in bench.LAYERS[layer]["rows"][:3]:
         plain = bench.ROW_FNS[layer](name, traced=False)
         traced = bench.ROW_FNS[layer](name, traced=True)
         assert plain["sha256"] == traced["sha256"]

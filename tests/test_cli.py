@@ -140,6 +140,9 @@ class TestConfigErrors:
         (dict(workload={"kind": "random", "packets_per_flow": True}), "workload.packets_per_flow"),
         (dict(workload={"kind": "backlogged-pair", "max_size": 0}), "workload.max_size"),
         (dict(workload={"kind": "pathology", "horizon": -5}), "workload.horizon"),
+        # one integer rule for the single quantum and for each per-flow one
+        (dict(scheduler="drr", quantum={"0": 2.5, "1": 2.5, "2": 2.5}), "params.quantum"),
+        (dict(scheduler="drr", quantum=0), "params.quantum"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
@@ -345,6 +348,35 @@ class TestCompareVerb:
             "fm_size", "fm_occupation",
         ]
         assert len(rows) == 1 + 4  # 2 schedulers x 2 flows
+
+    def test_comparison_csv_matches_report(self, tmp_path):
+        # the first seed listed, not the smallest, fills comparison.csv
+        path = self.compare_cfg(
+            tmp_path, schedulers=["rr", "drr", "err", "ebrr", "carr"], seeds=[2, 1],
+            workload={"kind": "random", "packets_per_flow": 40, "spread": 300},
+        )
+        assert main(["compare", path]) == 0
+        out = tmp_path / "out"
+        rep = json.loads((out / "report.json").read_text())
+        expected = {}
+        for kind in rep["schedulers"]:
+            s = rep["runs"]["2"][kind]
+            for f, n in s["throughput"].items():
+                lat = s["latency"][f]
+                expected[(kind, f)] = [n, lat["mean"], lat["max"],
+                                       s["rfb_estimate"], s["cfb_estimate"]]
+        with open(out / "comparison.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        got = {
+            (r["scheduler"], r["flow"]): [
+                float(r[c]) for c in ("throughput", "mean_latency", "max_latency",
+                                      "fm_size", "fm_occupation")
+            ]
+            for r in rows
+        }
+        assert len(rows) == len(got) == 5 * 3
+        assert got == expected
+        assert rep["runs"]["1"] != rep["runs"]["2"]
 
     def test_compare_deterministic(self, tmp_path):
         path = self.compare_cfg(tmp_path)

@@ -1,4 +1,5 @@
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,17 @@ class TestPacket:
     def test_rejects_delivery_before_inject(self):
         with pytest.raises(ValueError):
             Packet(id=0, flow=0, size=1, inject_time=5, deliver_time=4)
+
+    # a NaN arrival time used to hang SchedulerBase.run, and a fractional one
+    # gave fractional service records
+    @pytest.mark.parametrize("inject_time", [math.nan, 0.5, -1])
+    def test_rejects_bad_inject_time(self, inject_time):
+        with pytest.raises(ValueError, match="inject_time"):
+            Packet(id=0, flow=0, size=4, inject_time=inject_time)
+
+    def test_rejects_fractional_size(self):
+        with pytest.raises(ValueError, match="size"):
+            Packet(id=0, flow=0, size=2.5)
 
 
 class TestRecordService:
