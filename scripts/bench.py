@@ -2,7 +2,7 @@
 """Layer timings of fairmesh: mesh, standalone schedulers, fairness sweeps
 and the random draws of the sampling oracles.
 
-Four layers, each a set of rows timed in process for this repository's
+Five layers, each a set of rows timed in process for this repository's
 `src/` and, with `--src DIR`, the `fairmesh` package of a parent checkout
 side by side:
 
@@ -22,6 +22,9 @@ side by side:
   for MERGE_GRANTS grants at router MERGE_ROUTER on the first weight table
   acceptance criterion 4 draws; and `empirical_grant_frequencies` for
   GRANT_TRIALS trials on `presets.ARB_CONVERGENCE_WEIGHTS`; samples/s.
+* `startup`: `import fairmesh.cli` in a fresh interpreter, the start-up
+  cost of every CLI call; imports/s.  The row records whether the import
+  loaded numpy, and its hash covers the sorted `fairmesh` modules loaded.
 
 Every timed run is its own process, and the trees take turns run by run,
 so slow drift of the host hits both alike.  Per row and tree it reports the
@@ -70,7 +73,25 @@ LAYERS = {
                      "unit": "records"},
     "sampling": {"rows": ["bernoulli", "merge-chain", "grant-frequencies"],
                  "unit": "samples"},
+    "startup": {"rows": ["import-cli"], "unit": "imports"},
 }
+# times the import alone: json and tracemalloc load after it or only when
+# traced, so they cannot preload a module the import would pay for
+STARTUP_PROBE = """
+import sys, time
+traced = sys.argv[1] == "1"
+if traced:
+    import tracemalloc
+    tracemalloc.start()
+t0 = time.perf_counter()
+import fairmesh.cli
+elapsed = time.perf_counter() - t0
+peak = tracemalloc.get_traced_memory()[1] / 2**20 if traced else None
+mods = sorted(m for m in sys.modules if m.split(".")[0] == "fairmesh")
+import json
+print(json.dumps({"seconds": elapsed, "peak_mb": peak, "modules": mods,
+                  "numpy_loaded": "numpy" in sys.modules}))
+"""
 
 
 def _sha(*parts: str) -> str:
@@ -128,6 +149,7 @@ def _schedulers_row(name: str, traced: bool) -> dict:
 
 
 def _rfb_estimate_row(name: str, traced: bool) -> dict:
+    import numpy  # noqa: F401  fairmesh loads it at the first sweep; time the sweep alone
     from fairmesh import presets
     from fairmesh.fairness import rfb_estimate
     from fairmesh.meshsim import MeshConfig, MeshSim
@@ -145,6 +167,7 @@ def _rfb_estimate_row(name: str, traced: bool) -> dict:
 
 
 def _sampling_row(name: str, traced: bool) -> dict:
+    import numpy  # noqa: F401  as in _rfb_estimate_row
     from fairmesh import presets
     from fairmesh.analysis import WeightTable, simulate_acceptance_counts
     from fairmesh.arbitration import empirical_grant_frequencies
@@ -170,8 +193,19 @@ def _sampling_row(name: str, traced: bool) -> dict:
     return {"seconds": elapsed, "peak_mb": peak, "work": n, "sha256": _sha(json.dumps(result))}
 
 
+def _startup_row(name: str, traced: bool) -> dict:
+    # the fresh interpreter inherits PYTHONPATH, so it imports the same tree
+    proc = subprocess.run([sys.executable, "-c", STARTUP_PROBE, "1" if traced else "0"],
+                          capture_output=True, text=True, check=True)
+    res = json.loads(proc.stdout)
+    return {"seconds": res["seconds"], "peak_mb": res["peak_mb"], "work": 1,
+            "sha256": _sha(json.dumps(res["modules"])),
+            "info": {"numpy_loaded": res["numpy_loaded"]}}
+
+
 ROW_FNS = {"mesh": _mesh_row, "schedulers": _schedulers_row,
-           "rfb_estimate": _rfb_estimate_row, "sampling": _sampling_row}
+           "rfb_estimate": _rfb_estimate_row, "sampling": _sampling_row,
+           "startup": _startup_row}
 
 
 def spawn(src: str, layer: str, name: str, traced: bool) -> dict:
@@ -207,6 +241,7 @@ def measure(trees: dict[str, str], layer: str) -> dict:
                 f"{unit}_per_s": round(traced["work"] / med),
                 "peak_mb": round(traced["peak_mb"], 2),
                 "sha256": shas[tree].pop(),
+                **traced.get("info", {}),
             }
         if "parent" in row:
             new, old = row["change"], row["parent"]
@@ -252,6 +287,7 @@ def main() -> None:
                             "(equal weights) and on each pathology trace",
             "sampling": "in-process bernoulli draws at the uniform rate, the "
                         "merge-chain oracle and empirical_grant_frequencies",
+            "startup": "import fairmesh.cli in a fresh interpreter",
         },
         "horizon": {"mesh": MESH_HORIZON, "schedulers": SCHED_HORIZON,
                     "rfb_estimate": {"hotspot-sink": SINK_HORIZON, "pathology": SCHED_HORIZON}},

@@ -14,11 +14,12 @@ takes only the value it reads per request and returns the granted index.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .rng import MASK64, XorShift64Star, _STAR_MULTIPLIER
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class WeightPolicy(str, Enum):
@@ -159,6 +160,8 @@ def empirical_grant_frequencies(
     draw per trial, but batches the float conversion and bucket search so a
     million trials stay well under a second.
     """
+    import numpy as np
+
     ws = np.asarray(weights, dtype=np.float64)
     if ws.ndim != 1 or len(ws) == 0:
         raise ValueError("need a flat, nonempty weight vector")

@@ -141,36 +141,40 @@ def _scheduler_kind(name, key: str) -> SchedulerKind:
 
 def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
                      flows: Sequence[int]) -> SchedulerBase:
-    """The discipline for a workload whose packets carry `flows`."""
+    """The discipline for a workload whose packets carry `flows`.  Every
+    scheduler key given is checked, whether or not `kind` reads it."""
     pathological = w["kind"] == "pathology"
+    q = params.get("quantum")
+    if "quantum" not in params:
+        q = dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16
+    elif isinstance(q, dict):
+        q = _flow_map(params, "quantum", flows)
+        if not all(map(is_int, q.values())):
+            raise ConfigError("config key params.quantum values must be integers")
+    elif not is_int(q):
+        raise ConfigError(f"config key params.quantum must be an integer or "
+                          f"an object keyed by flow id, got {q!r}")
+    elif q < 1:
+        raise ConfigError(f"config key params.quantum must be >= 1, got {q}")
+    tau = params.get("tau", 2.0)
+    demote_rounds = params.get("demote_rounds", 2)
+    if not is_finite(tau):
+        raise ConfigError(f"config key params.tau must be a finite number, got {tau!r}")
+    if not tau > 1.0:
+        raise ConfigError(f"config key params.tau must exceed 1.0 and be finite, got {tau}")
+    if not is_int(demote_rounds):
+        raise ConfigError(f"config key params.demote_rounds must be an integer, "
+                          f"got {demote_rounds!r}")
+    if demote_rounds < 1:
+        raise ConfigError(f"config key params.demote_rounds must be >= 1, got {demote_rounds}")
     kw: dict = {}
     if pathological:
         kw["blocked"] = presets.pathology_blocking()
     if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
-        q = params.get("quantum")
-        if "quantum" not in params:
-            q = dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16
-        elif isinstance(q, dict):
-            q = _flow_map(params, "quantum", flows)
-            if not all(map(is_int, q.values())):
-                raise ConfigError("config key params.quantum values must be integers")
-        elif not is_int(q):
-            raise ConfigError(f"config key params.quantum must be an integer or "
-                              f"an object keyed by flow id, got {q!r}")
-        elif q < 1:
-            raise ConfigError(f"config key params.quantum must be >= 1, got {q}")
         kw["quantum"] = q
     if kind is SchedulerKind.CARR:
-        kw["tau"] = params.get("tau", 2.0)
-        kw["demote_rounds"] = params.get("demote_rounds", 2)
-        for key, valid, what in (("tau", is_finite, "a finite number"),
-                                 ("demote_rounds", is_int, "an integer")):
-            if not valid(kw[key]):
-                raise ConfigError(f"config key params.{key} must be {what}, got {kw[key]!r}")
-    try:
-        return make_scheduler(kind, **kw)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+        kw.update(tau=tau, demote_rounds=demote_rounds)
+    return make_scheduler(kind, **kw)
 
 
 def _fm_weights(w: dict, params: dict, pkts: Sequence[Packet]) -> dict[int, float]:
@@ -421,26 +425,54 @@ def cmd_config(args) -> int:
         raise ConfigError("config key params must be an object")
     env = os.environ.get(OUTPUT_DIR_ENV)
     outdir = Path(env) if env else Path(cfg.get("output_dir", "out"))
+    # the experiments raise every ConfigError before their first write, so
+    # the directories made here are still empty when one is raised
+    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        runs = run(params, seeds, outdir)
+    except ConfigError:
+        for d in made:
+            d.rmdir()
+        raise
     report = {
         "schema_version": SCHEMA_VERSION,
         **header,
         "seeds": seeds,
         "params": params,
-        "runs": run(params, seeds, outdir),
+        "runs": runs,
     }
     _dump_json(outdir / "report.json", report)
     print(f"wrote {outdir / 'report.json'}")
     return 0
 
 
-def _s_matrix_from_payload(payload: dict, seed: str) -> dict[int, dict[int, float | None]]:
+def _s_matrix_from_payload(payload, seed: str) -> dict[int, dict[int, float | None]]:
+    """The run's S matrix: integer-string keys, object rows, and entries
+    that are null or finite numbers > 0."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"report key runs.{seed} must be an object")
+    where = f"runs.{seed}.s_matrix"
     sm = payload.get("s_matrix")
     if sm is None and isinstance(payload.get("mesh"), dict):
+        where = f"runs.{seed}.mesh.s_matrix"
         sm = payload["mesh"].get("s_matrix")
     if not isinstance(sm, dict):
         raise ConfigError(f"report run {seed} missing required key: s_matrix")
-    return {int(f): {int(r): v for r, v in row.items()} for f, row in sm.items()}
+    out: dict[int, dict[int, float | None]] = {}
+    for f, row in sm.items():
+        if not isinstance(row, dict):
+            raise ConfigError(f"report key {where}.{f} must be an object keyed by router")
+        for key in (f, *row):
+            if not (key.isascii() and key.removeprefix("-").isdigit()):
+                raise ConfigError(f"report key {where} keys must be integer strings, "
+                                  f"got {key!r}")
+        for r, v in row.items():
+            if v is not None and not (is_finite(v) and v > 0):
+                raise ConfigError(f"report key {where}.{f}.{r} must be null or a "
+                                  f"finite number > 0, got {v!r}")
+        out[int(f)] = {int(r): v for r, v in row.items()}
+    return out
 
 
 def cmd_analyze(args) -> int:

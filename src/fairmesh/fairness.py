@@ -17,12 +17,13 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .core import FlowId, Trace, occupation_in_interval, sent_in_interval
 from .schedulers import Accounting
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Interval = tuple[int, int]
 
@@ -218,6 +219,8 @@ def rfb_estimate(
     statistic: near zero for a fair discipline, positive when the gap grows
     with window length.
     """
+    import numpy as np
+
     for f, w in weights.items():
         if w <= 0:
             raise ValueError(f"flow weight must be positive, got {w} for flow {f}")
@@ -300,6 +303,8 @@ def _range_table(x: np.ndarray) -> np.ndarray:
     Row `k * len(x) + s` holds (max, -min) of `x[s : s + 2**k]`; rows whose
     range would run past the end are never queried.
     """
+    import numpy as np
+
     table = np.empty((len(x).bit_length(), len(x), 2))
     table[0, :, 0] = x
     table[0, :, 1] = -x
@@ -328,6 +333,8 @@ def _fold_profile(
     are found per block of _BLOCK starts and shared by both modes.  Ties go
     to the first (i, j) in row-major order, as a scan over every pair would.
     """
+    import numpy as np
+
     starts = np.concatenate([np.arange(lo, hi - 1) for lo, hi in spans])
     stops = np.concatenate([np.full(hi - 1 - lo, hi) for lo, hi in spans])
     n_bins = int(t[-1] - t[0]) // bin_w + 1

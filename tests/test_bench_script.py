@@ -23,7 +23,8 @@ def bench(monkeypatch):
     return mod
 
 
-@pytest.mark.parametrize("layer", ["mesh", "schedulers", "rfb_estimate", "sampling"])
+@pytest.mark.parametrize("layer", ["mesh", "schedulers", "rfb_estimate", "sampling",
+                                   "startup"])
 def test_each_layer_row_is_deterministic(bench, layer):
     for name in bench.LAYERS[layer]["rows"][:3]:
         plain = bench.ROW_FNS[layer](name, traced=False)

@@ -5,10 +5,14 @@ byte-for-byte deterministic reports."""
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fairmesh
 from fairmesh.cli import OUTPUT_DIR_ENV, main
 
 
@@ -143,6 +147,11 @@ class TestConfigErrors:
         # one integer rule for the single quantum and for each per-flow one
         (dict(scheduler="drr", quantum={"0": 2.5, "1": 2.5, "2": 2.5}), "params.quantum"),
         (dict(scheduler="drr", quantum=0), "params.quantum"),
+        # each scheduler key is checked whether or not the discipline reads it
+        (dict(scheduler="drr", tau="x"), "params.tau"),
+        (dict(scheduler="drr", demote_rounds=-3), "params.demote_rounds"),
+        (dict(scheduler="rr", quantum=0), "params.quantum"),
+        (dict(scheduler="carr", tau=0.5), "params.tau must exceed 1.0"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
@@ -190,6 +199,21 @@ class TestConfigErrors:
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_config_error_leaves_no_new_directory(self, tmp_path, capsys, existing):
+        out = tmp_path / "made" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "keep.txt").write_text("x")
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot", output_dir=str(out),
+                       params={"quantm": 1})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert "params.quantm" in capsys.readouterr().err
+        if existing:
+            assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        else:
+            assert not (tmp_path / "made").exists()
 
     def test_runtime_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "blocker"
@@ -322,6 +346,17 @@ class TestCompareVerb:
         assert main(["compare", path]) == 2
         assert "params.demote_rounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("schedulers,params,key", [
+        (["rr", "drr"], {"tau": "x"}, "params.tau"),
+        (["rr", "carr"], {"quantum": 0}, "params.quantum"),
+    ])
+    def test_params_no_listed_discipline_reads_rejected(self, tmp_path, capsys,
+                                                        schedulers, params, key):
+        path = self.compare_cfg(tmp_path, schedulers=schedulers, params=params)
+        assert main(["compare", path]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_known_params_accepted(self, tmp_path):
         path = self.compare_cfg(tmp_path, schedulers=["drr", "carr"], params={
             "quantum": 8, "tau": 3, "demote_rounds": 1, "weights": {"0": 2, "1": 1},
@@ -428,6 +463,26 @@ class TestAnalyzeVerb:
         assert main(["analyze", str(p)]) == 2
         assert "s_matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("s_matrix", [
+        '{"a": {"0": 1.5}}',
+        '{"0": {"b": 1.5}}',
+        '{"--1": {"0": 1.5}}',
+        '{"0": [1.5, 2.0]}',
+        '{"0": {"0": "x"}}',
+        '{"0": {"0": 0}}',
+        '{"0": {"0": -1.5}}',
+        '{"0": {"0": true}}',
+        '{"0": {"0": 1e400}}',
+        '{"0": {"0": NaN}}',
+    ], ids=["flow-key", "router-key", "double-minus", "list-row", "string", "zero", "negative",
+            "bool", "overflow", "nan"])
+    def test_analyze_malformed_s_matrix_exit_2(self, tmp_path, capsys, s_matrix):
+        p = tmp_path / "rep.json"
+        p.write_text('{"runs": {"1": {"s_matrix": %s}}}' % s_matrix)
+        assert main(["analyze", str(p)]) == 2
+        assert "runs.1.s_matrix" in capsys.readouterr().err
+        assert not (tmp_path / "analysis.json").exists()
+
     def test_analyze_missing_runs(self, tmp_path, capsys):
         p = tmp_path / "rep.json"
         p.write_text(json.dumps({"experiment": "mesh-hotspot"}))
@@ -486,3 +541,47 @@ def test_every_example_runs(tmp_path):
         assert main([verb, write_cfg(tmp_path, path.name, **cfg)]) == 0, path.name
         seen.add(name)
     assert seen == {*_SMALL_PARAMS, "compare"}
+
+
+# runs each argv through the CLI in a fresh interpreter and records, after the
+# imports and after each call, whether numpy is loaded and the exit code
+_NUMPY_PROBE = """
+import json, sys
+import fairmesh, fairmesh.cli
+seen = [["import", "numpy" in sys.modules, 0]]
+for argv in json.loads(sys.argv[1]):
+    code = fairmesh.cli.main(argv)
+    seen.append([argv[0], "numpy" in sys.modules, code])
+with open(sys.argv[2], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_mesh_runs_and_analyze_do_not_load_numpy(tmp_path):
+    """Only the fairness sweep and the grant-frequency sampler need numpy, so
+    the mesh experiments and `analyze` run without it; `compare` loads it."""
+    mesh = {"k": 4, "horizon": 600, "warmup": 100}
+    calls = [
+        ["run", write_cfg(tmp_path, "mesh.json", **base_cfg(
+            tmp_path, experiment="mesh-hotspot", output_dir=str(tmp_path / "mesh"),
+            params=mesh))],
+        ["run", write_cfg(tmp_path, "eq13.json", **base_cfg(
+            tmp_path, experiment="eq13-feasibility", output_dir=str(tmp_path / "eq13"),
+            params=mesh))],
+        ["analyze", str(tmp_path / "eq13" / "report.json")],
+        ["compare", write_cfg(tmp_path, "cmp.json", schema_version=1, seeds=[1],
+                              schedulers=["rr", "drr"],
+                              workload={"kind": "pathology", "horizon": 500},
+                              output_dir=str(tmp_path / "cmp"))],
+    ]
+    src = str(Path(fairmesh.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    result = tmp_path / "seen.json"
+    subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls), str(result)],
+                   env=env, cwd=tmp_path, check=True, capture_output=True)
+    seen = json.loads(result.read_text())
+    assert seen[:4] == [["import", False, 0], ["run", False, 0], ["run", False, 0],
+                        ["analyze", False, 0]]
+    assert seen[4][::2] == ["compare", 0]
+    assert (tmp_path / "cmp" / "report.json").exists()
