@@ -113,12 +113,15 @@ def _timed(fn, traced: bool):
 
 
 def _pathology_scheduler(kind: str):
-    """A loaded scheduler for the pathology workload, as `compare` builds it."""
-    from fairmesh import cli, presets
-    from fairmesh.schedulers import SchedulerKind
+    """A loaded scheduler for the pathology workload, as `compare` builds it
+    with no params (CARR's tau and demote_rounds are the constructor's)."""
+    from fairmesh import presets
+    from fairmesh.schedulers import make_scheduler
 
-    w = {"kind": "pathology", "horizon": SCHED_HORIZON}
-    sched = cli._build_scheduler(SchedulerKind(kind), w, {}, [0, 1])
+    kw = {"blocked": presets.pathology_blocking()}
+    if kind in ("drr", "ebrr"):
+        kw["quantum"] = dict(presets.PATHOLOGY_DRR_QUANTA)
+    sched = make_scheduler(kind, **kw)
     sched.load(presets.pathology_workload(SCHED_HORIZON))
     return sched
 

@@ -71,7 +71,7 @@ def _check_allowed(d: dict, allowed: set[str], what: str) -> None:
 
 
 def _dump_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 # -- workloads and schedulers ----------------------------------------------
@@ -113,6 +113,11 @@ def _build_workload(w: dict, seed: int) -> list[Packet]:
     )
 
 
+def _workload_flows(w: dict) -> range:
+    """The flows `_build_workload(w, seed)` gives packets to, for any seed."""
+    return range(w.get("n_flows", 2))
+
+
 def _flow_map(params: dict, key: str, flows: Sequence[int] = ()) -> dict[int, float]:
     """params[key] as {flow: positive number}, with an entry for each of `flows`."""
     try:
@@ -139,16 +144,25 @@ def _scheduler_kind(name, key: str) -> SchedulerKind:
         ) from None
 
 
-def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
-                     flows: Sequence[int]) -> SchedulerBase:
-    """The discipline for a workload whose packets carry `flows`.  Every
-    scheduler key given is checked, whether or not `kind` reads it."""
+def _scheduler_settings(
+    w: dict, params: dict
+) -> Callable[[SchedulerKind, int], tuple[Trace, FairnessReport, dict]]:
+    """Check the scheduler keys and fairness weights for workload `w`, and
+    return run_one(kind, seed), which runs one discipline on the seed's
+    workload.  Every scheduler key given is checked, whether or not a
+    discipline reads it."""
     pathological = w["kind"] == "pathology"
+    if "weights" in params:
+        weights = _flow_map(params, "weights")
+    elif pathological:
+        weights = dict(presets.PATHOLOGY_WEIGHTS)
+    else:
+        weights = {f: 1.0 for f in _workload_flows(w)}
     q = params.get("quantum")
     if "quantum" not in params:
         q = dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16
     elif isinstance(q, dict):
-        q = _flow_map(params, "quantum", flows)
+        q = _flow_map(params, "quantum", _workload_flows(w))
         if not all(map(is_int, q.values())):
             raise ConfigError("config key params.quantum values must be integers")
     elif not is_int(q):
@@ -167,42 +181,30 @@ def _build_scheduler(kind: SchedulerKind, w: dict, params: dict,
                           f"got {demote_rounds!r}")
     if demote_rounds < 1:
         raise ConfigError(f"config key params.demote_rounds must be >= 1, got {demote_rounds}")
-    kw: dict = {}
-    if pathological:
-        kw["blocked"] = presets.pathology_blocking()
-    if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
-        kw["quantum"] = q
-    if kind is SchedulerKind.CARR:
-        kw.update(tau=tau, demote_rounds=demote_rounds)
-    return make_scheduler(kind, **kw)
 
+    def run_one(kind: SchedulerKind, seed: int) -> tuple[Trace, FairnessReport, dict]:
+        kw: dict = {}
+        if pathological:
+            kw["blocked"] = presets.pathology_blocking()
+        if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
+            kw["quantum"] = q
+        if kind is SchedulerKind.CARR:
+            kw.update(tau=tau, demote_rounds=demote_rounds)
+        sched = make_scheduler(kind, **kw)
+        sched.load(_build_workload(w, seed))
+        trace = sched.run(horizon=w.get("horizon"))
+        report = rfb_estimate(trace, weights)
+        summary = {
+            "scheduler": kind.value,
+            "throughput": {str(f): n for f, n in sorted(throughput_by_flow(trace).items())},
+            "latency": {str(f): st for f, st in sorted(latency_stats(trace.events).items())},
+            "drops": {str(f): n for f, n in sched.drops().items()},
+            "rfb_estimate": report.rfb_estimate,
+            "cfb_estimate": report.cfb_estimate,
+        }
+        return trace, report, summary
 
-def _fm_weights(w: dict, params: dict, pkts: Sequence[Packet]) -> dict[int, float]:
-    if "weights" in params:
-        return _flow_map(params, "weights")
-    if w["kind"] == "pathology":
-        return dict(presets.PATHOLOGY_WEIGHTS)
-    return {f: 1.0 for f in sorted({p.flow for p in pkts})}
-
-
-def _run_one_scheduler(
-    kind: SchedulerKind, w: dict, params: dict, seed: int
-) -> tuple[Trace, FairnessReport, dict]:
-    pkts = _build_workload(w, seed)
-    weights = _fm_weights(w, params, pkts)
-    sched = _build_scheduler(kind, w, params, sorted({p.flow for p in pkts}))
-    sched.load(pkts)
-    trace = sched.run(horizon=w.get("horizon"))
-    report = rfb_estimate(trace, weights)
-    summary = {
-        "scheduler": kind.value,
-        "throughput": {str(f): n for f, n in sorted(throughput_by_flow(trace).items())},
-        "latency": {str(f): st for f, st in sorted(latency_stats(trace.events).items())},
-        "drops": {str(f): n for f, n in sched.drops().items()},
-        "rfb_estimate": report.rfb_estimate,
-        "cfb_estimate": report.cfb_estimate,
-    }
-    return trace, report, summary
+    return run_one
 
 
 def _write_fairness_csvs(outdir: Path, report: FairnessReport) -> None:
@@ -213,12 +215,16 @@ def _write_fairness_csvs(outdir: Path, report: FairnessReport) -> None:
 
 
 # -- experiments -----------------------------------------------------------
+# Each one checks its params and returns run(seeds, outdir) -> runs, which
+# raises no ConfigError: the output directory is made between the two.
 
-_MESH_PARAM_KEYS = {f.name for f in dataclasses.fields(MeshConfig)} - {"seed"}
+Run = Callable[[list[int], Path], dict]
+
+_MESH_PARAM_KEYS = {f.name for f in dataclasses.fields(MeshConfig)} - {"seed", "log_ejects"}
 
 
-def _mesh_config(params: dict, seed: int, defaults: dict) -> MeshConfig:
-    cfg = MeshConfig(seed=seed, **dict(defaults, **params))
+def _mesh_config(params: dict, defaults: dict) -> MeshConfig:
+    cfg = MeshConfig(**dict(defaults, **params))
     try:
         cfg.validate()
     except ValueError as e:
@@ -259,69 +265,82 @@ def _feasibility_entry(s: dict, **eps) -> tuple[dict, RequiredWeights | None]:
 _SCHEDULER_KEYS = {"scheduler", "quantum", "tau", "demote_rounds"}
 
 
-def _exp_scheduler(params: dict, seeds: list[int], outdir: Path, allowed: set[str],
-                   workload: Callable[[dict], object], where: str = "workload") -> dict:
+def _exp_scheduler(params: dict, allowed: set[str], workload: Callable[[dict], object],
+                   where: str = "workload") -> Run:
     """One discipline on a standalone workload; `workload(params)` names it."""
     _check_allowed(params, allowed, "params")
     w = _normalize_workload(workload(params), where)
     kind = _scheduler_kind(params.get("scheduler", "drr"), "params.scheduler")
-    runs = {}
-    for i, seed in enumerate(seeds):
-        trace, report, summary = _run_one_scheduler(kind, w, params, seed)
-        summary["fairness"] = report.to_dict()
-        runs[str(seed)] = summary
-        if i == 0:
-            with open(outdir / "trace.csv", "w", newline="") as fh:
-                trace.to_csv(fh)
-            _write_fairness_csvs(outdir, report)
-    return runs
+    run_one = _scheduler_settings(w, params)
+
+    def run(seeds: list[int], outdir: Path) -> dict:
+        runs = {}
+        for i, seed in enumerate(seeds):
+            trace, report, summary = run_one(kind, seed)
+            summary["fairness"] = report.to_dict()
+            runs[str(seed)] = summary
+            if i == 0:
+                with open(outdir / "trace.csv", "w", newline="") as fh:
+                    trace.to_csv(fh)
+                _write_fairness_csvs(outdir, report)
+        return runs
+
+    return run
 
 
-def _exp_compare(params: dict, seeds: list[int], outdir: Path,
-                 kinds: list[SchedulerKind], w: dict) -> dict:
+def _exp_compare(params: dict, kinds: list[SchedulerKind], w: dict) -> Run:
     """Each discipline of `kinds` on one workload; comparison.csv holds the
     first seed's summaries, one row per scheduler and flow."""
     _check_allowed(params, _SCHEDULER_KEYS - {"scheduler"} | {"weights"}, "params")
-    runs = {}
-    for seed in seeds:
-        # the workload is rebuilt from the seed for every scheduler, so
-        # each one replays an identical arrival stream
-        runs[str(seed)] = {k.value: _run_one_scheduler(k, w, params, seed)[2] for k in kinds}
-    first = runs[str(seeds[0])]
-    with open(outdir / "comparison.csv", "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow([
-            "scheduler", "flow", "throughput", "mean_latency", "max_latency",
-            "fm_size", "fm_occupation",
-        ])
-        for kind in kinds:
-            s = first[kind.value]
-            for f, n in s["throughput"].items():
-                st = s["latency"].get(f, {"mean": 0.0, "max": 0.0})
-                wcsv.writerow([kind.value, f, n, st["mean"], st["max"],
-                               s["rfb_estimate"], s["cfb_estimate"]])
-    return runs
+    run_one = _scheduler_settings(w, params)
+
+    def run(seeds: list[int], outdir: Path) -> dict:
+        runs = {}
+        for seed in seeds:
+            # the workload is rebuilt from the seed for every scheduler, so
+            # each one replays an identical arrival stream
+            runs[str(seed)] = {k.value: run_one(k, seed)[2] for k in kinds}
+        first = runs[str(seeds[0])]
+        with open(outdir / "comparison.csv", "w", newline="") as fh:
+            wcsv = csv.writer(fh)
+            wcsv.writerow([
+                "scheduler", "flow", "throughput", "mean_latency", "max_latency",
+                "fm_size", "fm_occupation",
+            ])
+            for kind in kinds:
+                s = first[kind.value]
+                for f, n in s["throughput"].items():
+                    st = s["latency"].get(f, {"mean": 0.0, "max": 0.0})
+                    wcsv.writerow([kind.value, f, n, st["mean"], st["max"],
+                                   s["rfb_estimate"], s["cfb_estimate"]])
+        return runs
+
+    return run
 
 
-def _exp_mesh(params: dict, seeds: list[int], outdir: Path, defaults: dict,
-              with_feasibility: bool) -> dict:
+def _exp_mesh(params: dict, defaults: dict, with_feasibility: bool) -> Run:
     _check_allowed(params, _MESH_PARAM_KEYS, "params")
-    runs = {}
-    for i, seed in enumerate(seeds):
-        rep = run_mesh(_mesh_config(params, seed, defaults))
-        payload: dict = {"mesh": rep.to_dict()}
-        if with_feasibility:
-            payload.update(_feasibility_entry(rep.s_matrix())[0])
-        runs[str(seed)] = payload
-        if i == 0:
-            _write_mesh_csvs(outdir, rep)
-    return runs
+    cfg = _mesh_config(params, defaults)
+
+    def run(seeds: list[int], outdir: Path) -> dict:
+        runs = {}
+        for i, seed in enumerate(seeds):
+            rep = run_mesh(dataclasses.replace(cfg, seed=seed))
+            payload: dict = {"mesh": rep.to_dict()}
+            if with_feasibility:
+                payload.update(_feasibility_entry(rep.s_matrix())[0])
+            runs[str(seed)] = payload
+            if i == 0:
+                _write_mesh_csvs(outdir, rep)
+        return runs
+
+    return run
 
 
 _EQ13_DEFAULTS = dict(presets.HOTSPOT_DEFAULTS, arbiter="probabilistic")
 
 
-def _exp_arb_convergence(params: dict, seeds: list[int], outdir: Path) -> dict:
+def _exp_arb_convergence(params: dict) -> Run:
     _check_allowed(params, {"weights", "trials"}, "params")
     ws = params.get("weights", list(presets.ARB_CONVERGENCE_WEIGHTS))
     if not isinstance(ws, list) or len(ws) < 2 or not all(
@@ -332,30 +351,33 @@ def _exp_arb_convergence(params: dict, seeds: list[int], outdir: Path) -> dict:
     if not is_int(trials) or trials < 1:
         raise ConfigError("config key params.trials must be a positive integer")
     expected = [x / sum(ws) for x in ws]
-    runs = {}
-    rows = []
-    for seed in seeds:
-        freqs = empirical_grant_frequencies(ws, trials, seed)
-        runs[str(seed)] = {
-            "frequencies": [float(f) for f in freqs],
-            "max_abs_dev": float(max(abs(f - e) for f, e in zip(freqs, expected))),
-        }
-        rows.extend(
-            [i, ws[i], expected[i], float(freqs[i]), seed] for i in range(len(ws))
-        )
-    with open(outdir / "frequencies.csv", "w", newline="") as fh:
-        wcsv = csv.writer(fh)
-        wcsv.writerow(["request", "weight", "expected", "frequency", "seed"])
-        wcsv.writerows(rows)
-    for r in runs.values():
-        r.setdefault("weights", ws)
-        r.setdefault("trials", trials)
-    return runs
+
+    def run(seeds: list[int], outdir: Path) -> dict:
+        runs = {}
+        rows = []
+        for seed in seeds:
+            freqs = empirical_grant_frequencies(ws, trials, seed)
+            runs[str(seed)] = {
+                "frequencies": [float(f) for f in freqs],
+                "max_abs_dev": float(max(abs(f - e) for f, e in zip(freqs, expected))),
+                "weights": ws,
+                "trials": trials,
+            }
+            rows.extend(
+                [i, ws[i], expected[i], float(freqs[i]), seed] for i in range(len(ws))
+            )
+        with open(outdir / "frequencies.csv", "w", newline="") as fh:
+            wcsv = csv.writer(fh)
+            wcsv.writerow(["request", "weight", "expected", "frequency", "seed"])
+            wcsv.writerows(rows)
+        return runs
+
+    return run
 
 
-# experiment name -> run(params, seeds, outdir) -> runs; also the list of
-# valid names, in the order the error message gives them
-_EXPERIMENTS: dict[str, Callable[[dict, list[int], Path], dict]] = {
+# experiment name -> check(params) -> run(seeds, outdir) -> runs; also the
+# list of valid names, in the order the error message gives them
+_EXPERIMENTS: dict[str, Callable[[dict], Run]] = {
     "standalone-scheduler": partial(
         _exp_scheduler, allowed=_SCHEDULER_KEYS | {"workload", "weights"},
         workload=lambda p: p.get("workload", "random"),
@@ -380,7 +402,7 @@ _EXPERIMENTS: dict[str, Callable[[dict, list[int], Path], dict]] = {
 
 # -- verbs -----------------------------------------------------------------
 
-def _run_verb(cfg: dict) -> tuple[dict, Callable]:
+def _run_verb(cfg: dict) -> tuple[dict, Callable[[dict], Run]]:
     exp = _require(cfg, "experiment")
     if exp not in _EXPERIMENTS:
         names = ", ".join(_EXPERIMENTS)
@@ -388,7 +410,7 @@ def _run_verb(cfg: dict) -> tuple[dict, Callable]:
     return {"experiment": exp}, _EXPERIMENTS[exp]
 
 
-def _compare_verb(cfg: dict) -> tuple[dict, Callable]:
+def _compare_verb(cfg: dict) -> tuple[dict, Callable[[dict], Run]]:
     names = _require(cfg, "schedulers")
     if not isinstance(names, list) or len(names) < 2:
         raise ConfigError("config key schedulers must list at least two scheduler kinds")
@@ -399,7 +421,7 @@ def _compare_verb(cfg: dict) -> tuple[dict, Callable]:
 
 
 # verb -> (help, its own top-level keys, the check of those keys that
-# returns the report header and run(params, seeds, outdir) -> runs)
+# returns the report header and the experiment's check(params))
 _VERBS = {
     "run": ("run one experiment config", {"experiment"}, _run_verb),
     "compare": ("same workload through several schedulers",
@@ -409,38 +431,31 @@ _TOP_KEYS = {"schema_version", "seeds", "output_dir", "params"}
 
 
 def cmd_config(args) -> int:
-    """`run` and `compare`: check the config, run its seeds, write report.json."""
+    """`run` and `compare`: check the whole config, then make the output
+    directory, run the seeds and write report.json."""
     _, keys, verb = _VERBS[args.verb]
     cfg = _load_json(args.config)
     v = _require(cfg, "schema_version")
     if v != SCHEMA_VERSION:
         raise ConfigError(f"config key schema_version must be {SCHEMA_VERSION}, got {v!r}")
     _check_allowed(cfg, _TOP_KEYS | keys, "config")
-    header, run = verb(cfg)
+    header, check = verb(cfg)
     seeds = [args.seed] if args.seed is not None else _require(cfg, "seeds")
     if not (isinstance(seeds, list) and seeds and all(is_int(s) for s in seeds)):
         raise ConfigError("config key seeds must be a non-empty list of integers")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config key params must be an object")
+    run = check(params)
     env = os.environ.get(OUTPUT_DIR_ENV)
     outdir = Path(env) if env else Path(cfg.get("output_dir", "out"))
-    # the experiments raise every ConfigError before their first write, so
-    # the directories made here are still empty when one is raised
-    made = [d for d in (outdir, *outdir.parents) if not d.exists()]
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        runs = run(params, seeds, outdir)
-    except ConfigError:
-        for d in made:
-            d.rmdir()
-        raise
     report = {
         "schema_version": SCHEMA_VERSION,
         **header,
         "seeds": seeds,
         "params": params,
-        "runs": runs,
+        "runs": run(seeds, outdir),
     }
     _dump_json(outdir / "report.json", report)
     print(f"wrote {outdir / 'report.json'}")
@@ -449,7 +464,9 @@ def cmd_config(args) -> int:
 
 def _s_matrix_from_payload(payload, seed: str) -> dict[int, dict[int, float | None]]:
     """The run's S matrix: integer-string keys, object rows, and entries
-    that are null or finite numbers > 0."""
+    that are null or finite numbers >= 1, as (sending + blocking) / sending
+    is; then every ratio of two entries, and every difference of two such
+    ratios, is finite as well."""
     if not isinstance(payload, dict):
         raise ConfigError(f"report key runs.{seed} must be an object")
     where = f"runs.{seed}.s_matrix"
@@ -468,9 +485,9 @@ def _s_matrix_from_payload(payload, seed: str) -> dict[int, dict[int, float | No
                 raise ConfigError(f"report key {where} keys must be integer strings, "
                                   f"got {key!r}")
         for r, v in row.items():
-            if v is not None and not (is_finite(v) and v > 0):
+            if v is not None and not (is_finite(v) and v >= 1):
                 raise ConfigError(f"report key {where}.{f}.{r} must be null or a "
-                                  f"finite number > 0, got {v!r}")
+                                  f"finite number >= 1, got {v!r}")
         out[int(f)] = {int(r): v for r, v in row.items()}
     return out
 
@@ -499,7 +516,7 @@ def cmd_analyze(args) -> int:
     outdir = Path(env) if env else Path(args.report).resolve().parent
     outdir.mkdir(parents=True, exist_ok=True)
     _dump_json(outdir / "analysis.json", out)
-    print(json.dumps(out, sort_keys=True, indent=2))
+    print(json.dumps(out, sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

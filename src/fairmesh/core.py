@@ -9,7 +9,6 @@ without re-running the simulation.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,10 +44,7 @@ class Packet:
     id: int
     flow: FlowId
     size: int
-    source: int = 0
-    dest: int = 0
     inject_time: int = 0
-    deliver_time: int | None = None
 
     def __post_init__(self) -> None:
         if not (is_int(self.size) and self.size >= 1):
@@ -56,8 +52,6 @@ class Packet:
         if not (is_int(self.inject_time) and self.inject_time >= 0):
             raise ValueError(f"packet inject_time must be an integer >= 0, "
                              f"got {self.inject_time!r}")
-        if self.deliver_time is not None and self.deliver_time < self.inject_time:
-            raise ValueError("deliver_time precedes inject_time")
 
 
 @dataclass(frozen=True)
@@ -135,9 +129,6 @@ class Trace:
     def flows(self) -> list[FlowId]:
         return sorted({r.flow for r in self.records})
 
-    def records_for(self, flow: FlowId) -> list[ServiceRecord]:
-        return [r for r in self.records if r.flow == flow]
-
     def boundaries(self) -> list[int]:
         """Sorted distinct record start/end times."""
         pts: set[int] = set()
@@ -168,34 +159,6 @@ class Trace:
                 continue
             f, rnd, s, e, u, b = (int(x) for x in row)
             t.append(ServiceRecord(f, rnd, s, e, u, b))
-        return t
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {
-                    "flow": r.flow,
-                    "round": r.round,
-                    "start": r.start,
-                    "end": r.end,
-                    "sent_units": r.sent_units,
-                    "blocking": r.blocking,
-                }
-                for r in self.records
-            ],
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Trace":
-        t = cls()
-        for obj in json.loads(text):
-            t.append(
-                ServiceRecord(
-                    obj["flow"], obj["round"], obj["start"], obj["end"],
-                    obj["sent_units"], obj["blocking"],
-                )
-            )
         return t
 
 

@@ -123,9 +123,15 @@ class MeshConfig:
             except ValueError:
                 names = ", ".join(x.value for x in kinds)
                 raise ValueError(f"{name} must be one of [{names}], got {v!r}") from None
+        # checked whatever the arbiter or scheduler, as the report echoes them
+        if not 1 <= self.weight_base < math.inf:
+            raise ValueError(f"weight_base must be >= 1 and finite, got {self.weight_base}")
+        if not 1 < self.congestion_ratio < math.inf:
+            raise ValueError("congestion_ratio must exceed 1 and be finite, "
+                             f"got {self.congestion_ratio}")
+        if self.demote_rounds < 1:
+            raise ValueError(f"demote_rounds must be >= 1, got {self.demote_rounds}")
         if self.scheduler is None and ArbiterKind(self.arbiter) is ArbiterKind.PROBABILISTIC:
-            if not self.weight_base >= 1:
-                raise ValueError(f"weight_base must be >= 1, got {self.weight_base}")
             # on a line the heaviest grant weighs a route of k - 1 hops
             # against one injected a hop later, of at most k - 2
             b = float(self.weight_base)
@@ -138,12 +144,6 @@ class MeshConfig:
                                   "weight_base ** (k - 2), must be finite, got "
                                   f"weight_base={self.weight_base} and k={self.k}",
                                   "weight_base", "k")
-        if self.scheduler is not None and SchedulerKind(self.scheduler) is SchedulerKind.CARR:
-            if not 1 < self.congestion_ratio < math.inf:
-                raise ValueError("congestion_ratio must exceed 1 and be finite, "
-                                 f"got {self.congestion_ratio}")
-            if self.demote_rounds < 1:
-                raise ValueError(f"demote_rounds must be >= 1, got {self.demote_rounds}")
         if self.quantum is not None and self.quantum < 1:
             raise ValueError("quantum must be >= 1")
         if self.trace_links is not None:
@@ -298,10 +298,6 @@ class SimReport:
         """Total channel service time: sending plus blocking cycles."""
         key = (flow, router)
         return self.sending.get(key, 0) + self.blocking.get(key, 0)
-
-    def mean_service(self, flow: int, router: int) -> float | None:
-        k = self.packets_through.get((flow, router), 0)
-        return self.occupation(flow, router) / k if k else None
 
     def s_ratio(self, flow: int, router: int) -> float | None:
         s = self.sending.get((flow, router), 0)

@@ -43,8 +43,7 @@ def pathology_workload(horizon: int = PATHOLOGY_HORIZON) -> list[Packet]:
     pid = 0
     for flow in (0, 1):
         for t in range(0, horizon, PATHOLOGY_PERIODS[flow]):
-            pkts.append(Packet(id=pid, flow=flow, size=PATHOLOGY_SIZES[flow],
-                               source=flow, dest=0, inject_time=t))
+            pkts.append(Packet(id=pid, flow=flow, size=PATHOLOGY_SIZES[flow], inject_time=t))
             pid += 1
     pkts.sort(key=lambda p: (p.inject_time, p.id))
     return pkts
@@ -65,7 +64,6 @@ def random_workload(
         for _ in range(packets_per_flow):
             pkts.append(Packet(
                 id=pid, flow=flow, size=1 + rng.randrange(max_size),
-                source=flow, dest=0,
                 inject_time=rng.randrange(spread),
             ))
             pid += 1
@@ -83,7 +81,7 @@ def backlogged_pair(seed: int, packets_per_flow: int = 500,
     for flow in (0, 1):
         for _ in range(packets_per_flow):
             pkts.append(Packet(id=pid, flow=flow, size=1 + rng.randrange(max_size),
-                               source=flow, dest=0, inject_time=0))
+                               inject_time=0))
             pid += 1
     return pkts
 

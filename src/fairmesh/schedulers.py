@@ -176,7 +176,6 @@ class SchedulerBase:
             end = self.blocked.finish(fs.id, start, pkt.size)
         self.clock.now = end
         self._inject_due()
-        pkt.deliver_time = end
         ev = self._events.get(pkt.id)
         if ev is not None:
             ev.deliver = end

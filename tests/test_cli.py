@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 import fairmesh
-from fairmesh.cli import OUTPUT_DIR_ENV, main
+from fairmesh.cli import (
+    OUTPUT_DIR_ENV,
+    _build_workload,
+    _normalize_workload,
+    _workload_flows,
+    main,
+)
 
 
 def write_cfg(tmp_path, name="cfg.json", **cfg):
@@ -194,6 +200,17 @@ class TestConfigErrors:
          "congestion_ratio must exceed 1 and be finite"),
         (dict(rate=math.nan), "rate entries must lie in [0, 1]"),
         (dict(rate=[1.0] * 7 + [math.nan]), "rate entries must lie in [0, 1]"),
+        # the real-valued params are echoed into report.json, so they are
+        # checked whatever the arbiter or scheduler
+        (dict(weight_base=math.nan), "weight_base must be >= 1 and finite"),
+        (dict(weight_base=0.5), "weight_base must be >= 1 and finite"),
+        (dict(congestion_ratio=math.inf), "congestion_ratio must exceed 1 and be finite"),
+        (dict(congestion_ratio=1.0), "congestion_ratio must exceed 1 and be finite"),
+        (dict(demote_rounds=0), "demote_rounds must be >= 1"),
+        (dict(arbiter="probabilistic", weight_base=math.inf),
+         "weight_base must be >= 1 and finite"),
+        # a test hook of MeshConfig, not a config key
+        (dict(log_ejects=True), "unknown config key: params.log_ejects"),
     ])
     def test_bad_mesh_param_types_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)
@@ -214,6 +231,28 @@ class TestConfigErrors:
             assert [p.name for p in out.iterdir()] == ["keep.txt"]
         else:
             assert not (tmp_path / "made").exists()
+
+    @pytest.mark.parametrize("verb,over,key", [
+        ("run", dict(experiment="standalone-scheduler", params={"weights": {"0": 0}}),
+         "params.weights"),
+        ("run", dict(experiment="rfb-vs-cfb-pathology", params={"horizon": 1.5}),
+         "params.horizon"),
+        ("run", dict(experiment="mesh-hotspot", params={"krad": 8}), "params.krad"),
+        ("run", dict(experiment="eq13-feasibility", params={"warmup": -1}), "warmup"),
+        ("run", dict(params={"trials": True}), "params.trials"),
+        ("compare", dict(schedulers=["rr", "drr"], params={"quantum": 0}), "params.quantum"),
+    ], ids=["standalone-scheduler", "rfb-vs-cfb-pathology", "mesh-hotspot",
+            "eq13-feasibility", "arb-convergence", "compare"])
+    def test_config_checked_before_output_dir(self, tmp_path, capsys, verb, over, key):
+        # the output directory cannot be made under a regular file, so a
+        # check that ran after making it would exit 3 with that error
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = base_cfg(tmp_path, output_dir=str(blocker / "out"), **over)
+        if verb == "compare":
+            del cfg["experiment"]
+        assert main([verb, write_cfg(tmp_path, **cfg)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_runtime_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "blocker"
@@ -474,8 +513,14 @@ class TestAnalyzeVerb:
         '{"0": {"0": true}}',
         '{"0": {"0": 1e400}}',
         '{"0": {"0": NaN}}',
+        # (sending + blocking) / sending is never below 1
+        '{"0": {"0": 0.5}}',
+        # ratios of such entries overflow: max_deviation read Infinity, and
+        # inf - inf gave a NaN deviation that passed as feasible
+        '{"0": {"0": 1e300, "1": 1.0}, "1": {"0": 1e-300, "1": 1.0}}',
+        '{"0": {"0": 1e300, "1": 1e299}, "1": {"0": 1e-300, "1": 1e-300}}',
     ], ids=["flow-key", "router-key", "double-minus", "list-row", "string", "zero", "negative",
-            "bool", "overflow", "nan"])
+            "bool", "overflow", "nan", "below-one", "ratio-overflow", "nan-deviation"])
     def test_analyze_malformed_s_matrix_exit_2(self, tmp_path, capsys, s_matrix):
         p = tmp_path / "rep.json"
         p.write_text('{"runs": {"1": {"s_matrix": %s}}}' % s_matrix)
@@ -515,6 +560,20 @@ class TestPathologyPreset:
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 0
         run = json.loads((tmp_path / "out" / "report.json").read_text())["runs"]["1"]
         assert run["cfb_estimate"] <= 100  # no runaway occupation gap
+
+
+@pytest.mark.parametrize("workload", [
+    "random",
+    {"kind": "random", "n_flows": 5, "packets_per_flow": 1},
+    {"kind": "backlogged-pair", "packets_per_flow": 3},
+    {"kind": "pathology", "horizon": 200},
+])
+def test_checked_flows_are_the_workload_flows(workload):
+    """The scheduler check covers the quantum and default weights of the
+    flows the workload will carry, before any packet is built."""
+    w = _normalize_workload(workload)
+    for seed in range(1, 6):
+        assert set(_workload_flows(w)) == {p.flow for p in _build_workload(w, seed)}
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"

@@ -310,7 +310,6 @@ class SteppingTransmit:
                 self._inject_due()
             clock.now += 1
             self._inject_due()
-        pkt.deliver_time = clock.now
         ev = self._events.get(pkt.id)
         if ev is not None:
             ev.deliver = clock.now
