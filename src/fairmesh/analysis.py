@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
+from .core import is_finite
 from .rng import XorShift64Star
 
 SMatrix = Mapping[int, Mapping[int, float | None]]
@@ -122,13 +123,19 @@ def simulate_acceptance_counts(
     return counts
 
 
+def _checked(flow: int, router: int, v) -> float:
+    """A defined entry, which is (sending + blocking) / sending: a finite
+    number >= 1, so every ratio of two entries is finite as well."""
+    if not (is_finite(v) and v >= 1):
+        raise ValueError(f"S({flow},{router}) must be a finite number >= 1, got {v!r}")
+    return v
+
+
 def _entry(s: SMatrix, flow: int, router: int) -> float:
     v = s.get(flow, {}).get(router)
     if v is None:
         raise ValueError(f"S({flow},{router}) is undefined")
-    if v <= 0:
-        raise ValueError(f"S({flow},{router}) must be positive, got {v}")
-    return v
+    return _checked(flow, router, v)
 
 
 @dataclass
@@ -186,8 +193,13 @@ def check_ratio_constraint(s: SMatrix, eps: float = 0.05) -> FeasibilityVerdict:
     be the same at every router both traverse:
     S(m,k)/S(n,k) == S(m,t)/S(n,t).  The verdict reports the largest
     violation over all defined flow pairs and router pairs; fewer than two
-    comparable pairs is vacuously feasible.
+    comparable pairs is vacuously feasible.  A defined entry that is not a
+    finite number >= 1 raises ValueError.
     """
+    for f, row in s.items():
+        for r, v in row.items():
+            if v is not None:
+                _checked(f, r, v)
     flows = sorted(s)
     best = 0.0
     witness: tuple[int, int, int, int] | None = None

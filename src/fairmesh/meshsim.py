@@ -216,9 +216,6 @@ class _FlowKernel:
             if duration / sending > self.tau:
                 self.congested_until[flow] = self.round + self.demote
 
-    def _congested(self, flow: int) -> bool:
-        return self.congested_until.get(flow, 0) > self.round
-
     def choose(self, candidates: dict):
         """Value of the candidate flow to grant; `candidates` is non-empty.
 
@@ -229,10 +226,11 @@ class _FlowKernel:
         kind = self.kind
         L = self.L
         balance = self.balance
+        order = self.order
         for f in candidates:
             if f not in balance:
                 balance[f] = self.q if kind is SchedulerKind.EBRR else 0
-                self.order.append(f)
+                order.append(f)
                 self.visits_left += 1  # joins the current round
         f = self.current
         if f is not None:
@@ -242,13 +240,15 @@ class _FlowKernel:
             if f not in candidates:
                 balance[f] = 0
             self.current = None
+        visits_left, rnd = self.visits_left, self.round
+        until = self.congested_until
         while True:
-            if self.visits_left <= 0:
-                self.round += 1
-                self.visits_left = len(self.order)
-            f = self.order[0]
-            self.order.rotate(-1)
-            self.visits_left -= 1
+            if visits_left <= 0:
+                rnd += 1
+                visits_left = len(order)
+            f = order[0]
+            order.rotate(-1)
+            visits_left -= 1
             if kind is SchedulerKind.EBRR and balance[f] <= 0:
                 balance[f] += self.q  # overdrawn: repays a quantum per turn
                 continue
@@ -264,10 +264,11 @@ class _FlowKernel:
                 self.current = f
             elif kind is SchedulerKind.EBRR:
                 balance[f] -= L
-            elif kind is SchedulerKind.CARR and self._congested(f) and any(
-                not self._congested(g) for g in candidates
+            elif kind is SchedulerKind.CARR and until.get(f, 0) > rnd and any(
+                until.get(g, 0) <= rnd for g in candidates
             ):
                 continue  # demoted: loses this round's visit
+            self.visits_left, self.round = visits_left, rnd
             return candidates[f]
 
 
@@ -366,15 +367,17 @@ class MeshSim:
         self.fifos = [[deque(), deque()] for _ in range(k)]  # [r][IN_L/IN_R]
         self.credits = [[cfg.buffer_depth, cfg.buffer_depth] for _ in range(k)]
         # one ownership record per output, None while free:
-        # [pid, input, flow, start, sent]
+        # [pid, input, (flow, router), start, sent]
         self.owner: list[list[list | None]] = [[None, None, None] for _ in range(k)]
         # first post-warmup cycle the current head flit of each input has
         # been at the head, [r][IN_L/IN_R/IN_INJ]
         self.since = [[0, 0, 0] for _ in range(k)]
-        self.active = [True] * k  # routers processed in the next cycle
-        self.inj_times: list[deque[int]] = [deque() for _ in range(k)]
+        self.active: set[int] = set()  # routers processed in the next cycle
+        # arrivals not yet made a packet, as runs [first_cycle, count]
+        self.queues: list[deque[list[int]]] = [deque() for _ in range(k)]
         self.inj_pkt: list[int] = [-1] * k  # head packet of each source queue
         self.inj_seq: list[int] = [0] * k
+        self.fresh = list(range(k))  # sources that may take a head packet next
 
         # packet metadata, indexed by id (made when a packet reaches the
         # head of its source queue)
@@ -386,6 +389,12 @@ class MeshSim:
         seed = cfg.seed
         self.rng_inj = [XorShift64Star(seed, _SID_INJECT * k + n) for n in range(k)]
         self.rng_dest = [XorShift64Star(seed, _SID_DEST * k + n) for n in range(k)]
+        # a source of rate 1 gets an arrival every cycle; one of rate in
+        # (0, 1) books its next arrival cycle in `due` (cycle -> sources)
+        self.saturated = [n for n in range(k) if self.rates[n] >= 1.0]
+        self.due: dict[int, list[int]] = {}
+        for n in range(k):
+            self._book(n, -1)
 
         self.flow_mode = cfg.scheduler is not None
         self.arbs = {}
@@ -411,6 +420,9 @@ class MeshSim:
         else:
             self.traced = {tuple(link) for link in cfg.trace_links}
         self.traces = {link: Trace() for link in sorted(self.traced)}
+        # outputs whose packet ends go to `_release`: a kernel or trace reads them
+        self.noted = [[self.flow_mode or (r, o) in self.traced for o in range(3)]
+                      for r in range(k)]
 
         # statistics per source and per (flow, router), reset at warmup
         self.stats = {n: SourceStats() for n in range(k)}
@@ -435,6 +447,19 @@ class MeshSim:
         self.pinject.append(inject_time)
         self.pcprod.append(1.0)
         return pid
+
+    def _book(self, n: int, now: int) -> None:
+        """Book source n's first arrival after cycle `now` in `due`.
+
+        Draws ahead one draw per cycle, as a per-cycle `bernoulli` would,
+        but no further than the horizon.
+        """
+        rate = self.rates[n]
+        if 0.0 < rate < 1.0:
+            window = self.cfg.horizon - now - 1
+            gap = self.rng_inj[n].draws_before_hit(rate, window)
+            if gap < window:
+                self.due.setdefault(now + 1 + gap, []).append(n)
 
     def _reset_stats(self) -> None:
         k, warmup = self.cfg.k, self.cfg.warmup
@@ -469,39 +494,70 @@ class MeshSim:
         Any other router would again decide to do nothing, as it did when last
         active: a free output with a candidate always grants, and a granted
         head flit that did not move is waiting for a credit.
+
+        Arrivals are drawn up to the horizon, so a run ends there.
         """
         cfg = self.cfg
         L = self.L
         now = self.now
+        if now >= cfg.horizon:
+            raise RuntimeError(f"the run ended at its horizon, cycle {cfg.horizon}")
         if now == cfg.warmup:
             self._reset_stats()
 
-        # offered arrivals join the (unbounded) source queues; the oldest
-        # arrival of a queue becomes its head packet
+        # arrivals join the (unbounded) source queues; a source takes the
+        # oldest as its head packet when its last one has left or it had none
+        queues = self.queues
+        for n in self.saturated:
+            q = queues[n]
+            if q:
+                q[-1][1] += 1
+            else:
+                q.append([now, 1])
         active = self.active
         since = self.since
         inj_pkt = self.inj_pkt
-        for n, queue in enumerate(self.inj_times):
-            rate = self.rates[n]
-            if rate > 0.0 and self.rng_inj[n].bernoulli(rate):
-                queue.append(now)
-            if inj_pkt[n] < 0 and queue:
-                inj_pkt[n] = self._new_packet(n, queue[0])
-                self.inj_seq[n] = 0
-                since[n][IN_INJ] = now
-                active[n] = True
+        form = self.fresh
+        booked = self.due.pop(now, None)
+        if booked:
+            for n in booked:
+                q = queues[n]
+                if q and q[-1][0] + q[-1][1] == now:
+                    q[-1][1] += 1
+                else:
+                    q.append([now, 1])
+                form.append(n)
+                self._book(n, now)
+        if form:
+            for n in sorted(set(form)):  # packet ids in source order
+                q = queues[n]
+                if inj_pkt[n] < 0 and q:
+                    run = q[0]
+                    inj_pkt[n] = self._new_packet(n, run[0])
+                    if run[1] == 1:
+                        q.popleft()
+                    else:
+                        run[0] += 1
+                        run[1] -= 1
+                    self.inj_seq[n] = 0
+                    since[n][IN_INJ] = now
+                    active.add(n)
+        fresh = self.fresh = []
 
-        moves = []  # (r, i, o, flit)
+        moves = []  # (r, o, flit, owner record)
         fifos = self.fifos
         credits = self.credits
         owner = self.owner
         psrc = self.psrc
         pdest = self.pdest
-        woken = [False] * cfg.k  # routers active next cycle
-        for r in range(cfg.k):
-            if not active[r]:
-                continue
-            heads = self._heads(r)
+        inj_seq = self.inj_seq
+        kcount = self.kcount
+        woken = set()  # routers active next cycle
+        for r in sorted(active):
+            fl, fr = fifos[r]
+            pid = inj_pkt[r]
+            heads = (fl[0] if fl else -1, fr[0] if fr else -1,
+                     pid * L + inj_seq[r] if pid >= 0 else -1)
             # head-of-packet flits request the output their route takes;
             # a free output with requests grants one of them
             owners = owner[r]
@@ -519,28 +575,27 @@ class MeshSim:
                 for o, cands in enumerate(reqs):
                     if cands:
                         pid, i = self._grant(r, o, cands)
-                        flow = psrc[pid]
-                        self.kcount[(flow, r)] = self.kcount.get((flow, r), 0) + 1
-                        owners[o] = [pid, i, flow, now, 0]
+                        key = (psrc[pid], r)
+                        kcount[key] = kcount.get(key, 0) + 1
+                        owners[o] = [pid, i, key, now, 0]
             for o in (DIR_L, DIR_R, DIR_EJ):
                 rec = owners[o]
                 if rec is not None:
-                    i = rec[1]
-                    flit = heads[i]
+                    flit = heads[rec[1]]
                     if flit // L == rec[0] and (o == DIR_EJ or credits[r][o] > 0):
-                        moves.append((r, i, o, flit))
+                        moves.append((r, o, flit, rec))
                         rec[4] += 1
 
         sending = self.sending
         blocking = self.blocking
+        noted = self.noted
         credit_back = []
-        for r, i, o, flit in moves:
-            pid = flit // L
-            seq = flit - pid * L
-            woken[r] = True
+        for r, o, flit, rec in moves:
+            pid, i, key, _start, sent = rec
+            tail = sent == L
+            woken.add(r)
             # channel time is charged when the head flit moves: the cycles
             # it waited at the head, then the cycle it is sent
-            key = (psrc[pid], r)
             wait = now - since[r][i]
             if wait > 0:
                 blocking[key] = blocking.get(key, 0) + wait
@@ -548,11 +603,11 @@ class MeshSim:
             since[r][i] = now + 1
             # consume from the input side
             if i == IN_INJ:
-                self.inj_seq[r] += 1
+                inj_seq[r] = sent
                 self.network_flits_in += 1
-                if seq == L - 1:
-                    self.inj_times[r].popleft()
+                if tail:
                     inj_pkt[r] = -1
+                    fresh.append(r)
             else:
                 fifos[r][i].popleft()
                 # freed slot becomes visible upstream next cycle
@@ -564,8 +619,8 @@ class MeshSim:
             if o == DIR_EJ:
                 self.delivered_flits += 1
                 if self.eject_log is not None:
-                    self.eject_log.append((r, pid, seq))
-                if seq == L - 1:
+                    self.eject_log.append((r, pid, sent - 1))
+                if tail:
                     self._deliver(pid, now)
             else:
                 nbr = r + 1 if o == DIR_R else r - 1
@@ -573,14 +628,17 @@ class MeshSim:
                 fifo = fifos[nbr][j]
                 if not fifo:  # the flit is the new head there
                     since[nbr][j] = now + 1
-                    woken[nbr] = True
+                    woken.add(nbr)
                 fifo.append(flit)
                 credits[r][o] -= 1
-            if seq == L - 1:
-                self._release(r, o, now)
+            if tail:
+                if noted[r][o]:
+                    self._release(r, o, now)
+                else:
+                    owner[r][o] = None
         for r, o in credit_back:
             if not credits[r][o]:  # the output may send again
-                woken[r] = True
+                woken.add(r)
             credits[r][o] += 1
         self.active = woken
         self.now = now + 1
@@ -606,7 +664,7 @@ class MeshSim:
         return pid, i
 
     def _release(self, r: int, o: int, now: int) -> None:
-        _pid, _i, flow, start, sent = self.owner[r][o]
+        _pid, _i, (flow, _r), start, sent = self.owner[r][o]
         self.owner[r][o] = None
         blocked = now + 1 - start - sent  # every owned cycle sends or blocks
         link = (r, o)

@@ -10,6 +10,8 @@ same grant and injection sequences on any platform.
 
 from __future__ import annotations
 
+import math
+
 MASK64 = (1 << 64) - 1
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -60,6 +62,30 @@ class XorShift64Star:
         if p <= 0.0:
             return False
         return self.random() < p
+
+    def draws_before_hit(self, p: float, n: int) -> int:
+        """How many of the next `n` draws come before the first one for which
+        `bernoulli(p)` is true, or `n` when none is.
+
+        Consumes exactly the draws those `bernoulli` calls would: up to and
+        including the hit.  `random() < p` holds exactly when the raw output
+        is below ceil(p * 2**53) << 11, so no draw is converted to a float.
+        """
+        if p >= 1.0:
+            return 0
+        if p <= 0.0:
+            return n
+        threshold = math.ceil(p * 2.0 ** 53) << 11
+        x = self.state
+        for i in range(n):
+            x ^= x >> 12
+            x ^= (x << 25) & MASK64
+            x ^= x >> 27
+            if (x * _STAR_MULTIPLIER) & MASK64 < threshold:
+                self.state = x
+                return i
+        self.state = x
+        return n
 
     def randrange(self, n: int) -> int:
         if n <= 0:

@@ -190,6 +190,21 @@ class TestRatioConstraint:
         rw = required_weights(s)
         assert rw.consistent()
 
+    def test_entries_below_one_rejected(self):
+        # the ratios overflow to inf, inf - inf is NaN and NaN never beats
+        # the best deviation: this matrix used to read feasible at 0.0
+        s = s_from({0: {0: 1e300, 1: 1e299}, 1: {0: 1e-300, 1: 1e-300}})
+        with pytest.raises(ValueError, match=r"S\(1,0\) must be a finite number >= 1"):
+            check_ratio_constraint(s)
+
+    @pytest.mark.parametrize("bad", [0.999, 0.0, -2.0, float("nan"), float("inf"), True])
+    def test_bad_entry_named(self, bad):
+        s = s_from({0: {1: 2.0, 2: 3.0}, 1: {1: 1.0, 2: bad}})
+        with pytest.raises(ValueError, match=r"S\(1,2\) must be a finite number >= 1"):
+            check_ratio_constraint(s)
+        with pytest.raises(ValueError, match=r"S\(1,2\) must be a finite number >= 1"):
+            required_weights(s)
+
     def test_verdict_serializes(self):
         v = check_ratio_constraint(s_from({0: {1: 2.0, 2: 3.0}, 1: {1: 1.0, 2: 1.0}}))
         blob = json.loads(v.to_json())

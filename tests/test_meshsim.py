@@ -16,6 +16,7 @@ from fairmesh.meshsim import (
     _FlowKernel,
     run_mesh,
 )
+from fairmesh.rng import XorShift64Star
 from fairmesh.schedulers import SchedulerKind, make_scheduler
 
 
@@ -87,7 +88,7 @@ class TestSinglePacket:
 
     def hand_run(self):
         sim = MeshSim(quiet_config())
-        sim.inj_times[0].append(0)
+        sim.due[0] = [0]  # one arrival at source 0, cycle 0
         sim.run()
         return sim
 
@@ -222,12 +223,71 @@ class TestShares:
         assert all(rep.delivered[n] > 0 for n in range(4))
 
 
+def offered_arrivals(cfg):
+    """Arrivals per source from one bernoulli call per cycle on each
+    source's injection stream: the per-cycle oracle of the booked cycles."""
+    rates = cfg.rates()
+    if cfg.pattern == "hotspot":
+        rates[cfg.dest_of()] = 0.0
+    counts = []
+    for n, p in enumerate(rates):
+        rng = XorShift64Star(cfg.seed, n)
+        counts.append(sum(p > 0 and rng.bernoulli(p) for _ in range(cfg.horizon)))
+    return counts
+
+
+def queued(sim, n):
+    runs = list(sim.queues[n])
+    # runs ascend and are merged: a gap separates each from the next
+    for (a, na), (b, _nb) in zip(runs, runs[1:]):
+        assert a + na < b
+    assert all(count >= 1 for _first, count in runs)
+    return sum(count for _first, count in runs)
+
+
+class TestSourceQueues:
+    @pytest.mark.parametrize("kw", [
+        dict(k=6, pattern="uniform", rate=0.2, seed=4),
+        dict(k=6, pattern="uniform", rate=[0.9, 0.05, 0.0, 1.0, 0.5, 0.3], seed=8),
+        dict(k=5, rate=[1.0, 0.4, 0.7, 1.0, 0.0], seed=2),
+    ], ids=["uniform", "uniform-mixed", "hotspot"])
+    def test_arrivals_are_delivered_in_flight_or_queued(self, kw):
+        cfg = MeshConfig(horizon=900, **kw)
+        sim = MeshSim(cfg)
+        sim.run()
+        arrivals = offered_arrivals(cfg)
+        assert sum(arrivals) > 100
+        for n in range(cfg.k):
+            made = sim.psrc.count(n)
+            delivered = sim.stats[n].delivered
+            in_flight = made - delivered
+            assert arrivals[n] == delivered + in_flight + queued(sim, n)
+        assert sum(sim.stats[n].delivered for n in range(cfg.k)) > 0
+
+    def test_saturated_source_holds_one_run(self):
+        horizon = 500
+        depth = {}
+        for h in (horizon, 4 * horizon):
+            sim = MeshSim(MeshConfig(k=8, rate=1.0, horizon=h, seed=1))
+            sim.run()
+            assert all(len(q) <= 1 for q in sim.queues)
+            depth[h] = sum(queued(sim, n) for n in range(8))
+        # the backlog grows with the horizon, the run count does not
+        assert depth[4 * horizon] > 3 * depth[horizon] > 0
+
+    def test_step_past_the_horizon_is_refused(self):
+        sim = MeshSim(quiet_config(horizon=5))
+        sim.run()
+        with pytest.raises(RuntimeError, match="horizon"):
+            sim.step()
+
+
 class TestServiceCounters:
     def test_unblocked_flow_has_unit_ratio(self):
         # packets spaced far apart never wait anywhere
         sim = MeshSim(quiet_config(horizon=200))
         for t in (0, 50, 100):
-            sim.inj_times[0].append(t)
+            sim.due[t] = [0]
         sim.run()
         S = sim.report().s_matrix()
         assert S[0] == {0: 1.0, 1: 1.0, 2: 1.0}

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fairmesh.rng import MASK64, XorShift64Star, derive_stream_seed, splitmix64
@@ -58,3 +60,70 @@ def test_outputs_are_64_bit():
     r = XorShift64Star(99)
     for _ in range(50):
         assert 0 <= r.next_u64() <= MASK64
+
+
+# 2**-53 and 1 - 2**-53 are the extreme rates strictly inside (0, 1)
+GAP_RATES = [2.0 ** -53, 0.03, 0.5, 1.0 - 2.0 ** -53]
+
+
+def _gap_by_bernoulli(r, p, n):
+    """The scalar oracle: one bernoulli call per draw, up to the hit."""
+    for i in range(n):
+        if r.bernoulli(p):
+            return i
+    return n
+
+
+@pytest.mark.parametrize("p", GAP_RATES)
+def test_draws_before_hit_matches_bernoulli(p):
+    for seed in range(1, 9):
+        for sid in (0, 1, 17, 2**40):
+            fast, slow = XorShift64Star(seed, sid), XorShift64Star(seed, sid)
+            for n in (0, 1, 5, 0, 300, 1, 40):
+                assert fast.draws_before_hit(p, n) == _gap_by_bernoulli(slow, p, n)
+                assert fast.state == slow.state
+
+
+def test_draws_before_hit_cycle_by_cycle():
+    # one window per arrival, as the mesh books them, against one bernoulli
+    # call per cycle: the same hit cycles and the same final state
+    horizon = 3000
+    for seed in range(1, 6):
+        for p in GAP_RATES:
+            fast, slow = XorShift64Star(seed, 5), XorShift64Star(seed, 5)
+            want = [t for t in range(horizon) if slow.bernoulli(p)]
+            got, t = [], -1
+            while True:
+                window = horizon - t - 1
+                gap = fast.draws_before_hit(p, window)
+                if gap == window:
+                    break
+                t += 1 + gap
+                got.append(t)
+            assert got == want
+            assert fast.state == slow.state
+
+
+def test_draws_before_hit_window_with_no_hit():
+    # at rate 2**-53 a hit needs a raw output below 2**11
+    fast, slow = XorShift64Star(3, 9), XorShift64Star(3, 9)
+    assert fast.draws_before_hit(2.0 ** -53, 1000) == 1000
+    for _ in range(1000):
+        slow.next_u64()
+    assert fast.state == slow.state
+
+
+def test_draws_before_hit_threshold_is_exact():
+    # an output just below and at the threshold of random() < p
+    p = 0.03
+    threshold = math.ceil(p * 2.0 ** 53) << 11
+    for u in (threshold - 1, threshold, threshold - 2**11, threshold + 2**11):
+        assert ((u >> 11) * 2.0 ** -53 < p) == (u < threshold)
+
+
+def test_draws_before_hit_outside_the_open_interval_draws_nothing():
+    r = XorShift64Star(4)
+    state = r.state
+    assert r.draws_before_hit(1.0, 10) == 0
+    assert r.draws_before_hit(0.0, 10) == 10
+    assert r.state == state
