@@ -242,7 +242,19 @@ class _FlowKernel:
             self.current = None
         visits_left, rnd = self.visits_left, self.round
         until = self.congested_until
+        skips = kind is not SchedulerKind.DRR and kind is not SchedulerKind.EBRR
         while True:
+            if skips:
+                # the turn of a flow with no packet only rotates: take the
+                # turns before the first candidate at once
+                n = min(map(order.index, candidates))
+                order.rotate(-n)
+                if n > visits_left:  # new rounds start within those turns
+                    n -= visits_left
+                    rnd += -(-n // len(order))
+                    visits_left = -n % len(order)
+                else:
+                    visits_left -= n
             if visits_left <= 0:
                 rnd += 1
                 visits_left = len(order)
@@ -294,11 +306,6 @@ class SimReport:
     packets_through: dict[tuple[int, int], int]
     drops: int
     traces: dict[tuple[int, int], Trace] = field(repr=False, default_factory=dict)
-
-    def occupation(self, flow: int, router: int) -> int:
-        """Total channel service time: sending plus blocking cycles."""
-        key = (flow, router)
-        return self.sending.get(key, 0) + self.blocking.get(key, 0)
 
     def s_ratio(self, flow: int, router: int) -> float | None:
         s = self.sending.get((flow, router), 0)
@@ -366,8 +373,14 @@ class MeshSim:
         # network state
         self.fifos = [[deque(), deque()] for _ in range(k)]  # [r][IN_L/IN_R]
         self.credits = [[cfg.buffer_depth, cfg.buffer_depth] for _ in range(k)]
+        # the input each output feeds, (fifo, router, port); and the output
+        # each network input returns its credits to
+        self.down = [[(self.fifos[r - 1][IN_R], r - 1, IN_R) if r else None,
+                      (self.fifos[r + 1][IN_L], r + 1, IN_L) if r + 1 < k else None]
+                     for r in range(k)]
+        self.up = [[(r - 1, DIR_R), (r + 1, DIR_L)] for r in range(k)]
         # one ownership record per output, None while free:
-        # [pid, input, (flow, router), start, sent]
+        # [pid, input, (flow, router), start, sent, output]
         self.owner: list[list[list | None]] = [[None, None, None] for _ in range(k)]
         # first post-warmup cycle the current head flit of each input has
         # been at the head, [r][IN_L/IN_R/IN_INJ]
@@ -391,7 +404,7 @@ class MeshSim:
         self.rng_dest = [XorShift64Star(seed, _SID_DEST * k + n) for n in range(k)]
         # a source of rate 1 gets an arrival every cycle; one of rate in
         # (0, 1) books its next arrival cycle in `due` (cycle -> sources)
-        self.saturated = [n for n in range(k) if self.rates[n] >= 1.0]
+        self.saturated = [self.queues[n] for n in range(k) if self.rates[n] >= 1.0]
         self.due: dict[int, list[int]] = {}
         for n in range(k):
             self._book(n, -1)
@@ -449,11 +462,8 @@ class MeshSim:
         return pid
 
     def _book(self, n: int, now: int) -> None:
-        """Book source n's first arrival after cycle `now` in `due`.
-
-        Draws ahead one draw per cycle, as a per-cycle `bernoulli` would,
-        but no further than the horizon.
-        """
+        """Book source n's first arrival after cycle `now` in `due`, drawing
+        one draw per cycle, as `bernoulli` would, up to the horizon."""
         rate = self.rates[n]
         if 0.0 < rate < 1.0:
             window = self.cfg.horizon - now - 1
@@ -484,7 +494,7 @@ class MeshSim:
     # -- cycle ------------------------------------------------------------
 
     def step(self) -> None:
-        """Advance one cycle, processing only the routers marked active.
+        """Advance one cycle, processing only the routers in `active`.
 
         A router's decisions read only its input heads, its owners and
         arbiter state, and whether each output has a credit.  So it is active
@@ -507,9 +517,7 @@ class MeshSim:
 
         # arrivals join the (unbounded) source queues; a source takes the
         # oldest as its head packet when its last one has left or it had none
-        queues = self.queues
-        for n in self.saturated:
-            q = queues[n]
+        for q in self.saturated:
             if q:
                 q[-1][1] += 1
             else:
@@ -518,33 +526,27 @@ class MeshSim:
         since = self.since
         inj_pkt = self.inj_pkt
         form = self.fresh
-        booked = self.due.pop(now, None)
-        if booked:
-            for n in booked:
-                q = queues[n]
-                if q and q[-1][0] + q[-1][1] == now:
-                    q[-1][1] += 1
-                else:
-                    q.append([now, 1])
-                form.append(n)
-                self._book(n, now)
-        if form:
-            for n in sorted(set(form)):  # packet ids in source order
-                q = queues[n]
-                if inj_pkt[n] < 0 and q:
-                    run = q[0]
-                    inj_pkt[n] = self._new_packet(n, run[0])
-                    if run[1] == 1:
-                        q.popleft()
-                    else:
-                        run[0] += 1
-                        run[1] -= 1
-                    self.inj_seq[n] = 0
-                    since[n][IN_INJ] = now
-                    active.add(n)
+        for n in self.due.pop(now, ()):
+            q = self.queues[n]
+            if q and sum(q[-1]) == now:
+                q[-1][1] += 1
+            else:
+                q.append([now, 1])
+            form.append(n)
+            self._book(n, now)
+        for n in sorted(set(form)):  # packet ids in source order
+            q = self.queues[n]
+            if inj_pkt[n] < 0 and q:
+                first, count = q.popleft()
+                if count > 1:
+                    q.appendleft([first + 1, count - 1])
+                inj_pkt[n] = self._new_packet(n, first)
+                self.inj_seq[n] = 0
+                since[n][IN_INJ] = now
+                active.add(n)
         fresh = self.fresh = []
 
-        moves = []  # (r, o, flit, owner record)
+        moves = []  # (r, flit, owner record)
         fifos = self.fifos
         credits = self.credits
         owner = self.owner
@@ -563,7 +565,7 @@ class MeshSim:
             owners = owner[r]
             reqs = None  # per output: [(input port, pid)]
             for i, flit in enumerate(heads):
-                if flit >= 0 and flit % L == 0:
+                if flit % L == 0 and flit >= 0:
                     pid = flit // L
                     dest = pdest[pid]
                     o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
@@ -577,21 +579,24 @@ class MeshSim:
                         pid, i = self._grant(r, o, cands)
                         key = (psrc[pid], r)
                         kcount[key] = kcount.get(key, 0) + 1
-                        owners[o] = [pid, i, key, now, 0]
-            for o in (DIR_L, DIR_R, DIR_EJ):
-                rec = owners[o]
+                        owners[o] = [pid, i, key, now, 0, o]
+            credit = credits[r]
+            for rec in owners:
                 if rec is not None:
                     flit = heads[rec[1]]
-                    if flit // L == rec[0] and (o == DIR_EJ or credits[r][o] > 0):
-                        moves.append((r, o, flit, rec))
+                    o = rec[5]
+                    if flit // L == rec[0] and (o == DIR_EJ or credit[o]):
+                        moves.append((r, flit, rec))
                         rec[4] += 1
 
         sending = self.sending
         blocking = self.blocking
         noted = self.noted
+        down = self.down
+        up = self.up
         credit_back = []
-        for r, o, flit, rec in moves:
-            pid, i, key, _start, sent = rec
+        for r, flit, rec in moves:
+            pid, i, key, _start, sent, o = rec
             tail = sent == L
             woken.add(r)
             # channel time is charged when the head flit moves: the cycles
@@ -611,10 +616,7 @@ class MeshSim:
             else:
                 fifos[r][i].popleft()
                 # freed slot becomes visible upstream next cycle
-                if i == IN_L:
-                    credit_back.append((r - 1, DIR_R))
-                else:
-                    credit_back.append((r + 1, DIR_L))
+                credit_back.append(up[r][i])
             # deliver or forward
             if o == DIR_EJ:
                 self.delivered_flits += 1
@@ -623,9 +625,7 @@ class MeshSim:
                 if tail:
                     self._deliver(pid, now)
             else:
-                nbr = r + 1 if o == DIR_R else r - 1
-                j = IN_L if o == DIR_R else IN_R
-                fifo = fifos[nbr][j]
+                fifo, nbr, j = down[r][o]
                 if not fifo:  # the flit is the new head there
                     since[nbr][j] = now + 1
                     woken.add(nbr)
@@ -664,7 +664,7 @@ class MeshSim:
         return pid, i
 
     def _release(self, r: int, o: int, now: int) -> None:
-        _pid, _i, (flow, _r), start, sent = self.owner[r][o]
+        _pid, _i, (flow, _r), start, sent, _o = self.owner[r][o]
         self.owner[r][o] = None
         blocked = now + 1 - start - sent  # every owned cycle sends or blocks
         link = (r, o)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -382,6 +383,83 @@ class TestKernelMatchesStandalone:
         kern = _FlowKernel(kind, L, quantum, tau=2.0, demote_rounds=2)
         ready = {f: f for f in range(n_flows)}
         assert [kern.choose(ready) for _ in want] == want
+
+
+class TurnByTurnKernel(_FlowKernel):
+    """The rotation one turn at a time: the oracle of `_FlowKernel.choose`,
+    which takes the turns of flows without a packet at once."""
+
+    def choose(self, candidates):
+        kind, L, balance = self.kind, self.L, self.balance
+        for f in candidates:
+            if f not in balance:
+                balance[f] = self.q if kind is SchedulerKind.EBRR else 0
+                self.order.append(f)
+                self.visits_left += 1
+        f = self.current
+        if f is not None:
+            if f in candidates and balance[f] >= L:
+                balance[f] -= L
+                return candidates[f]
+            if f not in candidates:
+                balance[f] = 0
+            self.current = None
+
+        def congested(g):
+            return self.congested_until.get(g, 0) > self.round
+
+        while True:
+            if self.visits_left <= 0:
+                self.round += 1
+                self.visits_left = len(self.order)
+            f = self.order[0]
+            self.order.rotate(-1)
+            self.visits_left -= 1
+            if kind is SchedulerKind.EBRR and balance[f] <= 0:
+                balance[f] += self.q
+                continue
+            if f not in candidates:
+                if kind is SchedulerKind.DRR:
+                    balance[f] = 0
+                continue
+            if kind is SchedulerKind.DRR:
+                balance[f] += self.q
+                if balance[f] < L:
+                    continue
+                balance[f] -= L
+                self.current = f
+            elif kind is SchedulerKind.EBRR:
+                balance[f] -= L
+            elif kind is SchedulerKind.CARR and congested(f) and any(
+                not congested(g) for g in candidates
+            ):
+                continue
+            return candidates[f]
+
+
+class TestKernelRotation:
+    """Flows with and without a packet at each grant, and CARR demotions:
+    the kernel grants what a turn-by-turn rotation grants, in the same state."""
+
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    @pytest.mark.parametrize("quantum", [1, 4, 9])
+    def test_matches_turn_by_turn(self, kind, quantum):
+        for seed in range(6):
+            rng = random.Random(seed)
+            args = (kind, 4, quantum, 2.0, 2)
+            fast, slow = _FlowKernel(*args), TurnByTurnKernel(*args)
+            flows = list(range(2 + seed))
+            for _ in range(400):
+                cands = {f: (f, 0) for f in rng.sample(flows, rng.randint(1, len(flows)))}
+                assert fast.choose(dict(cands)) == slow.choose(dict(cands))
+                if rng.random() < 0.3:
+                    f, sent = rng.choice(flows), 4
+                    duration = sent * rng.choice([1, 3])  # 3 exceeds tau
+                    fast.note_service(f, duration, sent)
+                    slow.note_service(f, duration, sent)
+                for name in ("order", "round", "visits_left", "balance",
+                             "congested_until", "current"):
+                    assert getattr(fast, name) == getattr(slow, name), name
 
 
 class TestWorkConservation:

@@ -2,7 +2,13 @@ import math
 
 import pytest
 
-from fairmesh.rng import MASK64, XorShift64Star, derive_stream_seed, splitmix64
+from fairmesh.rng import (
+    _STAR_MULTIPLIER,
+    MASK64,
+    XorShift64Star,
+    derive_stream_seed,
+    splitmix64,
+)
 
 
 def test_splitmix64_published_vector():
@@ -113,12 +119,30 @@ def test_draws_before_hit_window_with_no_hit():
     assert fast.state == slow.state
 
 
-def test_draws_before_hit_threshold_is_exact():
-    # an output just below and at the threshold of random() < p
-    p = 0.03
-    threshold = math.ceil(p * 2.0 ** 53) << 11
-    for u in (threshold - 1, threshold, threshold - 2**11, threshold + 2**11):
-        assert ((u >> 11) * 2.0 ** -53 < p) == (u < threshold)
+def state_before(u):
+    """The state whose next output is u: xorshift64* run backwards."""
+    x = u * pow(_STAR_MULTIPLIER, -1, 1 << 64) & MASK64
+    for shift, left in ((27, False), (25, True), (12, False)):
+        y = x
+        for _ in range(64 // shift + 1):
+            x = y ^ ((x << shift) & MASK64 if left else x >> shift)
+    return x
+
+
+@pytest.mark.parametrize("p", GAP_RATES + [0.1, 1 / 3])
+def test_draws_before_hit_at_the_threshold(p):
+    # outputs whose top 53 bits sit just below, at and just above p * 2**53
+    top = math.floor(p * 2.0 ** 53)
+    for m in (top - 1, top, top + 1):
+        for low in (0, 0x7FF):
+            u = m << 11 | low
+            if not 0 < u <= MASK64:
+                continue
+            fast, slow = XorShift64Star(1), XorShift64Star(1)
+            fast.state = slow.state = state_before(u)
+            assert slow.next_u64() == u
+            slow.state = fast.state
+            assert fast.draws_before_hit(p, 1) == (0 if slow.bernoulli(p) else 1)
 
 
 def test_draws_before_hit_outside_the_open_interval_draws_nothing():
