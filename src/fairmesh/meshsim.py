@@ -382,6 +382,9 @@ class MeshSim:
         # one ownership record per output, None while free:
         # [pid, input, (flow, router), start, sent, output]
         self.owner: list[list[list | None]] = [[None, None, None] for _ in range(k)]
+        # the same records per input, None while no packet there owns an
+        # output: its head flit, if any, is then a packet's first
+        self.holder: list[list[list | None]] = [[None, None, None] for _ in range(k)]
         # first post-warmup cycle the current head flit of each input has
         # been at the head, [r][IN_L/IN_R/IN_INJ]
         self.since = [[0, 0, 0] for _ in range(k)]
@@ -433,9 +436,10 @@ class MeshSim:
         else:
             self.traced = {tuple(link) for link in cfg.trace_links}
         self.traces = {link: Trace() for link in sorted(self.traced)}
-        # outputs whose packet ends go to `_release`: a kernel or trace reads them
-        self.noted = [[self.flow_mode or (r, o) in self.traced for o in range(3)]
-                      for r in range(k)]
+        # outputs whose packet ends go to `_release`: CARR demotes on them,
+        # and a trace records them
+        carr = self.flow_mode and SchedulerKind(cfg.scheduler) is SchedulerKind.CARR
+        self.noted = [[carr or (r, o) in self.traced for o in range(3)] for r in range(k)]
 
         # statistics per source and per (flow, router), reset at warmup
         self.stats = {n: SourceStats() for n in range(k)}
@@ -550,6 +554,7 @@ class MeshSim:
         fifos = self.fifos
         credits = self.credits
         owner = self.owner
+        holder = self.holder
         psrc = self.psrc
         pdest = self.pdest
         inj_seq = self.inj_seq
@@ -560,34 +565,39 @@ class MeshSim:
             pid = inj_pkt[r]
             heads = (fl[0] if fl else -1, fr[0] if fr else -1,
                      pid * L + inj_seq[r] if pid >= 0 else -1)
-            # head-of-packet flits request the output their route takes;
-            # a free output with requests grants one of them
+            # a flit of a packet that owns its output moves when the output
+            # has a credit; a first flit requests the output its route
+            # takes, and a free output with requests grants one of them
             owners = owner[r]
+            held = holder[r]
+            credit = credits[r]
             reqs = None  # per output: [(input port, pid)]
             for i, flit in enumerate(heads):
-                if flit % L == 0 and flit >= 0:
-                    pid = flit // L
-                    dest = pdest[pid]
-                    o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
-                    if owners[o] is None:
-                        if reqs is None:
-                            reqs = [[], [], []]
-                        reqs[o].append((i, pid))
+                if flit < 0:
+                    continue
+                rec = held[i]
+                if rec is not None:
+                    if rec[5] == DIR_EJ or credit[rec[5]]:
+                        moves.append((r, flit, rec))
+                        rec[4] += 1
+                    continue
+                pid = flit // L
+                dest = pdest[pid]
+                o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
+                if owners[o] is None:
+                    if reqs is None:
+                        reqs = [[], [], []]
+                    reqs[o].append((i, pid))
             if reqs is not None:
                 for o, cands in enumerate(reqs):
                     if cands:
                         pid, i = self._grant(r, o, cands)
                         key = (psrc[pid], r)
                         kcount[key] = kcount.get(key, 0) + 1
-                        owners[o] = [pid, i, key, now, 0, o]
-            credit = credits[r]
-            for rec in owners:
-                if rec is not None:
-                    flit = heads[rec[1]]
-                    o = rec[5]
-                    if flit // L == rec[0] and (o == DIR_EJ or credit[o]):
-                        moves.append((r, flit, rec))
-                        rec[4] += 1
+                        rec = owners[o] = held[i] = [pid, i, key, now, 0, o]
+                        if o == DIR_EJ or credit[o]:
+                            moves.append((r, heads[i], rec))
+                            rec[4] = 1
 
         sending = self.sending
         blocking = self.blocking
@@ -632,6 +642,7 @@ class MeshSim:
                 fifo.append(flit)
                 credits[r][o] -= 1
             if tail:
+                holder[r][i] = None
                 if noted[r][o]:
                     self._release(r, o, now)
                 else:
