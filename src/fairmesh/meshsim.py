@@ -31,6 +31,11 @@ from .schedulers import SchedulerKind
 DIR_L, DIR_R, DIR_EJ = 0, 1, 2
 IN_L, IN_R, IN_INJ = 0, 1, 2
 
+# the kinds the grant paths test, as plain names: reading a member off its
+# Enum class costs about ten times as much (CPython 3.11)
+_RR, _AGE = ArbiterKind.ROUND_ROBIN, ArbiterKind.AGE
+_DRR, _EBRR, _CARR = SchedulerKind.DRR, SchedulerKind.EBRR, SchedulerKind.CARR
+
 # stream-id spacing so every component draws from its own sequence
 _SID_INJECT = 0
 _SID_DEST = 1
@@ -212,7 +217,7 @@ class _FlowKernel:
 
     def note_service(self, flow: int, duration: int, sending: int) -> None:
         # congestion demotion judged on the finished service's stall ratio
-        if self.kind is SchedulerKind.CARR and sending > 0:
+        if self.kind is _CARR and sending > 0:
             if duration / sending > self.tau:
                 self.congested_until[flow] = self.round + self.demote
 
@@ -229,7 +234,7 @@ class _FlowKernel:
         order = self.order
         for f in candidates:
             if f not in balance:
-                balance[f] = self.q if kind is SchedulerKind.EBRR else 0
+                balance[f] = self.q if kind is _EBRR else 0
                 order.append(f)
                 self.visits_left += 1  # joins the current round
         f = self.current
@@ -242,7 +247,7 @@ class _FlowKernel:
             self.current = None
         visits_left, rnd = self.visits_left, self.round
         until = self.congested_until
-        skips = kind is not SchedulerKind.DRR and kind is not SchedulerKind.EBRR
+        skips = kind is not _DRR and kind is not _EBRR
         while True:
             if skips:
                 # the turn of a flow with no packet only rotates: take the
@@ -261,22 +266,22 @@ class _FlowKernel:
             f = order[0]
             order.rotate(-1)
             visits_left -= 1
-            if kind is SchedulerKind.EBRR and balance[f] <= 0:
+            if kind is _EBRR and balance[f] <= 0:
                 balance[f] += self.q  # overdrawn: repays a quantum per turn
                 continue
             if f not in candidates:
-                if kind is SchedulerKind.DRR:
+                if kind is _DRR:
                     balance[f] = 0  # idle at its turn: the deficit is forfeit
                 continue
-            if kind is SchedulerKind.DRR:
+            if kind is _DRR:
                 balance[f] += self.q
                 if balance[f] < L:
                     continue
                 balance[f] -= L
                 self.current = f
-            elif kind is SchedulerKind.EBRR:
+            elif kind is _EBRR:
                 balance[f] -= L
-            elif kind is SchedulerKind.CARR and until.get(f, 0) > rnd and any(
+            elif kind is _CARR and until.get(f, 0) > rnd and any(
                 until.get(g, 0) <= rnd for g in candidates
             ):
                 continue  # demoted: loses this round's visit
@@ -374,11 +379,13 @@ class MeshSim:
         self.fifos = [[deque(), deque()] for _ in range(k)]  # [r][IN_L/IN_R]
         self.credits = [[cfg.buffer_depth, cfg.buffer_depth] for _ in range(k)]
         # the input each output feeds, (fifo, router, port); and the output
-        # each network input returns its credits to
+        # each network input returns its credits to, (credits, output, router)
         self.down = [[(self.fifos[r - 1][IN_R], r - 1, IN_R) if r else None,
                       (self.fifos[r + 1][IN_L], r + 1, IN_L) if r + 1 < k else None]
                      for r in range(k)]
-        self.up = [[(r - 1, DIR_R), (r + 1, DIR_L)] for r in range(k)]
+        self.up = [[(self.credits[r - 1], DIR_R, r - 1) if r else None,
+                    (self.credits[r + 1], DIR_L, r + 1) if r + 1 < k else None]
+                   for r in range(k)]
         # one ownership record per output, None while free:
         # [pid, input, (flow, router), start, sent, output]
         self.owner: list[list[list | None]] = [[None, None, None] for _ in range(k)]
@@ -413,22 +420,15 @@ class MeshSim:
             self._book(n, -1)
 
         self.flow_mode = cfg.scheduler is not None
-        self.arbs = {}
-        self.kernels = {}
-        for r in range(k):
-            for o in (DIR_L, DIR_R, DIR_EJ):
-                if self.flow_mode:
-                    self.kernels[(r, o)] = _FlowKernel(
-                        SchedulerKind(cfg.scheduler), self.L,
-                        cfg.quantum or self.L, cfg.congestion_ratio,
-                        cfg.demote_rounds,
-                    )
-                else:
-                    self.arbs[(r, o)] = make_arbiter(
-                        cfg.arbiter, num_ports=3, policy=cfg.policy,
-                        base=cfg.weight_base, seed=seed,
-                        stream_id=_SID_ARB * k + (r * 3 + o),
-                    )
+        # per output of each router: its flow-queue kernel, or its arbiter
+        self.ports = [[
+            _FlowKernel(SchedulerKind(cfg.scheduler), self.L, cfg.quantum or self.L,
+                        cfg.congestion_ratio, cfg.demote_rounds)
+            if self.flow_mode else
+            make_arbiter(cfg.arbiter, num_ports=3, policy=cfg.policy,
+                         base=cfg.weight_base, seed=seed,
+                         stream_id=_SID_ARB * k + (r * 3 + o))
+            for o in (DIR_L, DIR_R, DIR_EJ)] for r in range(k)]
 
         if cfg.trace_links is None:
             sink = cfg.dest_of() if cfg.pattern == "hotspot" else k - 1
@@ -604,7 +604,6 @@ class MeshSim:
         noted = self.noted
         down = self.down
         up = self.up
-        credit_back = []
         for r, flit, rec in moves:
             pid, i, key, _start, sent, o = rec
             tail = sent == L
@@ -625,8 +624,12 @@ class MeshSim:
                     fresh.append(r)
             else:
                 fifos[r][i].popleft()
-                # freed slot becomes visible upstream next cycle
-                credit_back.append(up[r][i])
+                # the freed slot counts upstream from the next cycle on, as
+                # every decision of this one is made
+                row, o_up, r_up = up[r][i]
+                if not row[o_up]:  # the output may send again
+                    woken.add(r_up)
+                row[o_up] += 1
             # deliver or forward
             if o == DIR_EJ:
                 self.delivered_flits += 1
@@ -647,10 +650,6 @@ class MeshSim:
                     self._release(r, o, now)
                 else:
                     owner[r][o] = None
-        for r, o in credit_back:
-            if not credits[r][o]:  # the output may send again
-                woken.add(r)
-            credits[r][o] += 1
         self.active = woken
         self.now = now + 1
 
@@ -658,14 +657,14 @@ class MeshSim:
         """(pid, input) granted a free output among (input, pid) requests."""
         if self.flow_mode:
             # a flow reaches a router through one input port only
-            return self.kernels[(r, o)].choose(
+            return self.ports[r][o].choose(
                 {self.psrc[pid]: (pid, i) for i, pid in cands}
             )
         psrc, pdest, pinject, pcprod = self.psrc, self.pdest, self.pinject, self.pcprod
-        arb = self.arbs[(r, o)]
-        if arb.kind is ArbiterKind.ROUND_ROBIN:
+        arb = self.ports[r][o]
+        if arb.kind is _RR:
             idx = arb.choose([i for i, _pid in cands])
-        elif arb.kind is ArbiterKind.AGE:
+        elif arb.kind is _AGE:
             idx = arb.choose([(pinject[pid], i) for i, pid in cands])
         else:  # routes: (hops_total, hops_traversed, contention_product)
             idx = arb.choose([(abs(pdest[pid] - psrc[pid]), abs(r - psrc[pid]), pcprod[pid])
@@ -680,7 +679,7 @@ class MeshSim:
         blocked = now + 1 - start - sent  # every owned cycle sends or blocks
         link = (r, o)
         if self.flow_mode:
-            self.kernels[link].note_service(flow, sent + blocked, sent)
+            self.ports[r][o].note_service(flow, sent + blocked, sent)
         if link in self.traced and start >= self.cfg.warmup:
             trace = self.traces[link]
             trace.append(
@@ -708,7 +707,7 @@ class MeshSim:
     # -- runs -------------------------------------------------------------
 
     def run(self) -> SimReport:
-        for _ in range(self.cfg.horizon):
+        for _ in range(self.cfg.horizon - self.now):
             self.step()
         return self.report()
 
