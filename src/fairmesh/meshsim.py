@@ -483,13 +483,6 @@ class MeshSim:
         self.kcount = {}
         self.since = [[warmup] * 3 for _ in range(k)]
 
-    def _heads(self, r: int) -> tuple[int, int, int]:
-        """Flit id at the head of each input of router `r`, -1 when empty."""
-        fl, fr = self.fifos[r]
-        pid = self.inj_pkt[r]
-        return (fl[0] if fl else -1, fr[0] if fr else -1,
-                pid * self.L + self.inj_seq[r] if pid >= 0 else -1)
-
     def flit_census(self) -> tuple[int, int, int]:
         """(entered network, delivered, in flight) flit counts."""
         in_flight = sum(len(f) for row in self.fifos for f in row)
@@ -563,6 +556,7 @@ class MeshSim:
         for r in sorted(active):
             fl, fr = fifos[r]
             pid = inj_pkt[r]
+            # flit id at the head of each input, -1 when empty
             heads = (fl[0] if fl else -1, fr[0] if fr else -1,
                      pid * L + inj_seq[r] if pid >= 0 else -1)
             # a flit of a packet that owns its output moves when the output
@@ -716,7 +710,11 @@ class MeshSim:
         L, warmup = self.L, self.cfg.warmup
         blocking = dict(self.blocking)
         for r in range(self.cfg.k):
-            for i, flit in enumerate(self._heads(r)):
+            fl, fr = self.fifos[r]
+            pid = self.inj_pkt[r]
+            heads = (fl[0] if fl else -1, fr[0] if fr else -1,
+                     pid * L + self.inj_seq[r] if pid >= 0 else -1)
+            for i, flit in enumerate(heads):
                 wait = self.now - max(self.since[r][i], warmup)
                 if flit >= 0 and wait > 0:
                     key = (self.psrc[flit // L], r)

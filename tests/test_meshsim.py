@@ -89,7 +89,7 @@ class TestSinglePacket:
 
     def hand_run(self):
         sim = MeshSim(quiet_config())
-        sim.due[0] = [0]  # one arrival at source 0, cycle 0
+        sim.due.setdefault(0, []).append(0)  # one arrival at source 0, cycle 0
         sim.run()
         return sim
 
@@ -290,7 +290,7 @@ class TestServiceCounters:
         # packets spaced far apart never wait anywhere
         sim = MeshSim(quiet_config(horizon=200))
         for t in (0, 50, 100):
-            sim.due[t] = [0]
+            sim.due.setdefault(t, []).append(0)
         sim.run()
         S = sim.report().s_matrix()
         assert S[0] == {0: 1.0, 1: 1.0, 2: 1.0}
