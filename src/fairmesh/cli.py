@@ -153,7 +153,7 @@ def _scheduler_settings(
     discipline reads it."""
     pathological = w["kind"] == "pathology"
     if "weights" in params:
-        weights = _flow_map(params, "weights")
+        weights = _flow_map(params, "weights", _workload_flows(w))
     elif pathological:
         weights = dict(presets.PATHOLOGY_WEIGHTS)
     else:

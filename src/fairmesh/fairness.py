@@ -15,8 +15,12 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from .core import FlowId, Trace, occupation_in_interval, sent_in_interval
@@ -165,15 +169,44 @@ class FairnessReport:
     weights: dict[FlowId, float]
     grid: str
     backlogs: dict[FlowId, list[Interval]]
-    sweeps: dict[str, ModeSweep] = field(default_factory=dict)
+    rfb_estimate: float = 0.0
+    cfb_estimate: float = 0.0
+    # what the profile fold reads: each mode's witness, the boundary times,
+    # each mode's cumulative curve per flow divided by its weight, and each
+    # flow pair's [lo, hi) boundary index spans of its common stretches
+    _witness: list[Interval | None] = field(default_factory=lambda: [None, None], repr=False)
+    _times: list[int] = field(default_factory=list, repr=False)
+    _curves: tuple[dict, ...] = field(default=(), repr=False)
+    _spans: dict[tuple, list[Interval]] = field(default_factory=dict, repr=False)
 
-    @property
-    def rfb_estimate(self) -> float:
-        return self.sweeps[Accounting.PACKET_SIZE.value].max_fm
+    @cached_property
+    def sweeps(self) -> dict[str, ModeSweep]:
+        """Per mode, the max gap and its witness with the FM-versus-window-
+        length profile and its slope, folded on first read."""
+        import numpy as np
 
-    @property
-    def cfb_estimate(self) -> float:
-        return self.sweeps[Accounting.OCCUPATION.value].max_fm
+        t = np.asarray(self._times, dtype=np.int64)
+        bin_best: tuple[dict, dict] = ({}, {})
+        if self._spans:
+            bin_w = max(1, int(np.ceil(int(t[-1] - t[0]) / _N_BINS)))
+        curves = [{f: np.asarray(v) for f, v in c.items()} for c in self._curves]
+        self._curves = ()  # the fold runs once; drop the lists before its tables
+        for (fa, fb), spans in self._spans.items():
+            _fold_profile(t, [c[fa] - c[fb] for c in curves], spans, bin_w, bin_best)
+        sweeps = {}
+        for m, acct in enumerate(_MODES):
+            profile = [
+                (int((b + 0.5) * bin_w), v, t1, t2)
+                for b, (v, t1, t2) in sorted(bin_best[m].items())
+            ]
+            slope = 0.0
+            if len(profile) >= 2:
+                xs = np.array([p[0] for p in profile], dtype=float)
+                ys = np.array([p[1] for p in profile], dtype=float)
+                slope = float(np.polyfit(xs, ys, 1)[0])
+            best = (self.rfb_estimate, self.cfb_estimate)[m]
+            sweeps[acct.value] = ModeSweep(best, self._witness[m], profile, slope)
+        return sweeps
 
     def sweep(self, mode: Accounting) -> ModeSweep:
         return self.sweeps[mode.value]
@@ -199,6 +232,7 @@ class FairnessReport:
             w.writerow([t1, t2, fm])
 
 
+_MODES = (Accounting.PACKET_SIZE, Accounting.OCCUPATION)
 _N_BINS = 24
 _BLOCK = 256  # window starts per step of the profile fold
 
@@ -212,88 +246,69 @@ def rfb_estimate(
     Both accounting modes are swept over every record boundary.  The overall
     estimate per mode is exact over all boundary windows inside common
     backlog stretches (cumulative curves make every window a pair
-    difference, so the max is a max-minus-min).  The FM-versus-window-length
-    profile holds, per length bin, the largest gap over the same windows,
-    found with range max/min queries in O(N log N + N*B) per flow pair for N
-    boundaries and B bins.  Its least-squares slope is the boundedness
-    statistic: near zero for a fair discipline, positive when the gap grows
-    with window length.
+    difference, so the max is a max-minus-min), found here in one pass.
+    The FM-versus-window-length profile (`FairnessReport.sweeps`, built on
+    first read) holds, per length bin, the largest gap over the same
+    windows, found with range max/min queries in O(N log N + N*B) per flow
+    pair for N boundaries and B bins.  Its least-squares slope is the
+    boundedness statistic: near zero for a fair discipline, positive when
+    the gap grows with window length.
     """
-    import numpy as np
-
     for f, w in weights.items():
         if w <= 0:
             raise ValueError(f"flow weight must be positive, got {w} for flow {f}")
     flows = sorted(weights)
     backlogs = backlog_from_trace(trace)
-    bounds_list = trace.boundaries()
+    times = trace.boundaries()
     report = FairnessReport(
         flows=flows,
         weights={f: float(weights[f]) for f in flows},
         grid="empty trace",
         backlogs={f: backlogs.get(f, []) for f in flows},
     )
-    modes = (Accounting.PACKET_SIZE, Accounting.OCCUPATION)
-    if len(bounds_list) < 2 or len(flows) < 1:
-        for acct in modes:
-            report.sweeps[acct.value] = ModeSweep(0.0, None, [], 0.0)
+    if len(times) < 2 or len(flows) < 1:
         return report
 
-    bounds = np.asarray(bounds_list, dtype=np.int64)
-    nb = len(bounds)
+    nb = len(times)
     report.grid = f"all {nb} record boundaries"
-    # cumulative units per flow at each boundary, one table per mode; records
-    # never straddle a boundary of the same trace, so these are exact integers
-    cums = tuple({f: np.zeros(nb, dtype=np.int64) for f in flows} for _ in modes)
-    pos = {int(t): k for k, t in enumerate(bounds)}
+    report._times = times
+    # units per flow ending at each boundary, one table per mode; records
+    # never straddle a boundary of the same trace, so the sums are exact
+    incs = tuple({f: [0] * nb for f in flows} for _ in _MODES)
+    pos = {t: k for k, t in enumerate(times)}
     for r in trace.records:
-        if r.flow not in cums[0]:
-            continue
-        k = pos[r.end]
-        cums[0][r.flow][k] += r.sent_units
-        cums[1][r.flow][k] += r.end - r.start
-    for cum in cums:
-        for f in flows:
-            np.cumsum(cum[f], out=cum[f])
-
-    bin_w = max(1, int(np.ceil(int(bounds[-1] - bounds[0]) / _N_BINS)))
-    # per mode: the exact max, its witness, and the best (gap, t1, t2) per bin
-    best, witness, bin_best = [0.0, 0.0], [None, None], [{}, {}]
-    for ai in range(len(flows)):
-        for bi in range(ai + 1, len(flows)):
-            fa, fb = flows[ai], flows[bi]
-            st = np.array(_common_stretches(backlogs.get(fa, []), backlogs.get(fb, [])),
-                          dtype=np.int64).reshape(-1, 2)
-            los = np.searchsorted(bounds, st[:, 0], side="left").tolist()
-            his = np.searchsorted(bounds, st[:, 1], side="right").tolist()
-            spans = [(lo, hi) for lo, hi in zip(los, his) if hi - lo >= 2]
+        if r.flow in incs[0]:
+            k = pos[r.end]
+            incs[0][r.flow][k] += r.sent_units
+            incs[1][r.flow][k] += r.end - r.start
+    # `/` on the weight as given keeps Fraction weights exact
+    report._curves = tuple(
+        {f: [c / weights[f] for c in accumulate(inc[f])] for f in flows} for inc in incs
+    )
+    best, witness = [0.0, 0.0], report._witness
+    for ai, fa in enumerate(flows):
+        for fb in flows[ai + 1:]:
+            spans = [
+                (lo, hi)
+                for a, b in _common_stretches(backlogs.get(fa, []), backlogs.get(fb, []))
+                for lo, hi in [(bisect_left(times, a), bisect_right(times, b))]
+                if hi - lo >= 2
+            ]
             if not spans:
                 continue
-            ds = [cum[fa] / weights[fa] - cum[fb] / weights[fb] for cum in cums]
-            for m, d in enumerate(ds):
+            report._spans[fa, fb] = spans
+            for m, c in enumerate(report._curves):
+                d = list(map(operator.sub, c[fa], c[fb]))
                 for lo, hi in spans:
                     seg = d[lo:hi]
-                    k_max = int(np.argmax(seg))
-                    k_min = int(np.argmin(seg))
-                    gap = float(seg[k_max] - seg[k_min])
+                    vmax, vmin = max(seg), min(seg)
+                    gap = float(vmax - vmin)
                     if gap > best[m]:
                         best[m] = gap
-                        w1, w2 = sorted((int(bounds[lo + k_max]), int(bounds[lo + k_min])))
-                        witness[m] = (w1, w2)
-            _fold_profile(bounds, ds, spans, bin_w, bin_best)
-
-    for m, acct in enumerate(modes):
-        profile = [
-            (int((b + 0.5) * bin_w), v, t1, t2)
-            for b, (v, t1, t2) in sorted(bin_best[m].items())
-        ]
-        if len(profile) >= 2:
-            xs = np.array([p[0] for p in profile], dtype=float)
-            ys = np.array([p[1] for p in profile], dtype=float)
-            slope = float(np.polyfit(xs, ys, 1)[0])
-        else:
-            slope = 0.0
-        report.sweeps[acct.value] = ModeSweep(best[m], witness[m], profile, slope)
+                        # ties go to the first occurrence of each
+                        ends = times[lo + seg.index(vmax)], times[lo + seg.index(vmin)]
+                        witness[m] = (min(ends), max(ends))
+    report.rfb_estimate, report.cfb_estimate = best
     return report
 
 

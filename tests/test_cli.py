@@ -402,6 +402,22 @@ class TestCompareVerb:
         })
         assert main(["compare", path]) == 0
 
+    @pytest.mark.parametrize("verb", ["compare", "run"])
+    def test_weights_missing_a_workload_flow_rejected(self, tmp_path, capsys, verb):
+        # a flow left out of the weights would drop out of the sweep and
+        # read RFB = CFB = 0.0 for every discipline
+        params = {"weights": {"0": 1.5}}
+        if verb == "compare":
+            path = self.compare_cfg(tmp_path, params=params)
+        else:
+            path = write_cfg(tmp_path, **base_cfg(
+                tmp_path, experiment="standalone-scheduler",
+                params=dict(params, workload="pathology")))
+        assert main([verb, path]) == 2
+        err = capsys.readouterr().err
+        assert "params.weights has no entry for flows [1]" in err
+        assert not (tmp_path / "out").exists()
+
     def test_pathology_comparison(self, tmp_path):
         assert main(["compare", self.compare_cfg(tmp_path)]) == 0
         out = tmp_path / "out"
@@ -617,8 +633,9 @@ with open(sys.argv[2], "w") as fh:
 
 
 def test_mesh_runs_and_analyze_do_not_load_numpy(tmp_path):
-    """Only the fairness sweep and the grant-frequency sampler need numpy, so
-    the mesh experiments and `analyze` run without it; `compare` loads it."""
+    """Only the fairness profile fold and the grant-frequency sampler need
+    numpy, so the mesh experiments, `analyze` and `compare`, which reads
+    only the two bounds, run without it."""
     mesh = {"k": 4, "horizon": 600, "warmup": 100}
     calls = [
         ["run", write_cfg(tmp_path, "mesh.json", **base_cfg(
@@ -640,7 +657,6 @@ def test_mesh_runs_and_analyze_do_not_load_numpy(tmp_path):
     subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls), str(result)],
                    env=env, cwd=tmp_path, check=True, capture_output=True)
     seen = json.loads(result.read_text())
-    assert seen[:4] == [["import", False, 0], ["run", False, 0], ["run", False, 0],
-                        ["analyze", False, 0]]
-    assert seen[4][::2] == ["compare", 0]
+    assert seen == [["import", False, 0], ["run", False, 0], ["run", False, 0],
+                    ["analyze", False, 0], ["compare", False, 0]]
     assert (tmp_path / "cmp" / "report.json").exists()

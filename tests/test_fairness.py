@@ -3,11 +3,16 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fairmesh
 from fairmesh import presets
 from fairmesh.core import PacketEvent, ServiceRecord, Trace
 from fairmesh.fairness import (
@@ -276,6 +281,70 @@ class TestRfbEstimate:
         assert rep.rfb_estimate <= 8
         assert rep.cfb_estimate >= 8 * 18
         assert rep.sweep(Accounting.OCCUPATION).slope > 0.2
+
+
+_WEIGHT_KINDS = {
+    "unit": lambda n: {f: 1 for f in range(n)},
+    "float": lambda n: {f: 1.0 + 0.35 * f for f in range(n)},
+    "int": lambda n: {f: 1 + f % 3 for f in range(n)},
+    "fraction": lambda n: {f: Fraction(10, f + 3) for f in range(n)},
+}
+
+
+class TestBoundsPass:
+    """The eager bounds pass against the boundary-pair brute force."""
+
+    @pytest.mark.parametrize("kind", ["rr", "drr", "err", "ebrr", "carr"])
+    @pytest.mark.parametrize("n_flows", [2, 3, 4, 5])
+    @pytest.mark.parametrize("weight_kind", list(_WEIGHT_KINDS))
+    def test_bounds_match_brute_force(self, kind, n_flows, weight_kind):
+        kw = {"quantum": 6} if kind in ("drr", "ebrr") else {}
+        trace = run_trace(kind, make_workload(seed=n_flows, n_flows=n_flows,
+                                              n_packets=5 * n_flows, max_size=8,
+                                              spread=60), **kw)
+        weights = _WEIGHT_KINDS[weight_kind](n_flows)
+        rep = rfb_estimate(trace, weights)
+        eager = [rep.rfb_estimate, rep.cfb_estimate]
+        witness = list(rep._witness)
+        assert "sweeps" not in vars(rep)  # the bounds did not fold the profile
+        backlogs = backlog_from_trace(trace)
+        # unit and Fraction weights keep the pass's arithmetic exact
+        exact = weight_kind in ("unit", "fraction")
+        for m, mode in enumerate(Accounting):
+            oracle = float(brute_force_max_fm(trace, weights, mode))
+            assert eager[m] == (oracle if exact else pytest.approx(oracle, rel=1e-12))
+            if oracle == 0:
+                assert witness[m] is None
+                continue
+            got = fm_over_interval(trace, weights, *witness[m], mode=mode,
+                                   backlogs=backlogs)
+            assert float(got) == pytest.approx(eager[m], rel=1e-12)
+        assert any(eager), "a workload with no gap checks nothing"
+        for m, mode in enumerate(Accounting):
+            assert rep.sweep(mode).max_fm == eager[m]
+            assert rep.sweep(mode).witness == witness[m]
+
+
+def test_bounds_load_no_numpy_and_the_profile_does():
+    probe = (
+        "import json, sys\n"
+        "from fairmesh import presets\n"
+        "from fairmesh.fairness import rfb_estimate\n"
+        "from fairmesh.schedulers import make_scheduler\n"
+        "s = make_scheduler('rr', blocked=presets.pathology_blocking())\n"
+        "s.load(presets.pathology_workload(2000))\n"
+        "rep = rfb_estimate(s.run(horizon=2000), dict(presets.PATHOLOGY_WEIGHTS))\n"
+        "seen = [rep.rfb_estimate > 0, rep.cfb_estimate > 0, 'numpy' in sys.modules]\n"
+        "rep.sweeps\n"
+        "print(json.dumps(seen + ['numpy' in sys.modules]))\n"
+    )
+    src = str(Path(fairmesh.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    # both bounds are read with numpy unloaded; reading the profile loads it
+    assert json.loads(out) == [True, True, False, True]
 
 
 def _pair_stretches(backlogs, fa, fb):
