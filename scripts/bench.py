@@ -54,7 +54,9 @@ UNIFORM = {"k": 16, "pattern": "uniform", "rate": 0.03, "scheduler": "carr"}
 MESH_HORIZON = 40_000
 SCHED_HORIZON = 96_000
 SINK_HORIZON = 40_000
-BERNOULLI_DRAWS = 640_000  # k x MESH_HORIZON, the uniform-k16-carr row's arrival draws
+# k x MESH_HORIZON: the scalar oracle of the uniform-k16-carr row's arrival
+# draws, which the mesh takes one lane-packed step per cycle
+BERNOULLI_DRAWS = 640_000
 MERGE_GRANTS = 100_000
 MERGE_ROUTER = 3
 GRANT_TRIALS = 1_000_000
@@ -290,7 +292,8 @@ def main() -> None:
                           "as `compare` builds it",
             "rfb_estimate": "in-process rfb_estimate and its report JSON on the k=8 "
                             "hotspot sink trace (equal weights) and on each pathology trace",
-            "sampling": "in-process bernoulli draws at the uniform rate, the "
+            "sampling": "in-process scalar bernoulli draws at the uniform rate (the "
+                        "oracle of the mesh's lane-packed arrival draws), the "
                         "merge-chain oracle and empirical_grant_frequencies",
             "startup": "import fairmesh.cli in a fresh interpreter",
         },

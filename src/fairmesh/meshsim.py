@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .arbitration import ArbiterKind, WeightPolicy, make_arbiter
 from .core import PacketEvent, ServiceRecord, Trace, is_int, is_real
-from .rng import XorShift64Star
+from .rng import BernoulliLanes, XorShift64Star
 from .schedulers import SchedulerKind
 
 # output directions / input ports share index space per router
@@ -214,29 +214,50 @@ class _FlowKernel:
         self.balance: dict[int, int] = {}  # flits: drr deficit or ebrr credit
         self.congested_until: dict[int, int] = {}
         self.current: int | None = None  # drr flow whose visit is open
+        self.skips = kind is not _DRR and kind is not _EBRR  # idle turns only rotate
 
     def note_service(self, flow: int, duration: int, sending: int) -> None:
         # congestion demotion judged on the finished service's stall ratio
-        if self.kind is _CARR and sending > 0:
-            if duration / sending > self.tau:
-                self.congested_until[flow] = self.round + self.demote
+        if self.kind is _CARR and sending > 0 and duration / sending > self.tau:
+            self.congested_until[flow] = self.round + self.demote
+
+    def _turns(self, n: int) -> None:
+        """Take the next n turns of the rotation at once."""
+        self.order.rotate(-n)
+        if n > self.visits_left:  # new rounds start within those turns
+            n -= self.visits_left
+            self.round += -(-n // len(self.order))
+            self.visits_left = -n % len(self.order)
+        else:
+            self.visits_left -= n
+
+    def _join(self, f: int) -> None:
+        self.balance[f] = self.q if self.kind is _EBRR else 0
+        self.order.append(f)
+        self.visits_left += 1
 
     def choose(self, candidates: dict):
         """Value of the candidate flow to grant; `candidates` is non-empty.
 
         The rotation runs until it grants: DRR deficit and EBRR credit grow
         by the quantum on each turn, so a port with a ready packet is never
-        left idle.
+        left idle.  A flow joins the current round at its first request.
         """
-        kind = self.kind
-        L = self.L
-        balance = self.balance
         order = self.order
+        balance = self.balance
+        if self.skips and len(candidates) == 1:
+            # a lone request is granted, as CARR demotes a flow only in
+            # favour of another candidate: take the turns up to its own
+            (f, value), = candidates.items()
+            if f not in balance:
+                self._join(f)
+            self._turns(order.index(f) + 1)
+            return value
         for f in candidates:
             if f not in balance:
-                balance[f] = self.q if kind is _EBRR else 0
-                order.append(f)
-                self.visits_left += 1  # joins the current round
+                self._join(f)
+        kind = self.kind
+        L = self.L
         f = self.current
         if f is not None:
             if f in candidates and balance[f] >= L:
@@ -245,27 +266,18 @@ class _FlowKernel:
             if f not in candidates:
                 balance[f] = 0
             self.current = None
-        visits_left, rnd = self.visits_left, self.round
         until = self.congested_until
-        skips = kind is not _DRR and kind is not _EBRR
         while True:
-            if skips:
+            if self.skips:
                 # the turn of a flow with no packet only rotates: take the
-                # turns before the first candidate at once
-                n = min(map(order.index, candidates))
-                order.rotate(-n)
-                if n > visits_left:  # new rounds start within those turns
-                    n -= visits_left
-                    rnd += -(-n // len(order))
-                    visits_left = -n % len(order)
-                else:
-                    visits_left -= n
-            if visits_left <= 0:
-                rnd += 1
-                visits_left = len(order)
-            f = order[0]
-            order.rotate(-1)
-            visits_left -= 1
+                # turns up to the first candidate's at once
+                self._turns(min(map(order.index, candidates)) + 1)
+            elif self.visits_left > 0:
+                order.rotate(-1)
+                self.visits_left -= 1
+            else:
+                self._turns(1)  # a new round
+            f = order[-1]
             if kind is _EBRR and balance[f] <= 0:
                 balance[f] += self.q  # overdrawn: repays a quantum per turn
                 continue
@@ -281,11 +293,10 @@ class _FlowKernel:
                 self.current = f
             elif kind is _EBRR:
                 balance[f] -= L
-            elif kind is _CARR and until.get(f, 0) > rnd and any(
-                until.get(g, 0) <= rnd for g in candidates
+            elif kind is _CARR and until.get(f, 0) > self.round and any(
+                until.get(g, 0) <= self.round for g in candidates
             ):
                 continue  # demoted: loses this round's visit
-            self.visits_left, self.round = visits_left, rnd
             return candidates[f]
 
 
@@ -322,14 +333,10 @@ class SimReport:
             | set(self.delivered)
         )
         routers = range(self.config["k"])
-        return {
-            f: {r: self.s_ratio(f, r) for r in routers} for f in flows
-        }
+        return {f: {r: self.s_ratio(f, r) for r in routers} for f in flows}
 
     def sink_trace(self) -> Trace | None:
-        if not self.traces:
-            return None
-        return self.traces[sorted(self.traces)[-1]]
+        return self.traces[max(self.traces)] if self.traces else None
 
     def to_dict(self) -> dict:
         def bykey(d):
@@ -358,9 +365,7 @@ class SimReport:
     def shares_csv(self, fh) -> None:
         fh.write("source,share,mean_latency,max_latency\n")
         for s in sorted(self.shares):
-            fh.write(
-                f"{s},{self.shares[s]},{self.mean_latency[s]},{self.max_latency[s]}\n"
-            )
+            fh.write(f"{s},{self.shares[s]},{self.mean_latency[s]},{self.max_latency[s]}\n")
 
 
 class MeshSim:
@@ -392,9 +397,6 @@ class MeshSim:
         # the same records per input, None while no packet there owns an
         # output: its head flit, if any, is then a packet's first
         self.holder: list[list[list | None]] = [[None, None, None] for _ in range(k)]
-        # first post-warmup cycle the current head flit of each input has
-        # been at the head, [r][IN_L/IN_R/IN_INJ]
-        self.since = [[0, 0, 0] for _ in range(k)]
         self.active: set[int] = set()  # routers processed in the next cycle
         # arrivals not yet made a packet, as runs [first_cycle, count]
         self.queues: list[deque[list[int]]] = [deque() for _ in range(k)]
@@ -410,14 +412,11 @@ class MeshSim:
         self.pcprod: list[float] = []
 
         seed = cfg.seed
-        self.rng_inj = [XorShift64Star(seed, _SID_INJECT * k + n) for n in range(k)]
         self.rng_dest = [XorShift64Star(seed, _SID_DEST * k + n) for n in range(k)]
-        # a source of rate 1 gets an arrival every cycle; one of rate in
-        # (0, 1) books its next arrival cycle in `due` (cycle -> sources)
+        # a source of rate 1 gets an arrival every cycle; those of rate in
+        # (0, 1) draw theirs together, one lane each
         self.saturated = [self.queues[n] for n in range(k) if self.rates[n] >= 1.0]
-        self.due: dict[int, list[int]] = {}
-        for n in range(k):
-            self._book(n, -1)
+        self.lanes = BernoulliLanes(seed, self.rates, _SID_INJECT * k)
 
         self.flow_mode = cfg.scheduler is not None
         # per output of each router: its flow-queue kernel, or its arbiter
@@ -441,11 +440,7 @@ class MeshSim:
         carr = self.flow_mode and SchedulerKind(cfg.scheduler) is SchedulerKind.CARR
         self.noted = [[carr or (r, o) in self.traced for o in range(3)] for r in range(k)]
 
-        # statistics per source and per (flow, router), reset at warmup
-        self.stats = {n: SourceStats() for n in range(k)}
-        self.sending: dict[tuple[int, int], int] = {}
-        self.blocking: dict[tuple[int, int], int] = {}
-        self.kcount: dict[tuple[int, int], int] = {}
+        self._reset_stats()
 
         self.network_flits_in = 0
         self.delivered_flits = 0
@@ -454,9 +449,8 @@ class MeshSim:
     # -- helpers ----------------------------------------------------------
 
     def _new_packet(self, src: int, inject_time: int) -> int:
-        if self.dest_fixed is not None:
-            dest = self.dest_fixed
-        else:
+        dest = self.dest_fixed
+        if dest is None:
             dest = (src + 1 + self.rng_dest[src].randrange(self.cfg.k - 1)) % self.cfg.k
         pid = len(self.psrc)
         self.psrc.append(src)
@@ -465,17 +459,9 @@ class MeshSim:
         self.pcprod.append(1.0)
         return pid
 
-    def _book(self, n: int, now: int) -> None:
-        """Book source n's first arrival after cycle `now` in `due`, drawing
-        one draw per cycle, as `bernoulli` would, up to the horizon."""
-        rate = self.rates[n]
-        if 0.0 < rate < 1.0:
-            window = self.cfg.horizon - now - 1
-            gap = self.rng_inj[n].draws_before_hit(rate, window)
-            if gap < window:
-                self.due.setdefault(now + 1 + gap, []).append(n)
-
     def _reset_stats(self) -> None:
+        """Statistics per source and per (flow, router), and `since`: per input
+        [r][IN_L/IN_R/IN_INJ], the first post-warmup cycle its head was there."""
         k, warmup = self.cfg.k, self.cfg.warmup
         self.stats = {n: SourceStats() for n in range(k)}
         self.sending = {}
@@ -502,7 +488,8 @@ class MeshSim:
         active: a free output with a candidate always grants, and a granted
         head flit that did not move is waiting for a credit.
 
-        Arrivals are drawn up to the horizon, so a run ends there.
+        A run is `horizon` cycles long, the length the size limits bound
+        and `report` covers, so a step past it is refused.
         """
         cfg = self.cfg
         L = self.L
@@ -523,14 +510,13 @@ class MeshSim:
         since = self.since
         inj_pkt = self.inj_pkt
         form = self.fresh
-        for n in self.due.pop(now, ()):
+        for n in self.lanes.step() if self.lanes.ids else ():
             q = self.queues[n]
             if q and sum(q[-1]) == now:
                 q[-1][1] += 1
             else:
                 q.append([now, 1])
             form.append(n)
-            self._book(n, now)
         for n in sorted(set(form)):  # packet ids in source order
             q = self.queues[n]
             if inj_pkt[n] < 0 and q:

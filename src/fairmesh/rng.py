@@ -63,31 +63,45 @@ class XorShift64Star:
             return False
         return self.random() < p
 
-    def draws_before_hit(self, p: float, n: int) -> int:
-        """How many of the next `n` draws come before the first one for which
-        `bernoulli(p)` is true, or `n` when none is.
-
-        Consumes exactly the draws those `bernoulli` calls would: up to and
-        including the hit.  `random() < p` holds exactly when the raw output
-        is below ceil(p * 2**53) << 11, so no draw is converted to a float.
-        """
-        if p >= 1.0:
-            return 0
-        if p <= 0.0:
-            return n
-        threshold = math.ceil(p * 2.0 ** 53) << 11
-        x = self.state
-        for i in range(n):
-            x ^= x >> 12
-            x ^= (x << 25) & MASK64
-            x ^= x >> 27
-            if (x * _STAR_MULTIPLIER) & MASK64 < threshold:
-                self.state = x
-                return i
-        self.state = x
-        return n
-
     def randrange(self, n: int) -> int:
         if n <= 0:
             raise ValueError("randrange needs n >= 1")
         return self.next_u64() % n
+
+
+class BernoulliLanes:
+    """One `bernoulli(p)` draw per step for each entry n of `rates` with
+    0 < p < 1, from stream `first_stream + n`, whose xorshift64* state sits
+    in its own 128-bit lane of one int.  The shifts are masked back to each
+    lane's low 64 bits, and a 64-bit state times the star multiplier fits in
+    128, so no lane spills into the next.  A draw hits when its output is
+    below T = ceil(p * 2**53) << 11: taken from 2**64 + T - 1, it leaves the
+    lane's bit 64 set exactly then.
+    """
+
+    __slots__ = ("ids", "x", "lo", "goal", "hit_bits")
+
+    def __init__(self, seed: int, rates: list[float], first_stream: int = 0):
+        self.ids = [n for n, p in enumerate(rates) if 0.0 < p < 1.0]
+        self.x = self.lo = self.goal = self.hit_bits = 0
+        for j, n in enumerate(self.ids):
+            shift = 128 * j
+            self.x |= derive_stream_seed(seed, first_stream + n) << shift
+            self.lo |= MASK64 << shift
+            self.goal |= ((1 << 64) + (math.ceil(rates[n] * 2.0 ** 53) << 11) - 1) << shift
+            self.hit_bits |= 1 << (shift + 64)
+
+    def step(self) -> list[int]:
+        """The entries whose draw hit, in ascending order."""
+        x, lo = self.x, self.lo
+        x ^= (x >> 12) & lo
+        x ^= (x << 25) & lo
+        x ^= (x >> 27) & lo
+        self.x = x
+        hits = (self.goal - ((x * _STAR_MULTIPLIER) & lo)) & self.hit_bits
+        out = []
+        while hits:
+            low = hits & -hits
+            out.append(self.ids[low.bit_length() >> 7])
+            hits ^= low
+        return out

@@ -28,6 +28,21 @@ def quiet_config(**kw):
     return MeshConfig(**base)
 
 
+def run_with_arrivals(sim, arrivals):
+    """Run `sim` to its horizon with one more arrival at source n in cycle t
+    for each (t, n) of `arrivals`, queued as the cycle's drawn arrivals are."""
+    for t, n in sorted(arrivals):
+        while sim.now < t:
+            sim.step()
+        q = sim.queues[n]
+        if q and sum(q[-1]) == t:
+            q[-1][1] += 1
+        else:
+            q.append([t, 1])
+        sim.fresh.append(n)
+    sim.run()
+
+
 class TestConfigValidation:
     def test_defaults_valid(self):
         MeshConfig().validate()
@@ -89,8 +104,7 @@ class TestSinglePacket:
 
     def hand_run(self):
         sim = MeshSim(quiet_config())
-        sim.due.setdefault(0, []).append(0)  # one arrival at source 0, cycle 0
-        sim.run()
+        run_with_arrivals(sim, [(0, 0)])  # one arrival at source 0, cycle 0
         return sim
 
     def test_latency_is_hops_plus_pipeline(self):
@@ -226,7 +240,7 @@ class TestShares:
 
 def offered_arrivals(cfg):
     """Arrivals per source from one bernoulli call per cycle on each
-    source's injection stream: the per-cycle oracle of the booked cycles."""
+    source's injection stream: the oracle of the lane-packed draws."""
     rates = cfg.rates()
     if cfg.pattern == "hotspot":
         rates[cfg.dest_of()] = 0.0
@@ -289,9 +303,7 @@ class TestServiceCounters:
     def test_unblocked_flow_has_unit_ratio(self):
         # packets spaced far apart never wait anywhere
         sim = MeshSim(quiet_config(horizon=200))
-        for t in (0, 50, 100):
-            sim.due.setdefault(t, []).append(0)
-        sim.run()
+        run_with_arrivals(sim, [(0, 0), (50, 0), (100, 0)])
         S = sim.report().s_matrix()
         assert S[0] == {0: 1.0, 1: 1.0, 2: 1.0}
 
@@ -462,6 +474,112 @@ class TestKernelRotation:
                 for name in ("order", "round", "visits_left", "balance",
                              "congested_until", "current"):
                     assert getattr(fast, name) == getattr(slow, name), name
+
+
+_DRR, _EBRR, _CARR = SchedulerKind.DRR, SchedulerKind.EBRR, SchedulerKind.CARR
+
+
+class ScanningKernel(_FlowKernel):
+    """The rotation that scans every call's candidates for new flows and
+    grants a lone request through the general loop: the oracle of
+    `_FlowKernel.choose` and its closed-form lone-request branch."""
+
+    def choose(self, candidates: dict):
+        kind = self.kind
+        L = self.L
+        balance = self.balance
+        order = self.order
+        for f in candidates:
+            if f not in balance:
+                balance[f] = self.q if kind is _EBRR else 0
+                order.append(f)
+                self.visits_left += 1  # joins the current round
+        f = self.current
+        if f is not None:
+            if f in candidates and balance[f] >= L:
+                balance[f] -= L
+                return candidates[f]
+            if f not in candidates:
+                balance[f] = 0
+            self.current = None
+        visits_left, rnd = self.visits_left, self.round
+        until = self.congested_until
+        skips = kind is not _DRR and kind is not _EBRR
+        while True:
+            if skips:
+                # the turn of a flow with no packet only rotates: take the
+                # turns before the first candidate at once
+                n = min(map(order.index, candidates))
+                order.rotate(-n)
+                if n > visits_left:  # new rounds start within those turns
+                    n -= visits_left
+                    rnd += -(-n // len(order))
+                    visits_left = -n % len(order)
+                else:
+                    visits_left -= n
+            if visits_left <= 0:
+                rnd += 1
+                visits_left = len(order)
+            f = order[0]
+            order.rotate(-1)
+            visits_left -= 1
+            if kind is _EBRR and balance[f] <= 0:
+                balance[f] += self.q  # overdrawn: repays a quantum per turn
+                continue
+            if f not in candidates:
+                if kind is _DRR:
+                    balance[f] = 0  # idle at its turn: the deficit is forfeit
+                continue
+            if kind is _DRR:
+                balance[f] += self.q
+                if balance[f] < L:
+                    continue
+                balance[f] -= L
+                self.current = f
+            elif kind is _EBRR:
+                balance[f] -= L
+            elif kind is _CARR and until.get(f, 0) > rnd and any(
+                until.get(g, 0) <= rnd for g in candidates
+            ):
+                continue  # demoted: loses this round's visit
+            self.visits_left, self.round = visits_left, rnd
+            return candidates[f]
+
+
+class TestLoneRequest:
+    """Mostly lone requests, from a pool of flows that grows as the port
+    runs, with CARR demotions: the kernel grants what the scanning rotation
+    grants, in the same state after every grant."""
+
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    @pytest.mark.parametrize("quantum", [1, 4, 9])
+    def test_matches_scanning_kernel(self, kind, quantum):
+        for seed in range(10):
+            rng = random.Random(seed)
+            args = (kind, 4, quantum, 2.0, 2)
+            fast, slow = _FlowKernel(*args), ScanningKernel(*args)
+            flows = [rng.randrange(50)]
+            lone = 0
+            for _ in range(500):
+                if rng.random() < 0.05:  # a new flow's first request is next
+                    flows.append(rng.choice([f for f in range(50) if f not in flows]))
+                    picked = [flows[-1]]
+                elif rng.random() < 0.7:
+                    picked = [rng.choice(flows)]
+                else:
+                    picked = rng.sample(flows, rng.randint(1, len(flows)))
+                lone += len(picked) == 1
+                cands = {f: (f, rng.randrange(3)) for f in picked}
+                assert fast.choose(dict(cands)) == slow.choose(dict(cands))
+                if rng.random() < 0.3:
+                    f, sent = rng.choice(flows), 4
+                    duration = sent * rng.choice([1, 3])  # 3 exceeds tau
+                    fast.note_service(f, duration, sent)
+                    slow.note_service(f, duration, sent)
+                for name in ("order", "round", "visits_left", "balance",
+                             "congested_until", "current"):
+                    assert getattr(fast, name) == getattr(slow, name), name
+            assert lone > 300
 
 
 class TestWorkConservation:

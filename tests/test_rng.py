@@ -1,10 +1,13 @@
 import math
+import random
 
 import pytest
 
+from fairmesh.meshsim import MAX_K
 from fairmesh.rng import (
     _STAR_MULTIPLIER,
     MASK64,
+    BernoulliLanes,
     XorShift64Star,
     derive_stream_seed,
     splitmix64,
@@ -68,55 +71,50 @@ def test_outputs_are_64_bit():
         assert 0 <= r.next_u64() <= MASK64
 
 
-# 2**-53 and 1 - 2**-53 are the extreme rates strictly inside (0, 1)
+# The lane stepper against one `bernoulli` call per stream per step.
+# 2**-53 and 1 - 2**-53 are the extreme rates strictly inside (0, 1).
 GAP_RATES = [2.0 ** -53, 0.03, 0.5, 1.0 - 2.0 ** -53]
+MIXED_RATES = [0.0, 0.3, 1.0, 0.03, 0.0, 1.0 - 2.0 ** -53, 1.0, 2.0 ** -53, 0.5, 1.0]
 
 
-def _gap_by_bernoulli(r, p, n):
-    """The scalar oracle: one bernoulli call per draw, up to the hit."""
-    for i in range(n):
-        if r.bernoulli(p):
-            return i
-    return n
+def lane_state(lanes, j):
+    return lanes.x >> (128 * j) & MASK64
+
+
+def assert_lanes_match(seed, rates, first_stream, steps):
+    """Every step's hits of BernoulliLanes are the entries whose own
+    XorShift64Star returns True from `bernoulli` (rate-1 entries excepted:
+    they arrive without a draw), and every lane ends in that stream's state."""
+    lanes = BernoulliLanes(seed, rates, first_stream)
+    slow = [XorShift64Star(seed, first_stream + n) for n in range(len(rates))]
+    assert lanes.ids == [n for n, p in enumerate(rates) if 0 < p < 1]
+    for t in range(steps):
+        want = [n for n, (r, p) in enumerate(zip(slow, rates)) if r.bernoulli(p) and p < 1]
+        assert lanes.step() == want, t
+    for j, n in enumerate(lanes.ids):
+        assert lane_state(lanes, j) == slow[n].state
 
 
 @pytest.mark.parametrize("p", GAP_RATES)
 def test_draws_before_hit_matches_bernoulli(p):
-    for seed in range(1, 9):
+    for seed in range(1, 21):
         for sid in (0, 1, 17, 2**40):
-            fast, slow = XorShift64Star(seed, sid), XorShift64Star(seed, sid)
-            for n in (0, 1, 5, 0, 300, 1, 40):
-                assert fast.draws_before_hit(p, n) == _gap_by_bernoulli(slow, p, n)
-                assert fast.state == slow.state
+            assert_lanes_match(seed, [p, p, p], sid, 120)
 
 
 def test_draws_before_hit_cycle_by_cycle():
-    # one window per arrival, as the mesh books them, against one bernoulli
-    # call per cycle: the same hit cycles and the same final state
-    horizon = 3000
+    # each lane at its own rate, over a long run
     for seed in range(1, 6):
-        for p in GAP_RATES:
-            fast, slow = XorShift64Star(seed, 5), XorShift64Star(seed, 5)
-            want = [t for t in range(horizon) if slow.bernoulli(p)]
-            got, t = [], -1
-            while True:
-                window = horizon - t - 1
-                gap = fast.draws_before_hit(p, window)
-                if gap == window:
-                    break
-                t += 1 + gap
-                got.append(t)
-            assert got == want
-            assert fast.state == slow.state
+        assert_lanes_match(seed, GAP_RATES, 5, 3000)
 
 
 def test_draws_before_hit_window_with_no_hit():
     # at rate 2**-53 a hit needs a raw output below 2**11
-    fast, slow = XorShift64Star(3, 9), XorShift64Star(3, 9)
-    assert fast.draws_before_hit(2.0 ** -53, 1000) == 1000
+    lanes, slow = BernoulliLanes(3, [2.0 ** -53], 9), XorShift64Star(3, 9)
+    assert not any(lanes.step() for _ in range(1000))
     for _ in range(1000):
         slow.next_u64()
-    assert fast.state == slow.state
+    assert lane_state(lanes, 0) == slow.state
 
 
 def state_before(u):
@@ -131,23 +129,43 @@ def state_before(u):
 
 @pytest.mark.parametrize("p", GAP_RATES + [0.1, 1 / 3])
 def test_draws_before_hit_at_the_threshold(p):
-    # outputs whose top 53 bits sit just below, at and just above p * 2**53
+    # outputs whose top 53 bits sit just below, at and just above p * 2**53,
+    # planted one per lane
     top = math.floor(p * 2.0 ** 53)
-    for m in (top - 1, top, top + 1):
-        for low in (0, 0x7FF):
-            u = m << 11 | low
-            if not 0 < u <= MASK64:
-                continue
-            fast, slow = XorShift64Star(1), XorShift64Star(1)
-            fast.state = slow.state = state_before(u)
-            assert slow.next_u64() == u
-            slow.state = fast.state
-            assert fast.draws_before_hit(p, 1) == (0 if slow.bernoulli(p) else 1)
+    outs = [u for m in (top - 1, top, top + 1) for low in (0, 0x7FF)
+            if 0 < (u := m << 11 | low) <= MASK64]
+    lanes = BernoulliLanes(1, [p] * len(outs))
+    lanes.x = sum(state_before(u) << (128 * j) for j, u in enumerate(outs))
+    want = []
+    for j, u in enumerate(outs):
+        slow = XorShift64Star(1)
+        slow.state = state_before(u)
+        assert slow.next_u64() == u
+        slow.state = state_before(u)
+        if slow.bernoulli(p):
+            want.append(j)
+    assert 0 < len(want) < len(outs)  # both sides of the threshold
+    assert lanes.step() == want
 
 
 def test_draws_before_hit_outside_the_open_interval_draws_nothing():
-    r = XorShift64Star(4)
-    state = r.state
-    assert r.draws_before_hit(1.0, 10) == 0
-    assert r.draws_before_hit(0.0, 10) == 10
-    assert r.state == state
+    # rates 0 and 1 take no lane, so they shift no other entry's stream
+    assert_lanes_match(4, [1.0, 0.0, 0.3, 1.0, 0.0], 0, 200)
+    lanes = BernoulliLanes(4, [1.0, 0.0, 1.0])
+    assert lanes.ids == [] and lanes.x == 0
+    assert lanes.step() == []
+
+
+@pytest.mark.parametrize("sid", [0, 3, 2**40])
+def test_lanes_with_mixed_rates(sid):
+    for seed in range(1, 21):
+        assert_lanes_match(seed, MIXED_RATES, sid, 150)
+
+
+@pytest.mark.parametrize("k", [2, MAX_K])
+def test_lanes_at_the_mesh_sizes(k):
+    # the rates of a k-source mesh, every kind of entry among them
+    rng = random.Random(k)
+    rates = [rng.choice([0.0, 1.0, rng.random(), 0.03, 2.0 ** -53]) for _ in range(k)]
+    rates[:2] = [0.03, 0.7]
+    assert_lanes_match(7, rates, 0, 200)
