@@ -149,7 +149,9 @@ def _schedulers_row(name: str, traced: bool) -> dict:
     buf = io.StringIO()
     trace.to_csv(buf)
     events = [[e.packet_id, e.flow, e.inject, e.deliver] for e in trace.events]
-    state = json.dumps([events, sched.drops(), sched.clock.now])
+    # a parent tree older than the engine's own `now` kept it in `clock`
+    now = sched.now if hasattr(sched, "now") else sched.clock.now
+    state = json.dumps([events, sched.drops(), now])
     return {"seconds": elapsed, "peak_mb": peak, "work": SCHED_HORIZON,
             "sha256": _sha(buf.getvalue(), state)}
 

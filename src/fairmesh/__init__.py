@@ -3,10 +3,10 @@ fairness/feasibility analysis tools."""
 
 __version__ = "0.1.0"
 
-from .core import Packet, PacketEvent, ServiceRecord, Trace
-from .fairness import FairnessReport, fm_over_interval, rfb_estimate
+from .core import Accounting, Packet, PacketEvent, SchedulerKind, ServiceRecord, Trace
+from .fairness import FairnessReport, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
-from .schedulers import Accounting, SchedulerKind, make_scheduler
+from .schedulers import make_scheduler
 
 __all__ = [
     "Accounting",
@@ -17,7 +17,6 @@ __all__ = [
     "ServiceRecord",
     "SimReport",
     "Trace",
-    "fm_over_interval",
     "make_scheduler",
     "rfb_estimate",
     "run_mesh",

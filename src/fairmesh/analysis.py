@@ -44,18 +44,12 @@ class WeightTable:
         except KeyError:
             raise ValueError(f"weight W({i},{j}) is not defined") from None
 
-    def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._w
-
 
 @dataclass
 class AcceptanceRatios:
     """Per-router acceptance proportion vectors, exact rationals."""
 
     per_router: dict[int, list[Fraction]]
-
-    def ratios(self, j: int) -> list[Fraction]:
-        return self.per_router[j]
 
     def normalized(self, j: int) -> list[Fraction]:
         r = self.per_router[j]

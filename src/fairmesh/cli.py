@@ -28,10 +28,11 @@ from typing import Callable, Sequence
 from . import presets
 from .analysis import RequiredWeights, check_ratio_constraint, required_weights
 from .arbitration import empirical_grant_frequencies
-from .core import Packet, Trace, is_finite, is_int, latency_stats, throughput_by_flow
-from .fairness import Accounting, FairnessReport, rfb_estimate
+from .core import (Accounting, Packet, SchedulerKind, Trace, is_finite, is_int, latency_stats,
+                   throughput_by_flow)
+from .fairness import FairnessReport, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
-from .schedulers import SchedulerBase, SchedulerKind, make_scheduler
+from .schedulers import make_scheduler
 
 OUTPUT_DIR_ENV = "FAIRMESH_OUT"
 SCHEMA_VERSION = 1
@@ -85,17 +86,17 @@ _WORKLOAD_DEFAULTS = {
 
 def _normalize_workload(given, where: str = "workload") -> dict:
     """The workload with defaults filled in; `where` is the config key that
-    holds its counts (an experiment may take them from params)."""
+    holds it (an experiment may take it, or its counts, from params)."""
     if isinstance(given, str):
         given = {"kind": given}
     if not isinstance(given, dict):
-        raise ConfigError("config key workload must be a name or an object")
+        raise ConfigError(f"config key {where} must be a name or an object")
     kind = given.get("kind")
     if kind not in _WORKLOAD_DEFAULTS:
         names = ", ".join(sorted(_WORKLOAD_DEFAULTS))
-        raise ConfigError(f"config key workload.kind must be one of [{names}], got {kind!r}")
+        raise ConfigError(f"config key {where}.kind must be one of [{names}], got {kind!r}")
     merged = dict(_WORKLOAD_DEFAULTS[kind], kind=kind)
-    _check_allowed(given, set(merged), "workload")
+    _check_allowed(given, set(merged), where)
     merged.update(given)
     for key, v in merged.items():
         if key != "kind" and not (is_int(v) and v > 0):
@@ -146,10 +147,10 @@ def _scheduler_kind(name, key: str) -> SchedulerKind:
 
 def _scheduler_settings(
     w: dict, params: dict
-) -> Callable[[SchedulerKind, int], tuple[Trace, FairnessReport, dict]]:
+) -> Callable[[SchedulerKind, list[Packet]], tuple[Trace, FairnessReport, dict]]:
     """Check the scheduler keys and fairness weights for workload `w`, and
-    return run_one(kind, seed), which runs one discipline on the seed's
-    workload.  Every scheduler key given is checked, whether or not a
+    return run_one(kind, packets), which runs one discipline on `packets`,
+    a build of `w`.  Every scheduler key given is checked, whether or not a
     discipline reads it."""
     pathological = w["kind"] == "pathology"
     if "weights" in params:
@@ -182,7 +183,7 @@ def _scheduler_settings(
     if demote_rounds < 1:
         raise ConfigError(f"config key params.demote_rounds must be >= 1, got {demote_rounds}")
 
-    def run_one(kind: SchedulerKind, seed: int) -> tuple[Trace, FairnessReport, dict]:
+    def run_one(kind: SchedulerKind, packets: list[Packet]) -> tuple[Trace, FairnessReport, dict]:
         kw: dict = {}
         if pathological:
             kw["blocked"] = presets.pathology_blocking()
@@ -191,7 +192,7 @@ def _scheduler_settings(
         if kind is SchedulerKind.CARR:
             kw.update(tau=tau, demote_rounds=demote_rounds)
         sched = make_scheduler(kind, **kw)
-        sched.load(_build_workload(w, seed))
+        sched.load(packets)
         trace = sched.run(horizon=w.get("horizon"))
         report = rfb_estimate(trace, weights)
         summary = {
@@ -266,8 +267,9 @@ _SCHEDULER_KEYS = {"scheduler", "quantum", "tau", "demote_rounds"}
 
 
 def _exp_scheduler(params: dict, allowed: set[str], workload: Callable[[dict], object],
-                   where: str = "workload") -> Run:
-    """One discipline on a standalone workload; `workload(params)` names it."""
+                   where: str) -> Run:
+    """One discipline on a standalone workload; `workload(params)` names it,
+    and `where` is the config key that holds it."""
     _check_allowed(params, allowed, "params")
     w = _normalize_workload(workload(params), where)
     kind = _scheduler_kind(params.get("scheduler", "drr"), "params.scheduler")
@@ -276,7 +278,7 @@ def _exp_scheduler(params: dict, allowed: set[str], workload: Callable[[dict], o
     def run(seeds: list[int], outdir: Path) -> dict:
         runs = {}
         for i, seed in enumerate(seeds):
-            trace, report, summary = run_one(kind, seed)
+            trace, report, summary = run_one(kind, _build_workload(w, seed))
             summary["fairness"] = report.to_dict()
             runs[str(seed)] = summary
             if i == 0:
@@ -297,9 +299,9 @@ def _exp_compare(params: dict, kinds: list[SchedulerKind], w: dict) -> Run:
     def run(seeds: list[int], outdir: Path) -> dict:
         runs = {}
         for seed in seeds:
-            # the workload is rebuilt from the seed for every scheduler, so
-            # each one replays an identical arrival stream
-            runs[str(seed)] = {k.value: run_one(k, seed)[2] for k in kinds}
+            # every scheduler replays the same packets, which are frozen
+            packets = _build_workload(w, seed)
+            runs[str(seed)] = {k.value: run_one(k, packets)[2] for k in kinds}
         first = runs[str(seeds[0])]
         with open(outdir / "comparison.csv", "w", newline="") as fh:
             wcsv = csv.writer(fh)
@@ -380,7 +382,7 @@ def _exp_arb_convergence(params: dict) -> Run:
 _EXPERIMENTS: dict[str, Callable[[dict], Run]] = {
     "standalone-scheduler": partial(
         _exp_scheduler, allowed=_SCHEDULER_KEYS | {"workload", "weights"},
-        workload=lambda p: p.get("workload", "random"),
+        workload=lambda p: p.get("workload", "random"), where="params.workload",
     ),
     "mesh-hotspot": partial(
         _exp_mesh, defaults=presets.HOTSPOT_DEFAULTS, with_feasibility=False

@@ -1,4 +1,5 @@
-"""Shared domain types: packets, service records, traces, and interval queries.
+"""Shared domain types: packets, service records, traces, and the enums of
+the disciplines and their accounting modes.
 
 A Trace collects the service history of one output link.  Service records
 never overlap because the link transmits one packet at a time; packet-level
@@ -10,12 +11,25 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from enum import Enum
 from numbers import Integral, Real
 from typing import Iterable, TextIO
 
 FlowId = int
+
+
+class Accounting(Enum):
+    PACKET_SIZE = "packet_size"
+    OCCUPATION = "channel_occupation"
+
+
+class SchedulerKind(Enum):
+    RR = "rr"
+    DRR = "drr"
+    ERR = "err"
+    EBRR = "ebrr"
+    CARR = "carr"
 
 
 def is_int(x) -> bool:
@@ -37,7 +51,7 @@ class TraceError(Exception):
     """A trace operation would violate record ordering."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Packet:
     """One unit of traffic, `size` service units (flits or bytes) long."""
 
@@ -97,11 +111,6 @@ class PacketEvent:
     deliver: int | None = None
 
 
-@dataclass
-class Clock:
-    now: int = 0
-
-
 class Trace:
     """Ordered service records plus packet events for one output link."""
 
@@ -123,9 +132,6 @@ class Trace:
             )
         self.records.append(rec)
 
-    def add_event(self, ev: PacketEvent) -> None:
-        self.events.append(ev)
-
     def flows(self) -> list[FlowId]:
         return sorted({r.flow for r in self.records})
 
@@ -146,61 +152,6 @@ class Trace:
         w.writerow(self.CSV_HEADER)
         for r in self.records:
             w.writerow([r.flow, r.round, r.start, r.end, r.sent_units, r.blocking])
-
-    @classmethod
-    def from_csv(cls, fh: TextIO) -> "Trace":
-        rd = csv.reader(fh)
-        header = next(rd, None)
-        if header != cls.CSV_HEADER:
-            raise TraceError(f"unexpected trace header: {header}")
-        t = cls()
-        for row in rd:
-            if not row:
-                continue
-            f, rnd, s, e, u, b = (int(x) for x in row)
-            t.append(ServiceRecord(f, rnd, s, e, u, b))
-        return t
-
-
-def _overlap(a0: int, a1: int, t1: int, t2: int) -> int:
-    return min(a1, t2) - max(a0, t1)
-
-
-def sent_in_interval(trace: Trace, flow: FlowId, t1: int, t2: int) -> Fraction:
-    """Units flow sent inside (t1, t2), prorating records that straddle a boundary.
-
-    A straddling record contributes sent_units * overlap / duration, i.e. its
-    units spread uniformly over its span.  Exact rational arithmetic keeps
-    interval additivity an identity rather than an approximation.
-    """
-    if t2 <= t1:
-        raise ValueError(f"empty interval ({t1}, {t2})")
-    total = Fraction(0)
-    for r in trace.records:
-        if r.flow != flow:
-            continue
-        ov = _overlap(r.start, r.end, t1, t2)
-        if ov <= 0:
-            continue
-        if ov >= r.duration:
-            total += r.sent_units
-        else:
-            total += Fraction(r.sent_units * ov, r.duration)
-    return total
-
-
-def occupation_in_interval(trace: Trace, flow: FlowId, t1: int, t2: int) -> int:
-    """Channel cycles (sending + blocking) flow held inside (t1, t2)."""
-    if t2 <= t1:
-        raise ValueError(f"empty interval ({t1}, {t2})")
-    total = 0
-    for r in trace.records:
-        if r.flow != flow:
-            continue
-        ov = _overlap(r.start, r.end, t1, t2)
-        if ov > 0:
-            total += ov
-    return total
 
 
 def throughput_by_flow(trace: Trace) -> dict[FlowId, int]:

@@ -18,36 +18,16 @@ import json
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
-from .core import FlowId, Trace, occupation_in_interval, sent_in_interval
-from .schedulers import Accounting
+from .core import Accounting, FlowId, Trace
 
 if TYPE_CHECKING:
     import numpy as np
 
 Interval = tuple[int, int]
-
-
-def normalized_service(
-    trace: Trace,
-    flow: FlowId,
-    weight: float | Fraction,
-    t1: int,
-    t2: int,
-    mode: Accounting = Accounting.PACKET_SIZE,
-) -> Fraction:
-    """Service of one flow in (t1, t2) divided by its weight."""
-    if weight <= 0:
-        raise ValueError(f"flow weight must be positive, got {weight}")
-    if mode is Accounting.OCCUPATION:
-        raw: Fraction | int = occupation_in_interval(trace, flow, t1, t2)
-    else:
-        raw = sent_in_interval(trace, flow, t1, t2)
-    return Fraction(raw) / Fraction(weight)
 
 
 def backlog_intervals(
@@ -84,23 +64,24 @@ def backlog_intervals(
     return intervals
 
 
-def backlog_from_trace(trace: Trace, horizon: int | None = None) -> dict[FlowId, list[Interval]]:
+def backlog_from_trace(trace: Trace) -> dict[FlowId, list[Interval]]:
     """Per-flow backlog intervals reconstructed from packet events.
 
     A packet occupies its queue from inject until service completion, so the
     queue-length trajectory is the running sum of +-1 deltas.  Undelivered
-    packets hold their queue open to the horizon.
+    packets hold their queue open to the last record's end (with no records,
+    to one cycle past the first undelivered packet's inject).
     """
     deltas: dict[FlowId, dict[int, int]] = {}
-    end_default = horizon
+    close = None
     for ev in trace.events:
         d = deltas.setdefault(ev.flow, {})
         d[ev.inject] = d.get(ev.inject, 0) + 1
         if ev.deliver is not None:
             d[ev.deliver] = d.get(ev.deliver, 0) - 1
-        elif end_default is None:
+        elif close is None:
             last = trace.last_end()
-            end_default = last if last is not None else ev.inject + 1
+            close = last if last is not None else ev.inject + 1
     out: dict[FlowId, list[Interval]] = {}
     for flow, d in deltas.items():
         qlen = 0
@@ -108,41 +89,8 @@ def backlog_from_trace(trace: Trace, horizon: int | None = None) -> dict[FlowId,
         for cycle in sorted(d):
             qlen += d[cycle]
             evs.append((cycle, qlen))
-        close = horizon if horizon is not None else end_default
         out[flow] = backlog_intervals(evs, horizon=close)
     return out
-
-
-def _covering(intervals: Sequence[Interval], t1: int, t2: int) -> bool:
-    return any(a <= t1 and t2 <= b for a, b in intervals)
-
-
-def fm_over_interval(
-    trace: Trace,
-    weights: dict[FlowId, float | Fraction],
-    t1: int,
-    t2: int,
-    mode: Accounting = Accounting.PACKET_SIZE,
-    backlogs: dict[FlowId, list[Interval]] | None = None,
-) -> Fraction:
-    """Largest pairwise normalized-service gap over flows backlogged through
-    (t1, t2).  Zero when fewer than two such flows exist.
-
-    Exact rational arithmetic; the windowed estimator below is the fast path.
-    """
-    if backlogs is None:
-        backlogs = backlog_from_trace(trace, horizon=None)
-    flows = [
-        f for f in weights
-        if _covering(backlogs.get(f, []), t1, t2)
-    ]
-    if len(flows) < 2:
-        return Fraction(0)
-    services = {
-        f: normalized_service(trace, f, weights[f], t1, t2, mode) for f in flows
-    }
-    vals = sorted(services.values())
-    return vals[-1] - vals[0]
 
 
 @dataclass
@@ -207,9 +155,6 @@ class FairnessReport:
             best = (self.rfb_estimate, self.cfb_estimate)[m]
             sweeps[acct.value] = ModeSweep(best, self._witness[m], profile, slope)
         return sweeps
-
-    def sweep(self, mode: Accounting) -> ModeSweep:
-        return self.sweeps[mode.value]
 
     def to_dict(self) -> dict:
         return {

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .arbitration import ArbiterKind, WeightPolicy, make_arbiter
-from .core import PacketEvent, ServiceRecord, Trace, is_int, is_real
+from .core import PacketEvent, SchedulerKind, ServiceRecord, Trace, is_int, is_real
 from .rng import BernoulliLanes, XorShift64Star
-from .schedulers import SchedulerKind
 
 # output directions / input ports share index space per router
 DIR_L, DIR_R, DIR_EJ = 0, 1, 2
@@ -441,9 +440,6 @@ class MeshSim:
         self.noted = [[carr or (r, o) in self.traced for o in range(3)] for r in range(k)]
 
         self._reset_stats()
-
-        self.network_flits_in = 0
-        self.delivered_flits = 0
         self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
 
     # -- helpers ----------------------------------------------------------
@@ -468,11 +464,6 @@ class MeshSim:
         self.blocking = {}
         self.kcount = {}
         self.since = [[warmup] * 3 for _ in range(k)]
-
-    def flit_census(self) -> tuple[int, int, int]:
-        """(entered network, delivered, in flight) flit counts."""
-        in_flight = sum(len(f) for row in self.fifos for f in row)
-        return self.network_flits_in, self.delivered_flits, in_flight
 
     # -- cycle ------------------------------------------------------------
 
@@ -598,7 +589,6 @@ class MeshSim:
             # consume from the input side
             if i == IN_INJ:
                 inj_seq[r] = sent
-                self.network_flits_in += 1
                 if tail:
                     inj_pkt[r] = -1
                     fresh.append(r)
@@ -612,7 +602,6 @@ class MeshSim:
                 row[o_up] += 1
             # deliver or forward
             if o == DIR_EJ:
-                self.delivered_flits += 1
                 if self.eject_log is not None:
                     self.eject_log.append((r, pid, sent - 1))
                 if tail:
@@ -679,7 +668,7 @@ class MeshSim:
             st.latency_max = latency
         link = (self.pdest[pid], DIR_EJ)
         if link in self.traced:
-            self.traces[link].add_event(
+            self.traces[link].events.append(
                 PacketEvent(packet_id=pid, flow=src,
                             inject=self.pinject[pid], deliver=now + 1)
             )

@@ -1,14 +1,12 @@
 """Canned experiment scenarios.
 
 Everything here is a pure function of its arguments, so rebuilding a
-workload with the same seed yields byte-identical arrival streams; the
-compare driver relies on that to feed several schedulers the same traffic.
+workload with the same seed yields byte-identical arrival streams.
 """
 
 from __future__ import annotations
 
 from .core import Packet
-from .meshsim import MeshConfig
 from .rng import XorShift64Star
 from .schedulers import PeriodicBlocking
 
@@ -93,9 +91,3 @@ HOTSPOT_DEFAULTS = {
     "rate": 1.0, "arbiter": "round_robin", "policy": "vw",
     "horizon": 200_000, "warmup": 20_000,
 }
-
-
-def hotspot_config(seed: int, **overrides) -> MeshConfig:
-    """The saturated hotspot line; `overrides` replace HOTSPOT_DEFAULTS entries."""
-    return MeshConfig(seed=seed, **dict(HOTSPOT_DEFAULTS, **overrides))
-

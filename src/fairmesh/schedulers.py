@@ -32,23 +32,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable
 
-from .core import Clock, FlowId, Packet, PacketEvent, ServiceRecord, Trace
-
-
-class Accounting(Enum):
-    PACKET_SIZE = "packet_size"
-    OCCUPATION = "channel_occupation"
-
-
-class SchedulerKind(Enum):
-    RR = "rr"
-    DRR = "drr"
-    ERR = "err"
-    EBRR = "ebrr"
-    CARR = "carr"
+from .core import (Accounting, FlowId, Packet, PacketEvent, SchedulerKind, ServiceRecord,
+                   Trace)
 
 
 @dataclass
@@ -71,8 +58,8 @@ class FlowState:
 class SchedulerBase:
     """Engine shared by all disciplines: arrivals, clock, trace, rounds.
 
-    `active` is the rotation of backlogged flows; its first `visits_left`
-    entries are the current round's remaining visits.
+    `now` is the cycle clock.  `active` is the rotation of backlogged flows;
+    its first `visits_left` entries are the current round's remaining visits.
     """
 
     kind: SchedulerKind
@@ -87,7 +74,7 @@ class SchedulerBase:
         self.accounting = accounting
         self.queue_capacity = queue_capacity
         self.blocked = blocked
-        self.clock = Clock()
+        self.now = 0
         self.trace = Trace()
         self.flows: dict[FlowId, FlowState] = {}
         self.active: deque[FlowState] = deque()
@@ -113,7 +100,7 @@ class SchedulerBase:
     def _inject_due(self) -> None:
         arr = self._arrivals
         i = self._next_arrival
-        now = self.clock.now
+        now = self.now
         while i < len(arr) and arr[i].inject_time <= now:
             self._enqueue(arr[i])
             i += 1
@@ -129,7 +116,7 @@ class SchedulerBase:
         fs.queue.append(pkt)
         ev = PacketEvent(pkt.id, pkt.flow, pkt.inject_time)
         self._events[pkt.id] = ev
-        self.trace.add_event(ev)
+        self.trace.events.append(ev)
         if not fs.listed:
             fs.listed = True
             self._activate(fs)
@@ -169,12 +156,12 @@ class SchedulerBase:
         enqueueing reads neither the clock nor anything a send changes, so
         they join in the order and state they would cycle by cycle.
         """
-        start = self.clock.now
+        start = self.now
         if self.blocked is None:
             end = start + pkt.size
         else:
             end = self.blocked.finish(fs.id, start, pkt.size)
-        self.clock.now = end
+        self.now = end
         self._inject_due()
         ev = self._events.get(pkt.id)
         if ev is not None:
@@ -201,7 +188,7 @@ class SchedulerBase:
             fs.listed = False
         if sent == 0:
             return None
-        rec = ServiceRecord(fs.id, self.round_number, start, self.clock.now, sent, blocking)
+        rec = ServiceRecord(fs.id, self.round_number, start, self.now, sent, blocking)
         self.trace.append(rec)
         return rec
 
@@ -220,10 +207,10 @@ class SchedulerBase:
                 nxt = self._arrivals[self._next_arrival].inject_time
                 if horizon is not None and nxt >= horizon:
                     break
-                if nxt > self.clock.now:
-                    self.clock.now = nxt
+                if nxt > self.now:
+                    self.now = nxt
                 continue
-            if horizon is not None and self.clock.now >= horizon:
+            if horizon is not None and self.now >= horizon:
                 break
             self._visit(self._pop_for_service())
         return self.trace
@@ -238,7 +225,7 @@ class RoundRobinScheduler(SchedulerBase):
     kind = SchedulerKind.RR
 
     def _visit(self, fs: FlowState) -> ServiceRecord | None:
-        start = self.clock.now
+        start = self.now
         pkt = fs.queue.popleft()
         blocking = self._transmit_packet(fs, pkt)
         return self._emit(fs, start, pkt.size, blocking, packets=1)
@@ -280,7 +267,7 @@ class DeficitRoundRobin(_QuantumScheduler):
 
     def _visit(self, fs: FlowState) -> ServiceRecord | None:
         fs.deficit += self.quantum_for(fs.id)
-        start = self.clock.now
+        start = self.now
         sent = blocking = 0
         while fs.queue and fs.queue[0].size <= fs.deficit:
             pkt = fs.queue.popleft()
@@ -322,7 +309,7 @@ class ElasticRoundRobin(SchedulerBase):
         # the max() guard only matters for CARR, where a demoted flow can
         # carry a stale surplus above the current MaxSC
         allowance = max(1, 1 + self.max_sc_prev - fs.surplus)
-        start = self.clock.now
+        start = self.now
         sent = blocking = accounted = 0
         while fs.queue and accounted < allowance:
             pkt = fs.queue.popleft()
@@ -410,7 +397,7 @@ class EligibilityRoundRobin(_QuantumScheduler):
             self.visits_left += 1
 
     def _visit(self, fs: FlowState) -> ServiceRecord | None:
-        start = self.clock.now
+        start = self.now
         pkt = fs.queue.popleft()
         blocking = self._transmit_packet(fs, pkt)
         fs.credit -= self._used_units(pkt.size, blocking)

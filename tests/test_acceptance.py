@@ -19,11 +19,13 @@ from fairmesh.analysis import (
     simulate_acceptance_counts,
 )
 from fairmesh.arbitration import empirical_grant_frequencies
-from fairmesh.core import Trace, latency_stats, throughput_by_flow
+from fairmesh.core import Accounting, Trace, latency_stats, throughput_by_flow
 from fairmesh.fairness import rfb_estimate
 from fairmesh.meshsim import MeshConfig, MeshSim, run_mesh
 from fairmesh.rng import XorShift64Star
-from fairmesh.schedulers import Accounting, make_scheduler
+from fairmesh.schedulers import make_scheduler
+
+from oracles import flit_census, hotspot_config
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -35,14 +37,14 @@ def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def rr_hotspot():
     t0 = time.perf_counter()
-    rep = run_mesh(presets.hotspot_config(seed=1))
+    rep = run_mesh(hotspot_config(seed=1))
     return rep, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def vw_hotspot():
     t0 = time.perf_counter()
-    rep = run_mesh(presets.hotspot_config(seed=1, arbiter="probabilistic"))
+    rep = run_mesh(hotspot_config(seed=1, arbiter="probabilistic"))
     return rep, time.perf_counter() - t0
 
 
@@ -140,7 +142,7 @@ def test_criterion_5_elastic_rr_fairness_bounded(capsys):
     sched.load(pkts)
     trace = sched.run()
     rep = rfb_estimate(trace, {0: 1.0, 1: 1.0})
-    slope = rep.sweep(Accounting.PACKET_SIZE).slope
+    slope = rep.sweeps[Accounting.PACKET_SIZE.value].slope
     elapsed = time.perf_counter() - t0
     ok = rep.rfb_estimate <= 3 * m and abs(slope) <= 0.01 and elapsed < 10.0
     _verdict(
@@ -335,10 +337,10 @@ def _mesh_cfg(seed: int, **kw) -> MeshConfig:
 def _flit_conservation_suite() -> int:
     checked = 0
     for seed in range(1, N_SEEDS + 1):
-        sim = MeshSim(_mesh_cfg(seed))
+        sim = MeshSim(_mesh_cfg(seed, log_ejects=True))
         for _ in range(250):
             sim.step()
-            entered, delivered, in_flight = sim.flit_census()
+            entered, delivered, in_flight = flit_census(sim)
             assert entered == delivered + in_flight, (
                 f"seed {seed} cycle {sim.now}: {entered} entered but "
                 f"{delivered}+{in_flight} accounted"

@@ -20,8 +20,9 @@ from fairmesh.analysis import (
 class TestWeightTable:
     def test_lookup(self):
         w = WeightTable({(0, 1): 2, (1, 1): 3})
-        assert w.weight(0, 1) == 2
-        assert (0, 1) in w and (5, 5) not in w
+        assert w.weight(0, 1) == 2 and w.weight(1, 1) == 3
+        with pytest.raises(ValueError):
+            w.weight(5, 5)
 
     def test_missing_weight_names_the_pair(self):
         w = WeightTable.uniform(2)
@@ -42,13 +43,13 @@ class TestWeightTable:
 class TestAcceptanceRatios:
     def test_all_unit_weights_double_per_hop(self):
         r = acceptance_ratios(WeightTable.uniform(3), 3)
-        assert r.ratios(1) == [1, 1]
-        assert r.ratios(2) == [1, 1, 2]
-        assert r.ratios(3) == [1, 1, 2, 4]
+        assert r.per_router[1] == [1, 1]
+        assert r.per_router[2] == [1, 1, 2]
+        assert r.per_router[3] == [1, 1, 2, 4]
 
     def test_first_router_is_the_weight_ratio(self):
         w = WeightTable({(0, 1): 1, (1, 1): 3})
-        assert acceptance_ratios(w, 1).ratios(1) == [1, 3]
+        assert acceptance_ratios(w, 1).per_router[1] == [1, 3]
 
     def test_normalized_sums_to_one(self):
         r = acceptance_ratios(WeightTable.uniform(3), 3)

@@ -3,6 +3,7 @@ messages naming the offending config key, artifact formats, and
 byte-for-byte deterministic reports."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -127,7 +128,7 @@ class TestConfigErrors:
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler",
                        params={"workload": "pathological"})
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
-        assert "workload" in capsys.readouterr().err
+        assert "config key params.workload.kind must be one of" in capsys.readouterr().err
 
     @pytest.mark.parametrize("params,key", [
         (dict(scheduler="ebrr", quantum={"0": 4}), "params.quantum"),
@@ -144,12 +145,19 @@ class TestConfigErrors:
         (dict(scheduler="carr", tau=math.inf), "params.tau"),
         (dict(scheduler="drr", weights={"0": math.inf, "1": 1, "2": 1}), "params.weights"),
         (dict(scheduler="ebrr", quantum={"0": math.inf, "1": 4, "2": 4}), "params.quantum"),
-        # workload counts must be positive integers; a NaN spread used to hang the run
-        (dict(workload={"kind": "random", "spread": math.nan}), "workload.spread"),
-        (dict(workload={"kind": "random", "n_flows": 1.5}), "workload.n_flows"),
-        (dict(workload={"kind": "random", "packets_per_flow": True}), "workload.packets_per_flow"),
-        (dict(workload={"kind": "backlogged-pair", "max_size": 0}), "workload.max_size"),
-        (dict(workload={"kind": "pathology", "horizon": -5}), "workload.horizon"),
+        # workload counts must be positive integers; a NaN spread used to hang the run.
+        # The ids keep the paramsN-key form, less the "config key params." prefix
+        pytest.param(dict(workload={"kind": "random", "spread": math.nan}),
+                     "config key params.workload.spread", id="params13-workload.spread"),
+        pytest.param(dict(workload={"kind": "random", "n_flows": 1.5}),
+                     "config key params.workload.n_flows", id="params14-workload.n_flows"),
+        pytest.param(dict(workload={"kind": "random", "packets_per_flow": True}),
+                     "config key params.workload.packets_per_flow",
+                     id="params15-workload.packets_per_flow"),
+        pytest.param(dict(workload={"kind": "backlogged-pair", "max_size": 0}),
+                     "config key params.workload.max_size", id="params16-workload.max_size"),
+        pytest.param(dict(workload={"kind": "pathology", "horizon": -5}),
+                     "config key params.workload.horizon", id="params17-workload.horizon"),
         # one integer rule for the single quantum and for each per-flow one
         (dict(scheduler="drr", quantum={"0": 2.5, "1": 2.5, "2": 2.5}), "params.quantum"),
         (dict(scheduler="drr", quantum=0), "params.quantum"),
@@ -158,6 +166,10 @@ class TestConfigErrors:
         (dict(scheduler="drr", demote_rounds=-3), "params.demote_rounds"),
         (dict(scheduler="rr", quantum=0), "params.quantum"),
         (dict(scheduler="carr", tau=0.5), "params.tau must exceed 1.0"),
+        # every workload message names the key under params
+        (dict(workload={"kind": "random", "bogus": 3}),
+         "unknown config key: params.workload.bogus"),
+        (dict(workload=5), "config key params.workload must be a name or an object"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
@@ -467,6 +479,20 @@ class TestCompareVerb:
         assert len(rows) == len(got) == 5 * 3
         assert got == expected
         assert rep["runs"]["1"] != rep["runs"]["2"]
+
+    def test_report_and_csv_hash(self, tmp_path):
+        """Byte-identical report.json plus comparison.csv for all five
+        disciplines on a random workload over two seeds.  A change that moves
+        the hash changes behaviour; record a new one only with a stated reason."""
+        path = self.compare_cfg(
+            tmp_path, schedulers=["rr", "drr", "err", "ebrr", "carr"], seeds=[1, 2],
+            workload={"kind": "random", "packets_per_flow": 40, "spread": 300},
+        )
+        assert main(["compare", path]) == 0
+        out = tmp_path / "out"
+        blob = (out / "report.json").read_bytes() + (out / "comparison.csv").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "f7e2453167cd3783262da28fd3a66083eb1039196be8f6d007221aca7a34146e")
 
     def test_compare_deterministic(self, tmp_path):
         path = self.compare_cfg(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 from fractions import Fraction
@@ -12,10 +13,10 @@ from fairmesh.core import (
     Trace,
     TraceError,
     latency_stats,
-    occupation_in_interval,
-    sent_in_interval,
     throughput_by_flow,
 )
+
+from oracles import occupation_in_interval, sent_in_interval, trace_from_csv
 
 
 def make_trace(rows):
@@ -54,6 +55,11 @@ class TestPacket:
     def test_rejects_fractional_size(self):
         with pytest.raises(ValueError, match="size"):
             Packet(id=0, flow=0, size=2.5)
+
+    def test_is_frozen(self):
+        # compare hands one seed's packets to every discipline
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Packet(id=0, flow=0, size=4).inject_time = 3
 
 
 class TestRecordService:
@@ -139,7 +145,7 @@ class TestSerialization:
         buf = io.StringIO()
         t.to_csv(buf)
         buf.seek(0)
-        back = Trace.from_csv(buf)
+        back = trace_from_csv(buf)
         assert back.records == t.records
 
     def test_csv_header(self):
@@ -150,7 +156,7 @@ class TestSerialization:
 
     def test_bad_header_rejected(self):
         with pytest.raises(TraceError):
-            Trace.from_csv(io.StringIO("a,b,c\n"))
+            trace_from_csv(io.StringIO("a,b,c\n"))
 
 
 class TestClockAndEvents:

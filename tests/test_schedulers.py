@@ -7,16 +7,14 @@ import random
 import pytest
 from conftest import backlogged_workload, make_workload
 
-from fairmesh.core import Packet
+from fairmesh.core import Accounting, Packet, SchedulerKind
 from fairmesh.schedulers import (
-    Accounting,
     CongestionAwareRoundRobin,
     DeficitRoundRobin,
     ElasticRoundRobin,
     EligibilityRoundRobin,
     PeriodicBlocking,
     RoundRobinScheduler,
-    SchedulerKind,
     make_scheduler,
 )
 
@@ -301,18 +299,18 @@ class SteppingTransmit:
     `SchedulerBase._transmit_packet` and `PeriodicBlocking.finish`."""
 
     def _transmit_packet(self, fs, pkt):
-        pb, clock = self.blocked, self.clock
+        pb = self.blocked
         blocking = 0
         for _ in range(pkt.size):
-            while pb is not None and fs.id == pb.flow and clock.now % pb.period < pb.blocked_slots:
+            while pb is not None and fs.id == pb.flow and self.now % pb.period < pb.blocked_slots:
                 blocking += 1
-                clock.now += 1
+                self.now += 1
                 self._inject_due()
-            clock.now += 1
+            self.now += 1
             self._inject_due()
         ev = self._events.get(pkt.id)
         if ev is not None:
-            ev.deliver = clock.now
+            ev.deliver = self.now
         return blocking
 
 
@@ -376,7 +374,7 @@ class TestSendMatchesCycleStepping:
             assert fast.trace.events == slow.trace.events
             assert fast.visit_log == slow.visit_log
             assert fast.drops() == slow.drops()
-            assert fast.clock.now == slow.clock.now
+            assert fast.now == slow.now
 
 
 def make_sched(kind, **kw):
@@ -428,7 +426,7 @@ def _golden_digest(kind):
             "events": [dataclasses.astuple(e) for e in s.trace.events],
             "visit_log": s.visit_log,
             "drops": sorted(s.drops().items()),
-            "now": s.clock.now,
+            "now": s.now,
             "flows": [(fid, fs.deficit, fs.surplus, fs.credit, fs.congested_until,
                        fs.listed, len(fs.queue)) for fid, fs in sorted(s.flows.items())],
         }
