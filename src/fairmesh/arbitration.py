@@ -16,6 +16,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
+from .core import is_finite, is_int
 from .rng import MASK64, XorShift64Star, _STAR_MULTIPLIER
 
 if TYPE_CHECKING:
@@ -66,23 +67,6 @@ def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
     return len(weights) - 1  # guard against accumulated rounding
 
 
-def grant_round_robin(
-    ports: Sequence[int], pointer: int, num_ports: int
-) -> tuple[int, int]:
-    """First requesting input port at or after the pointer, cyclically.
-
-    Returns (granted request index, advanced pointer).
-    """
-    if not ports:
-        raise ValueError("arbitration needs at least one request")
-    by_port = {p: i for i, p in enumerate(ports)}
-    for off in range(num_ports):
-        port = (pointer + off) % num_ports
-        if port in by_port:
-            return by_port[port], (port + 1) % num_ports
-    raise ValueError("request input ports out of range for this arbiter")
-
-
 class RoundRobinArbiter:
     kind = ArbiterKind.ROUND_ROBIN
 
@@ -91,9 +75,17 @@ class RoundRobinArbiter:
         self.pointer = 0
 
     def choose(self, ports: Sequence[int]) -> int:
-        """Grant among requests given by their input ports."""
-        idx, self.pointer = grant_round_robin(ports, self.pointer, self.num_ports)
-        return idx
+        """Grant among requests given by their distinct input ports: the
+        first at or after the pointer, cyclically, which then moves past it."""
+        if not ports:
+            raise ValueError("arbitration needs at least one request")
+        n = self.num_ports
+        for off in range(n):
+            port = (self.pointer + off) % n
+            if port in ports:
+                self.pointer = (port + 1) % n
+                return ports.index(port)
+        raise ValueError("request input ports out of range for this arbiter")
 
 
 class AgeArbiter:
@@ -134,25 +126,6 @@ class ProbabilisticArbiter:
         return grant_probabilistic(self.weights(routes), self.rng)
 
 
-Arbiter = RoundRobinArbiter | AgeArbiter | ProbabilisticArbiter
-
-
-def make_arbiter(
-    kind: ArbiterKind | str,
-    num_ports: int,
-    policy: WeightPolicy | str = WeightPolicy.VW,
-    base: float = 2.0,
-    seed: int = 0,
-    stream_id: int = 0,
-) -> Arbiter:
-    k = ArbiterKind(kind)
-    if k is ArbiterKind.ROUND_ROBIN:
-        return RoundRobinArbiter(num_ports)
-    if k is ArbiterKind.AGE:
-        return AgeArbiter()
-    return ProbabilisticArbiter(WeightPolicy(policy), base, seed, stream_id)
-
-
 def empirical_grant_frequencies(
     weights: Sequence[float],
     trials: int,
@@ -170,8 +143,11 @@ def empirical_grant_frequencies(
     ws = np.asarray(weights, dtype=np.float64)
     if ws.ndim != 1 or len(ws) == 0:
         raise ValueError("need a flat, nonempty weight vector")
-    if (ws <= 0).any():
-        raise ValueError("weights must be positive")
+    for w in weights:
+        if not (is_finite(w) and w > 0):
+            raise ValueError(f"weights must be finite numbers above 0, got {w!r}")
+    if not (is_int(trials) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     cum = np.cumsum(ws)
     total = float(cum[-1])
     counts = np.zeros(len(ws), dtype=np.int64)

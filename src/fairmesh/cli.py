@@ -225,12 +225,17 @@ _MESH_PARAM_KEYS = {f.name for f in dataclasses.fields(MeshConfig)} - {"seed", "
 
 
 def _mesh_config(params: dict, defaults: dict) -> MeshConfig:
+    """The checked mesh config; an error names the params keys at fault."""
     cfg = MeshConfig(**dict(defaults, **params))
     try:
         cfg.validate()
     except ValueError as e:
-        msg = str(e)
-        for name in getattr(e, "fields", ()):
+        fields = getattr(e, "fields", ())
+        if fields:
+            msg = f"config key {' and '.join(f'params.{n}' for n in fields)}: {e}"
+        else:  # the message starts with the field's name
+            msg = f"config key params.{e}"
+        for name in fields:
             if name not in params:
                 msg += f" (params.{name} was not set and defaults to {getattr(cfg, name)})"
         raise ConfigError(msg) from None
@@ -417,6 +422,8 @@ def _compare_verb(cfg: dict) -> tuple[dict, Callable[[dict], Run]]:
     if not isinstance(names, list) or len(names) < 2:
         raise ConfigError("config key schedulers must list at least two scheduler kinds")
     kinds = [_scheduler_kind(n, "schedulers") for n in names]
+    if len(set(kinds)) < len(kinds):
+        raise ConfigError(f"config key schedulers must not repeat a kind, got {names}")
     w = _normalize_workload(cfg.get("workload", "pathology"))
     header = {"schedulers": [k.value for k in kinds], "workload": w}
     return header, partial(_exp_compare, kinds=kinds, w=w)
@@ -445,6 +452,8 @@ def cmd_config(args) -> int:
     seeds = [args.seed] if args.seed is not None else _require(cfg, "seeds")
     if not (isinstance(seeds, list) and seeds and all(is_int(s) for s in seeds)):
         raise ConfigError("config key seeds must be a non-empty list of integers")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"config key seeds must not repeat a seed, got {seeds}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config key params must be an object")

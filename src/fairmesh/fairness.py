@@ -20,9 +20,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
-from .core import Accounting, FlowId, Trace
+from .core import Accounting, FlowId, Trace, is_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,47 +30,14 @@ if TYPE_CHECKING:
 Interval = tuple[int, int]
 
 
-def backlog_intervals(
-    events: Iterable[tuple[int, int]],
-    horizon: int | None = None,
-) -> list[Interval]:
-    """Maximal [start, end) intervals with positive queue length.
-
-    `events` are (cycle, queue_len_after) transitions in time order, with the
-    queue empty before the first event.  An interval still open at the last
-    event closes at `horizon` when given, else stays open (end == horizon is
-    required to close it).
-    """
-    intervals: list[Interval] = []
-    open_at: int | None = None
-    last_cycle: int | None = None
-    for cycle, qlen in events:
-        if last_cycle is not None and cycle < last_cycle:
-            raise ValueError(f"queue events out of order at cycle {cycle}")
-        last_cycle = cycle
-        if qlen < 0:
-            raise ValueError(f"negative queue length at cycle {cycle}")
-        if open_at is None and qlen > 0:
-            open_at = cycle
-        elif open_at is not None and qlen == 0:
-            if cycle > open_at:
-                intervals.append((open_at, cycle))
-            open_at = None
-    if open_at is not None:
-        if horizon is None:
-            raise ValueError("backlog still open at final event; pass horizon to close it")
-        if horizon > open_at:
-            intervals.append((open_at, horizon))
-    return intervals
-
-
 def backlog_from_trace(trace: Trace) -> dict[FlowId, list[Interval]]:
-    """Per-flow backlog intervals reconstructed from packet events.
+    """Per flow, the maximal [start, end) stretches, in time order, in which
+    it has a packet queued: from the packet's inject until its delivery.
 
-    A packet occupies its queue from inject until service completion, so the
-    queue-length trajectory is the running sum of +-1 deltas.  Undelivered
-    packets hold their queue open to the last record's end (with no records,
-    to one cycle past the first undelivered packet's inject).
+    One pass over each flow's sorted +-1 deltas.  Undelivered packets hold
+    the queue to `close`, the last record's end (with no records, one cycle
+    past the first undelivered packet's inject), where a stretch still open
+    ends.  A packet delivered before its inject raises ValueError.
     """
     deltas: dict[FlowId, dict[int, int]] = {}
     close = None
@@ -78,18 +45,26 @@ def backlog_from_trace(trace: Trace) -> dict[FlowId, list[Interval]]:
         d = deltas.setdefault(ev.flow, {})
         d[ev.inject] = d.get(ev.inject, 0) + 1
         if ev.deliver is not None:
+            if ev.deliver < ev.inject:
+                raise ValueError(f"packet {ev.packet_id} of flow {ev.flow} delivered at "
+                                 f"{ev.deliver}, before its inject at {ev.inject}")
             d[ev.deliver] = d.get(ev.deliver, 0) - 1
         elif close is None:
             last = trace.last_end()
             close = last if last is not None else ev.inject + 1
     out: dict[FlowId, list[Interval]] = {}
     for flow, d in deltas.items():
+        out[flow] = stretches = []
         qlen = 0
-        evs = []
         for cycle in sorted(d):
-            qlen += d[cycle]
-            evs.append((cycle, qlen))
-        out[flow] = backlog_intervals(evs, horizon=close)
+            was = qlen
+            qlen += d[cycle]  # never below 0, as no packet leaves before it comes
+            if not was and qlen:
+                start = cycle
+            elif was and not qlen:
+                stretches.append((start, cycle))
+        if qlen and close > start:
+            stretches.append((start, close))
     return out
 
 
@@ -200,8 +175,9 @@ def rfb_estimate(
     the gap grows with window length.
     """
     for f, w in weights.items():
-        if w <= 0:
-            raise ValueError(f"flow weight must be positive, got {w} for flow {f}")
+        if not (is_finite(w) and w > 0):
+            raise ValueError(f"flow weight must be a finite number above 0, got {w!r} "
+                             f"for flow {f}")
     flows = sorted(weights)
     backlogs = backlog_from_trace(trace)
     times = trace.boundaries()
@@ -331,11 +307,10 @@ def _fold_profile(
 
 
 def _common_stretches(a: Sequence[Interval], b: Sequence[Interval]) -> list[Interval]:
-    """Pairwise intersection of two interval lists."""
+    """Pairwise intersection of two lists of disjoint intervals in time
+    order, which is how `backlog_from_trace` builds them."""
     out = []
     i = j = 0
-    a = sorted(a)
-    b = sorted(b)
     while i < len(a) and j < len(b):
         lo = max(a[i][0], b[j][0])
         hi = min(a[i][1], b[j][1])

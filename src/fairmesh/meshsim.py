@@ -22,7 +22,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .arbitration import ArbiterKind, WeightPolicy, make_arbiter
+from .arbitration import (AgeArbiter, ArbiterKind, ProbabilisticArbiter, RoundRobinArbiter,
+                          WeightPolicy)
 from .core import PacketEvent, SchedulerKind, ServiceRecord, Trace, is_int, is_real
 from .rng import BernoulliLanes, XorShift64Star
 
@@ -52,7 +53,8 @@ MAX_ROUTER_CYCLES = 10**8  # k * horizon
 
 
 class FieldsError(ValueError):
-    """A config error whose message states the values of `fields`."""
+    """A config error on `fields` whose message states their values and
+    need not start with a field's name."""
 
     def __init__(self, msg: str, *fields: str):
         super().__init__(msg)
@@ -84,6 +86,8 @@ class MeshConfig:
         return (self.k - 1) if self.hotspot is None else self.hotspot
 
     def validate(self) -> None:
+        """Raise FieldsError, or a ValueError whose message starts with the
+        name of the field at fault."""
         for name in _INT_FIELDS:
             v = getattr(self, name)
             if not (is_int(v) or v is None and name in _NONE_OK):
@@ -159,7 +163,7 @@ class MeshConfig:
                                  f"integer pairs, got {self.trace_links!r}")
             for r, o in self.trace_links:
                 if not (0 <= r < self.k) or o not in (DIR_L, DIR_R, DIR_EJ):
-                    raise ValueError(f"trace link ({r}, {o}) out of range")
+                    raise FieldsError(f"trace link ({r}, {o}) out of range", "trace_links")
 
     def rates(self) -> list[float]:
         if is_real(self.rate):
@@ -418,14 +422,14 @@ class MeshSim:
         self.lanes = BernoulliLanes(seed, self.rates, _SID_INJECT * k)
 
         self.flow_mode = cfg.scheduler is not None
+        arb = ArbiterKind(cfg.arbiter)
         # per output of each router: its flow-queue kernel, or its arbiter
         self.ports = [[
             _FlowKernel(SchedulerKind(cfg.scheduler), self.L, cfg.quantum or self.L,
                         cfg.congestion_ratio, cfg.demote_rounds)
-            if self.flow_mode else
-            make_arbiter(cfg.arbiter, num_ports=3, policy=cfg.policy,
-                         base=cfg.weight_base, seed=seed,
-                         stream_id=_SID_ARB * k + (r * 3 + o))
+            if self.flow_mode else RoundRobinArbiter(3) if arb is _RR else
+            AgeArbiter() if arb is _AGE else
+            ProbabilisticArbiter(cfg.policy, cfg.weight_base, seed, _SID_ARB * k + r * 3 + o)
             for o in (DIR_L, DIR_R, DIR_EJ)] for r in range(k)]
 
         if cfg.trace_links is None:

@@ -29,13 +29,12 @@ scheduler setting: they belong to the fairness measure.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .core import (Accounting, FlowId, Packet, PacketEvent, SchedulerKind, ServiceRecord,
-                   Trace)
+                   Trace, is_finite, is_int)
 
 
 @dataclass
@@ -236,18 +235,14 @@ class _QuantumScheduler(SchedulerBase):
 
     def __init__(self, quantum: int | dict[FlowId, int], **kw):
         super().__init__(**kw)
-        if isinstance(quantum, int):
-            if quantum < 1:
-                raise ValueError(f"quantum must be >= 1, got {quantum}")
-            self._quantum: int | dict[FlowId, int] = quantum
-        else:
-            for fid, q in quantum.items():
-                if q < 1:
-                    raise ValueError(f"quantum must be >= 1, got {q} for flow {fid}")
-            self._quantum = dict(quantum)
+        per_flow = isinstance(quantum, dict)
+        for q in quantum.values() if per_flow else [quantum]:
+            if not (is_int(q) and q >= 1):
+                raise ValueError(f"quantum must be an integer >= 1, got {q!r}")
+        self._quantum: int | dict[FlowId, int] = dict(quantum) if per_flow else quantum
 
     def quantum_for(self, fid: FlowId) -> int:
-        if isinstance(self._quantum, int):
+        if not isinstance(self._quantum, dict):
             return self._quantum
         try:
             return self._quantum[fid]
@@ -337,10 +332,10 @@ class CongestionAwareRoundRobin(ElasticRoundRobin):
 
     def __init__(self, tau: float = 2.0, demote_rounds: int = 2, **kw):
         super().__init__(**kw)
-        if not 1.0 < tau < math.inf:
-            raise ValueError(f"tau must exceed 1.0 and be finite, got {tau}")
-        if demote_rounds < 1:
-            raise ValueError(f"demote_rounds must be >= 1, got {demote_rounds}")
+        if not (is_finite(tau) and tau > 1.0):
+            raise ValueError(f"tau must exceed 1.0 and be finite, got {tau!r}")
+        if not (is_int(demote_rounds) and demote_rounds >= 1):
+            raise ValueError(f"demote_rounds must be an integer >= 1, got {demote_rounds!r}")
         self.tau = tau
         self.demote_rounds = demote_rounds
 

@@ -14,6 +14,7 @@ in exact rational arithmetic where a value can be fractional:
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence, TextIO
 
@@ -144,6 +145,32 @@ def exact_max_fm(trace: Trace, weights: dict[FlowId, float | Fraction]) -> list[
             for m, mode in enumerate(Accounting):
                 best[m] = max(best[m], fm_over_interval(trace, weights, t1, t2, mode, backlogs))
     return best
+
+
+def backlog_by_cycle(trace: Trace) -> dict[FlowId, list[Interval]]:
+    """Per flow with packet events, the maximal runs of integer cycles at
+    which it has a packet injected and not yet delivered, as [start, end).
+
+    An undelivered packet counts up to the close `backlog_from_trace`
+    holds it to: the last record's end, or with no records one cycle past
+    the first undelivered packet's inject.
+    """
+    close = trace.last_end()
+    if close is None:
+        close = next((ev.inject + 1 for ev in trace.events if ev.deliver is None), None)
+    queued: dict[FlowId, Counter] = {}
+    for ev in trace.events:
+        end = close if ev.deliver is None else ev.deliver
+        queued.setdefault(ev.flow, Counter()).update(range(ev.inject, end))
+    out: dict[FlowId, list[Interval]] = {}
+    for flow, n in queued.items():
+        out[flow] = runs = []
+        for t in sorted(t for t, count in n.items() if count > 0):
+            if runs and runs[-1][1] == t:
+                runs[-1] = (runs[-1][0], t + 1)
+            else:
+                runs.append((t, t + 1))
+    return out
 
 
 def flit_census(sim: MeshSim) -> tuple[int, int, int]:

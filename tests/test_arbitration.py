@@ -1,5 +1,4 @@
-import importlib.util
-from pathlib import Path
+import math
 
 import numpy as np
 import pytest
@@ -12,13 +11,9 @@ from fairmesh.arbitration import (
     WeightPolicy,
     empirical_grant_frequencies,
     grant_probabilistic,
-    grant_round_robin,
-    make_arbiter,
 )
-from fairmesh.meshsim import MeshConfig, run_mesh
+from fairmesh.meshsim import _SID_ARB, MeshConfig, MeshSim, run_mesh
 from fairmesh.rng import XorShift64Star
-
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
 def weights(policy, routes, base=2.0):
@@ -85,8 +80,12 @@ class TestProbabilisticGrant:
     def test_frequency_validation(self):
         with pytest.raises(ValueError):
             empirical_grant_frequencies([], 10, seed=1)
-        with pytest.raises(ValueError):
-            empirical_grant_frequencies([1, -1], 10, seed=1)
+        for ws in ([1, -1], [math.nan, 1.0], [math.inf, 1.0], [True, 1.0]):
+            with pytest.raises(ValueError, match="finite numbers above 0"):
+                empirical_grant_frequencies(ws, 10, seed=1)
+        for trials in (0, -5, 2.5, True):
+            with pytest.raises(ValueError, match="trials"):
+                empirical_grant_frequencies([1, 1], trials, seed=1)
 
 
 class TestAgeGrant:
@@ -101,19 +100,30 @@ class TestAgeGrant:
         assert AgeArbiter().choose([(9, 5)]) == 0
 
 
+def round_robin(pointer, num_ports=3):
+    arb = RoundRobinArbiter(num_ports)
+    arb.pointer = pointer
+    return arb
+
+
 class TestRoundRobinGrant:
+    # requests as input ports; choose returns the granted request's index
     def test_pointer_at_first_request(self):
-        assert grant_round_robin([0, 1], 0, 3) == (0, 1)
+        arb = round_robin(0)
+        assert arb.choose([0, 1]) == 0 and arb.pointer == 1
 
     def test_pointer_skips_served_port(self):
-        assert grant_round_robin([0, 1], 1, 3) == (1, 2)
+        arb = round_robin(1)
+        assert arb.choose([0, 1]) == 1 and arb.pointer == 2
 
     def test_cyclic_wraparound(self):
-        assert grant_round_robin([0], 2, 3) == (0, 1)
+        arb = round_robin(2)
+        assert arb.choose([1, 0]) == 1 and arb.pointer == 1
 
     def test_out_of_range_port(self):
-        with pytest.raises(ValueError):
-            grant_round_robin([9], 0, 3)
+        for ports in ([9], []):
+            with pytest.raises(ValueError):
+                round_robin(0).choose(ports)
 
     def test_arbiter_alternates(self):
         arb = RoundRobinArbiter(num_ports=2)
@@ -121,24 +131,39 @@ class TestRoundRobinGrant:
         assert grants == [0, 1, 0, 1, 0, 1]
 
 
+_ARBITERS = {ArbiterKind.ROUND_ROBIN: RoundRobinArbiter, ArbiterKind.AGE: AgeArbiter,
+             ArbiterKind.PROBABILISTIC: ProbabilisticArbiter}
+
+
 class TestFactory:
+    """The mesh builds one arbiter per router output from the config."""
+
     def test_kinds(self):
-        assert isinstance(make_arbiter("round_robin", 3), RoundRobinArbiter)
-        assert isinstance(make_arbiter(ArbiterKind.AGE, 3), AgeArbiter)
-        arb = make_arbiter("probabilistic", 3, policy="vw", seed=4)
-        assert isinstance(arb, ProbabilisticArbiter)
-        assert arb.policy is WeightPolicy.VW
+        k, seed = 3, 4
+        for kind, cls in _ARBITERS.items():
+            sim = MeshSim(MeshConfig(k=k, arbiter=kind.value, policy="cw", weight_base=3.0,
+                                     seed=seed, horizon=10))
+            for r, row in enumerate(sim.ports):
+                for o, arb in enumerate(row):
+                    assert type(arb) is cls
+                    if cls is RoundRobinArbiter:
+                        assert (arb.num_ports, arb.pointer) == (3, 0)
+                    if cls is ProbabilisticArbiter:
+                        assert (arb.policy, arb.base) == (WeightPolicy.CW, 3.0)
+                        # each port draws from its own stream
+                        want = XorShift64Star(seed, _SID_ARB * k + r * 3 + o)
+                        assert arb.rng.state == want.state
 
     def test_probabilistic_arbiter_replay(self):
         routes = [(3, 1, 1.0), (3, 2, 1.0)]
-        a = make_arbiter("probabilistic", 3, policy="cw", seed=9, stream_id=1)
-        b = make_arbiter("probabilistic", 3, policy="cw", seed=9, stream_id=1)
+        a = ProbabilisticArbiter(WeightPolicy.CW, seed=9, stream_id=1)
+        b = ProbabilisticArbiter(WeightPolicy.CW, seed=9, stream_id=1)
         assert [a.choose(routes) for _ in range(200)] == [b.choose(routes) for _ in range(200)]
 
     def test_probabilistic_biases_toward_traveled(self):
         # hops 3 vs 0 under traversed-distance weights: 8:1 odds
         routes = [(3, 3, 1.0), (3, 0, 1.0)]
-        arb = make_arbiter("probabilistic", 2, policy="cw", seed=2)
+        arb = ProbabilisticArbiter(WeightPolicy.CW, seed=2)
         wins = sum(1 for _ in range(9000) if arb.choose(routes) == 0)
         assert abs(wins / 9000 - 8 / 9) < 0.02
 
@@ -149,7 +174,8 @@ class TestMeshGrantsThroughChoose:
 
     @pytest.mark.parametrize("kind", list(ArbiterKind))
     def test_one_choose_call_per_grant(self, monkeypatch, kind):
-        cls = type(make_arbiter(kind, 3))
+        cfg = MeshConfig(k=4, rate=1.0, horizon=300, warmup=0, arbiter=kind)
+        cls = type(MeshSim(cfg).ports[0][0])
         choose = cls.choose
         calls = []
 
@@ -158,13 +184,6 @@ class TestMeshGrantsThroughChoose:
             return choose(self, xs)
 
         monkeypatch.setattr(cls, "choose", counted)
-        rep = run_mesh(MeshConfig(k=4, rate=1.0, horizon=300, warmup=0, arbiter=kind))
+        rep = run_mesh(cfg)
         assert len(calls) == sum(rep.packets_through.values()) > 0
         assert max(calls) > 1  # contended grants go through choose too
-
-    def test_trace_targets_resolve(self):
-        spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
-        child = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(child)
-        for _layer, owner, attr in child.TARGETS:
-            assert callable(getattr(child._owner(owner), attr, None)), (owner, attr)

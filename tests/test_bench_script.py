@@ -1,5 +1,6 @@
 """scripts/bench.py keeps running: each layer's row function, at a tiny size,
-gives the same output hash twice, untraced and traced."""
+gives the same output hash twice, untraced and traced.  perfbench's trace
+mode keeps its hooks: every callable it wraps still exists."""
 
 import importlib.util
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 
 @pytest.fixture
@@ -32,3 +34,11 @@ def test_each_layer_row_is_deterministic(bench, layer):
         assert plain["sha256"] == traced["sha256"]
         assert plain["peak_mb"] is None and traced["peak_mb"] > 0
         assert plain["work"] > 0 and plain["seconds"] >= 0
+
+
+def test_perfbench_targets_resolve():
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for _layer, owner, attr in child.TARGETS:
+        assert callable(getattr(child._owner(owner), attr, None)), (owner, attr)

@@ -41,6 +41,9 @@ def base_cfg(tmp_path, **over):
     return cfg
 
 
+P = "config key params."  # how a mesh config error names its key
+
+
 class TestConfigErrors:
     def test_missing_seeds_names_key(self, tmp_path, capsys):
         cfg = base_cfg(tmp_path)
@@ -107,7 +110,7 @@ class TestConfigErrors:
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot",
                        params={"k": 1, "horizon": 100})
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
-        assert "k" in capsys.readouterr().err
+        assert "config error: config key params.k must be >= 2" in capsys.readouterr().err
 
     def test_config_file_not_found(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json")]) == 2
@@ -123,6 +126,12 @@ class TestConfigErrors:
         path = write_cfg(tmp_path, **base_cfg(tmp_path, seeds="one"))
         assert main(["run", path]) == 2
         assert "seeds" in capsys.readouterr().err
+
+    def test_seeds_must_not_repeat(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, **base_cfg(tmp_path, seeds=[3, 1, 3]))
+        assert main(["run", path]) == 2
+        assert "config key seeds must not repeat a seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_workload_kind(self, tmp_path, capsys):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler",
@@ -194,36 +203,39 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("params,key", [
-        (dict(k="8"), "k must be an integer"),
-        (dict(horizon="100"), "horizon must be an integer"),
-        (dict(quantum=True), "quantum must be an integer"),
-        (dict(rate="1.0"), "rate must be a number"),
-        (dict(rate=[1.0] * 7 + ["1"]), "rate must be a number"),
-        (dict(weight_base="2"), "weight_base must be a number"),
-        (dict(trace_links=5), "trace_links must be a list"),
-        (dict(trace_links=[[1]]), "trace_links must be a list"),
-        (dict(arbiter="probabilistic", weight_base=0.5), "weight_base must be >= 1"),
-        (dict(arbiter="probabilistic", policy="fw", k=700, weight_base=3.0,
-              horizon=100, warmup=0), "the largest weight sum"),
-        (dict(arbiter="bogus"), "arbiter must be one of [round_robin, age, probabilistic]"),
-        (dict(scheduler="carr", congestion_ratio=0.5), "congestion_ratio must exceed 1"),
-        (dict(scheduler="carr", demote_rounds=0), "demote_rounds must be >= 1"),
+        (dict(k="8"), P + "k must be an integer"),
+        (dict(horizon="100"), P + "horizon must be an integer"),
+        (dict(quantum=True), P + "quantum must be an integer"),
+        (dict(rate="1.0"), P + "rate must be a number"),
+        (dict(rate=[1.0] * 7 + ["1"]), P + "rate must be a number"),
+        (dict(weight_base="2"), P + "weight_base must be a number"),
+        (dict(trace_links=5), P + "trace_links must be a list"),
+        (dict(trace_links=[[1]]), P + "trace_links must be a list"),
+        (dict(arbiter="probabilistic", weight_base=0.5), P + "weight_base must be >= 1"),
+        pytest.param(dict(arbiter="probabilistic", policy="fw", k=700, weight_base=3.0,
+                          horizon=100, warmup=0),
+                     P + "weight_base and params.k: the largest weight sum",
+                     id="params9-the largest weight sum"),
+        (dict(arbiter="bogus"), P + "arbiter must be one of [round_robin, age, probabilistic]"),
+        (dict(scheduler="carr", congestion_ratio=0.5), P + "congestion_ratio must exceed 1"),
+        (dict(scheduler="carr", demote_rounds=0), P + "demote_rounds must be >= 1"),
         (dict(scheduler="carr", congestion_ratio=math.inf),
-         "congestion_ratio must exceed 1 and be finite"),
-        (dict(rate=math.nan), "rate entries must lie in [0, 1]"),
-        (dict(rate=[1.0] * 7 + [math.nan]), "rate entries must lie in [0, 1]"),
+         P + "congestion_ratio must exceed 1 and be finite"),
+        (dict(rate=math.nan), P + "rate entries must lie in [0, 1]"),
+        (dict(rate=[1.0] * 7 + [math.nan]), P + "rate entries must lie in [0, 1]"),
         # the real-valued params are echoed into report.json, so they are
         # checked whatever the arbiter or scheduler
-        (dict(weight_base=math.nan), "weight_base must be >= 1 and finite"),
-        (dict(weight_base=0.5), "weight_base must be >= 1 and finite"),
-        (dict(congestion_ratio=math.inf), "congestion_ratio must exceed 1 and be finite"),
-        (dict(congestion_ratio=1.0), "congestion_ratio must exceed 1 and be finite"),
-        (dict(demote_rounds=0), "demote_rounds must be >= 1"),
+        (dict(weight_base=math.nan), P + "weight_base must be >= 1 and finite"),
+        (dict(weight_base=0.5), P + "weight_base must be >= 1 and finite"),
+        (dict(congestion_ratio=math.inf), P + "congestion_ratio must exceed 1 and be finite"),
+        (dict(congestion_ratio=1.0), P + "congestion_ratio must exceed 1 and be finite"),
+        (dict(demote_rounds=0), P + "demote_rounds must be >= 1"),
         (dict(arbiter="probabilistic", weight_base=math.inf),
-         "weight_base must be >= 1 and finite"),
+         P + "weight_base must be >= 1 and finite"),
         # a test hook of MeshConfig, not a config key
         (dict(log_ejects=True), "unknown config key: params.log_ejects"),
-    ])
+        # the ids keep the paramsN-fragment form, less the prefix P
+    ], ids=lambda v: v.removeprefix(P) if isinstance(v, str) else None)
     def test_bad_mesh_param_types_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
@@ -250,7 +262,8 @@ class TestConfigErrors:
         ("run", dict(experiment="rfb-vs-cfb-pathology", params={"horizon": 1.5}),
          "params.horizon"),
         ("run", dict(experiment="mesh-hotspot", params={"krad": 8}), "params.krad"),
-        ("run", dict(experiment="eq13-feasibility", params={"warmup": -1}), "warmup"),
+        ("run", dict(experiment="eq13-feasibility", params={"warmup": -1}),
+         "config key params.warmup and params.horizon: warmup must satisfy"),
         ("run", dict(params={"trials": True}), "params.trials"),
         ("compare", dict(schedulers=["rr", "drr"], params={"quantum": 0}), "params.quantum"),
     ], ids=["standalone-scheduler", "rfb-vs-cfb-pathology", "mesh-hotspot",
@@ -372,6 +385,13 @@ class TestCompareVerb:
         assert main(["compare", path]) == 2
         err = capsys.readouterr().err
         assert "schedulers" in err and "srr" in err
+
+    def test_repeated_kind_rejected(self, tmp_path, capsys):
+        # kinds are case-folded, so RR repeats rr
+        path = self.compare_cfg(tmp_path, schedulers=["rr", "RR", "drr"])
+        assert main(["compare", path]) == 2
+        assert "config key schedulers must not repeat a kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params,key", [
         ({"quantm": 4}, "params.quantm"),

@@ -15,17 +15,12 @@ import pytest
 import fairmesh
 from fairmesh import presets
 from fairmesh.core import Accounting, PacketEvent, ServiceRecord, Trace
-from fairmesh.fairness import (
-    _BLOCK,
-    backlog_from_trace,
-    backlog_intervals,
-    rfb_estimate,
-)
+from fairmesh.fairness import _BLOCK, backlog_from_trace, rfb_estimate
 from fairmesh.meshsim import MeshConfig, run_mesh
 from fairmesh.schedulers import make_scheduler
 
 from conftest import backlogged_workload, make_workload
-from oracles import exact_max_fm, fm_over_interval, normalized_service
+from oracles import backlog_by_cycle, exact_max_fm, fm_over_interval, normalized_service
 
 
 def rec(flow, rnd, start, end, sent, blocking=0):
@@ -110,27 +105,39 @@ class TestFmOverInterval:
         assert fm_over_interval(two_flow_trace, {0: Fraction(7, 5), 1: 1}, 0, 1200) == 0
 
 
+def packet_trace(*events, records=()):
+    """A trace of `records` and of (flow, inject, deliver) packet events."""
+    t = Trace()
+    for r in records:
+        t.append(r)
+    for pid, (flow, inject, deliver) in enumerate(events):
+        t.events.append(PacketEvent(pid, flow, inject, deliver))
+    return t
+
+
 class TestBacklogIntervals:
+    """The stretches in which a flow has a packet queued."""
+
     def test_worked_trajectory(self):
         # queue grows 0 -> 1 -> 2 then drains at cycle 9
-        assert backlog_intervals([(5, 1), (7, 2), (9, 0)]) == [(5, 9)]
+        t = packet_trace((0, 5, 8), (0, 7, 9))
+        assert backlog_from_trace(t) == {0: [(5, 9)]}
 
     def test_multiple_intervals(self):
-        evs = [(0, 1), (3, 0), (10, 2), (11, 1), (12, 0)]
-        assert backlog_intervals(evs) == [(0, 3), (10, 12)]
-
-    def test_out_of_order_rejected(self):
-        with pytest.raises(ValueError):
-            backlog_intervals([(7, 1), (5, 0)])
+        t = packet_trace((0, 0, 3), (0, 10, 12), (0, 10, 11))
+        assert backlog_from_trace(t) == {0: [(0, 3), (10, 12)]}
 
     def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            backlog_intervals([(5, -1)])
+        # a packet delivered before its inject would take its queue below
+        # empty; it is caught with another packet of the flow queued too
+        for events in ([(0, 5, 4)], [(0, 0, 10), (0, 5, 4)]):
+            with pytest.raises(ValueError, match="before its inject"):
+                backlog_from_trace(packet_trace(*events))
 
     def test_open_interval_needs_horizon(self):
-        assert backlog_intervals([(5, 1)], horizon=20) == [(5, 20)]
-        with pytest.raises(ValueError):
-            backlog_intervals([(5, 1)])
+        # an undelivered packet holds its queue to the last record's end
+        t = packet_trace((0, 5, None), records=[rec(1, 1, 0, 20, 20)])
+        assert backlog_from_trace(t) == {0: [(5, 20)]}
 
     def test_from_trace_matches_packet_lifecycle(self):
         t = Trace()
@@ -148,6 +155,41 @@ class TestBacklogIntervals:
         t.events.append(PacketEvent(0, 0, inject=0, deliver=None))
         got = backlog_from_trace(t)  # falls back to last record end
         assert got[0] == [(0, 5)]
+
+
+class TestBacklogMatchesCycleCount:
+    """`backlog_from_trace` against the cycle-by-cycle count of queued packets."""
+
+    @pytest.mark.parametrize("kind", ["rr", "drr", "err", "ebrr", "carr"])
+    def test_horizon_cut_disciplines(self, kind):
+        kw = {"quantum": 6} if kind in ("drr", "ebrr") else {}
+        for seed in range(4):
+            trace = run_trace(kind, make_workload(seed, n_flows=3, n_packets=60, spread=300),
+                              horizon=250, **kw)
+            assert any(ev.deliver is None for ev in trace.events)
+            assert backlog_from_trace(trace) == backlog_by_cycle(trace)
+
+    def test_mesh_sink_trace(self):
+        trace = run_mesh(MeshConfig(k=4, rate=0.05, horizon=400, warmup=0)).sink_trace()
+        got = backlog_from_trace(trace)
+        assert len(got) == 3 and all(len(v) > 3 for v in got.values())
+        assert got == backlog_by_cycle(trace)
+
+    @pytest.mark.parametrize("events,records,want", [
+        pytest.param([(0, 0, 4), (0, 4, 9)], [], {0: [(0, 9)]}, id="back-to-back"),
+        pytest.param([(0, 3, 3), (1, 2, 6), (1, 6, 6)], [], {0: [], 1: [(2, 6)]},
+                     id="deliver-at-inject"),
+        # with no records, undelivered packets hold their queue to one cycle
+        # past the first one's inject, and one injected later opens nothing
+        pytest.param([(0, 0, 2), (0, 2, None), (1, 5, None)], [], {0: [(0, 3)], 1: []},
+                     id="no-records"),
+        pytest.param([(1, 10, None), (0, 4, 10)], [rec(0, 1, 4, 10, 6)],
+                     {0: [(4, 10)], 1: []}, id="undelivered-at-close"),
+        pytest.param([], [], {}, id="empty"),
+    ])
+    def test_hand_built(self, events, records, want):
+        t = packet_trace(*events, records=records)
+        assert backlog_from_trace(t) == backlog_by_cycle(t) == want
 
 
 def brute_force_max_fm(trace, weights, mode):
@@ -179,6 +221,11 @@ class TestRfbEstimate:
         rep = rfb_estimate(t, {0: 1})
         assert rep.rfb_estimate == 0.0
         assert rep.cfb_estimate == 0.0
+
+    def test_bad_weight_rejected(self, two_flow_trace):
+        for w in (0, -1.0, math.nan, math.inf, True, "1"):
+            with pytest.raises(ValueError, match="finite number above 0"):
+                rfb_estimate(two_flow_trace, {0: w, 1: 1.0})
 
     def test_empty_trace(self):
         rep = rfb_estimate(Trace(), {0: 1, 1: 1})

@@ -59,10 +59,9 @@ class TestDeficitRoundRobin:
         assert s.trace.records[0].sent_units == 500
 
     def test_zero_quantum_rejected(self):
-        with pytest.raises(ValueError):
-            DeficitRoundRobin(quantum=0)
-        with pytest.raises(ValueError):
-            DeficitRoundRobin(quantum={0: 0})
+        for q in (0, {0: 0}, 2.5, True, {0: 2.5}, {0: True}):
+            with pytest.raises(ValueError, match="quantum must be an integer >= 1"):
+                DeficitRoundRobin(quantum=q)
 
     def test_residual_deficit_carries_while_backlogged(self):
         s = DeficitRoundRobin(quantum=300, log_visits=True)
@@ -210,8 +209,12 @@ class TestCongestionAware:
         for tau in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 CongestionAwareRoundRobin(tau=tau)
-        with pytest.raises(ValueError):
-            CongestionAwareRoundRobin(demote_rounds=0)
+        for tau in ("3", True):
+            with pytest.raises(ValueError, match="tau"):
+                CongestionAwareRoundRobin(tau=tau)
+        for rounds in (0, 2.5, True):
+            with pytest.raises(ValueError, match="demote_rounds"):
+                CongestionAwareRoundRobin(demote_rounds=rounds)
 
 
 class TestRoundRobinBasics:
