@@ -48,6 +48,7 @@ class ArbiterKind(str, Enum):
 # read on every grant, so bound once: reading a member off its Enum class
 # costs about ten times as much (CPython 3.11)
 _FW, _CW = WeightPolicy.FW, WeightPolicy.CW
+_INF = float("inf")
 
 
 def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
@@ -56,8 +57,8 @@ def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
         raise ValueError("arbitration needs at least one request")
     total = 0.0
     for w in weights:
-        if w <= 0:
-            raise ValueError(f"nonpositive arbitration weight {w}")
+        if not 0.0 < w < _INF:
+            raise ValueError(f"arbitration weight {w!r} is not a finite number above 0")
         total += w
     r = rng.random() * total
     for i, w in enumerate(weights):

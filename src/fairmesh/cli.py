@@ -32,7 +32,7 @@ from .core import (Accounting, Packet, SchedulerKind, Trace, is_finite, is_int, 
                    throughput_by_flow)
 from .fairness import FairnessReport, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
-from .schedulers import make_scheduler
+from .schedulers import CongestionAwareRoundRobin, DeficitRoundRobin, make_scheduler
 
 OUTPUT_DIR_ENV = "FAIRMESH_OUT"
 SCHEMA_VERSION = 1
@@ -58,9 +58,9 @@ def _load_json(path: str, what: str = "config") -> dict:
     return obj
 
 
-def _require(cfg: dict, key: str, what: str = "config"):
+def _require(cfg: dict, key: str):
     if key not in cfg:
-        raise ConfigError(f"{what} missing required key: {key}")
+        raise ConfigError(f"config missing required key: {key}")
     return cfg[key]
 
 
@@ -119,19 +119,34 @@ def _workload_flows(w: dict) -> range:
     return range(w.get("n_flows", 2))
 
 
-def _flow_map(params: dict, key: str, flows: Sequence[int] = ()) -> dict[int, float]:
-    """params[key] as {flow: positive number}, with an entry for each of `flows`."""
-    try:
-        out = {int(f): v for f, v in params[key].items()}
-    except (AttributeError, ValueError):
-        raise ConfigError(
-            f"config key params.{key} must be an object keyed by integer flow ids"
-        ) from None
-    if not all(is_finite(v) and v > 0 for v in out.values()):
-        raise ConfigError(f"config key params.{key} values must be positive finite numbers")
+def _by_id(obj, what: str) -> dict:
+    """The JSON object `obj` keyed by int ids; `what` names it in an error.
+    An id has one spelling, str(id), so no two keys name one id: "00",
+    "-0", "+1", "1_0", " 1" and "\u0661" are refused."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be an object keyed by integer ids")
+    out = {}
+    for k, v in obj.items():
+        try:
+            i = int(k)
+        except ValueError:
+            i = None
+        if i is None or str(i) != k:
+            raise ConfigError(f"{what} keys must be integers in canonical decimal form, got {k!r}")
+        out[i] = v
+    return out
+
+
+def _flow_map(params: dict, key: str, flows: Sequence[int]) -> dict:
+    """params[key] as {flow: value}, with an entry for each of `flows` and no other."""
+    out = _by_id(params[key], f"config key params.{key}")
     missing = sorted(set(flows) - set(out))
     if missing:
         raise ConfigError(f"config key params.{key} has no entry for flows {missing}")
+    extra = sorted(set(out) - set(flows))
+    if extra:
+        raise ConfigError(f"config key params.{key} has entries for flows {extra}, "
+                          f"which the workload does not carry")
     return out
 
 
@@ -151,37 +166,25 @@ def _scheduler_settings(
     """Check the scheduler keys and fairness weights for workload `w`, and
     return run_one(kind, packets), which runs one discipline on `packets`,
     a build of `w`.  Every scheduler key given is checked, whether or not a
-    discipline reads it."""
+    discipline reads it: its value by the library code that uses it."""
     pathological = w["kind"] == "pathology"
-    if "weights" in params:
-        weights = _flow_map(params, "weights", _workload_flows(w))
-    elif pathological:
-        weights = dict(presets.PATHOLOGY_WEIGHTS)
-    else:
-        weights = {f: 1.0 for f in _workload_flows(w)}
-    q = params.get("quantum")
-    if "quantum" not in params:
-        q = dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16
-    elif isinstance(q, dict):
-        q = _flow_map(params, "quantum", _workload_flows(w))
-        if not all(map(is_int, q.values())):
-            raise ConfigError("config key params.quantum values must be integers")
-    elif not is_int(q):
-        raise ConfigError(f"config key params.quantum must be an integer or "
-                          f"an object keyed by flow id, got {q!r}")
-    elif q < 1:
-        raise ConfigError(f"config key params.quantum must be >= 1, got {q}")
-    tau = params.get("tau", 2.0)
-    demote_rounds = params.get("demote_rounds", 2)
-    if not is_finite(tau):
-        raise ConfigError(f"config key params.tau must be a finite number, got {tau!r}")
-    if not tau > 1.0:
-        raise ConfigError(f"config key params.tau must exceed 1.0 and be finite, got {tau}")
-    if not is_int(demote_rounds):
-        raise ConfigError(f"config key params.demote_rounds must be an integer, "
-                          f"got {demote_rounds!r}")
-    if demote_rounds < 1:
-        raise ConfigError(f"config key params.demote_rounds must be >= 1, got {demote_rounds}")
+    flows = _workload_flows(w)
+    carr = {k: params[k] for k in ("tau", "demote_rounds") if k in params}
+    try:  # each key's shape, then its values, so the first bad key is named
+        if "weights" in params:
+            weights = _flow_map(params, "weights", flows)
+        elif pathological:
+            weights = dict(presets.PATHOLOGY_WEIGHTS)
+        else:
+            weights = {f: 1.0 for f in flows}
+        rfb_estimate(Trace(), weights)  # on an empty trace, only checks the weights
+        q = params.get("quantum", dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16)
+        if isinstance(params.get("quantum"), dict):
+            q = _flow_map(params, "quantum", flows)
+        DeficitRoundRobin(quantum=q)
+        CongestionAwareRoundRobin(**carr)
+    except ValueError as e:  # the message starts with the field's name
+        raise ConfigError(f"config key params.{e}") from None
 
     def run_one(kind: SchedulerKind, packets: list[Packet]) -> tuple[Trace, FairnessReport, dict]:
         kw: dict = {}
@@ -190,7 +193,7 @@ def _scheduler_settings(
         if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
             kw["quantum"] = q
         if kind is SchedulerKind.CARR:
-            kw.update(tau=tau, demote_rounds=demote_rounds)
+            kw.update(carr)
         sched = make_scheduler(kind, **kw)
         sched.load(packets)
         trace = sched.run(horizon=w.get("horizon"))
@@ -457,9 +460,11 @@ def cmd_config(args) -> int:
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("config key params must be an object")
+    out = cfg.get("output_dir", "out")
+    if not isinstance(out, str):
+        raise ConfigError(f"config key output_dir must be a string, got {out!r}")
     run = check(params)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    outdir = Path(env) if env else Path(cfg.get("output_dir", "out"))
+    outdir = Path(os.environ.get(OUTPUT_DIR_ENV) or out)
     outdir.mkdir(parents=True, exist_ok=True)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -473,11 +478,9 @@ def cmd_config(args) -> int:
     return 0
 
 
-def _s_matrix_from_payload(payload, seed: str) -> dict[int, dict[int, float | None]]:
-    """The run's S matrix: integer-string keys, object rows, and entries
-    that are null or finite numbers >= 1, as (sending + blocking) / sending
-    is; then every ratio of two entries, and every difference of two such
-    ratios, is finite as well."""
+def _s_matrix_from_payload(payload, seed: str) -> tuple[str, dict[int, dict[int, object]]]:
+    """The report key of the run's S matrix, and the matrix with int flow
+    and router ids; `check_ratio_constraint` checks its entries."""
     if not isinstance(payload, dict):
         raise ConfigError(f"report key runs.{seed} must be an object")
     where = f"runs.{seed}.s_matrix"
@@ -487,20 +490,8 @@ def _s_matrix_from_payload(payload, seed: str) -> dict[int, dict[int, float | No
         sm = payload["mesh"].get("s_matrix")
     if not isinstance(sm, dict):
         raise ConfigError(f"report run {seed} missing required key: s_matrix")
-    out: dict[int, dict[int, float | None]] = {}
-    for f, row in sm.items():
-        if not isinstance(row, dict):
-            raise ConfigError(f"report key {where}.{f} must be an object keyed by router")
-        for key in (f, *row):
-            if not (key.isascii() and key.removeprefix("-").isdigit()):
-                raise ConfigError(f"report key {where} keys must be integer strings, "
-                                  f"got {key!r}")
-        for r, v in row.items():
-            if v is not None and not (is_finite(v) and v >= 1):
-                raise ConfigError(f"report key {where}.{f}.{r} must be null or a "
-                                  f"finite number >= 1, got {v!r}")
-        out[int(f)] = {int(r): v for r, v in row.items()}
-    return out
+    rows = _by_id(sm, f"report key {where}")
+    return where, {f: _by_id(row, f"report key {where}.{f}") for f, row in rows.items()}
 
 
 def cmd_analyze(args) -> int:
@@ -512,8 +503,11 @@ def cmd_analyze(args) -> int:
         raise ConfigError("report missing required key: runs")
     per_run = {}
     for seed in sorted(runs):
-        s = _s_matrix_from_payload(runs[seed], seed)
-        entry, rw = _feasibility_entry(s, eps=args.tolerance)
+        where, s = _s_matrix_from_payload(runs[seed], seed)
+        try:
+            entry, rw = _feasibility_entry(s, eps=args.tolerance)
+        except ValueError as e:  # an entry that is not null or a finite number >= 1
+            raise ConfigError(f"report key {where}: {e}") from None
         if rw is not None:
             entry["required_weights"]["consistent"] = rw.consistent(args.tolerance)
         per_run[seed] = entry

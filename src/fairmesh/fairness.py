@@ -176,8 +176,7 @@ def rfb_estimate(
     """
     for f, w in weights.items():
         if not (is_finite(w) and w > 0):
-            raise ValueError(f"flow weight must be a finite number above 0, got {w!r} "
-                             f"for flow {f}")
+            raise ValueError(f"weights[{f!r}] must be a finite number above 0, got {w!r}")
     flows = sorted(weights)
     backlogs = backlog_from_trace(trace)
     times = trace.boundaries()

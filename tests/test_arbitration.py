@@ -48,8 +48,11 @@ class TestProbabilisticGrant:
             grant_probabilistic([], XorShift64Star(1))
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError):
-            grant_probabilistic([1.0, 0.0], XorShift64Star(1))
+        # NaN and infinite weights used to pass and skew the wheel
+        for weights, bad in (([1.0, 0.0], 0.0), ([math.inf, 1.0], math.inf),
+                             ([1.0, math.nan], math.nan)):
+            with pytest.raises(ValueError, match=f"arbitration weight {bad!r} is not"):
+                grant_probabilistic(weights, XorShift64Star(1))
 
     def test_replay_identical(self):
         rng1 = XorShift64Star(7, 3)

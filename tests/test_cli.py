@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import fairmesh
+from fairmesh.analysis import check_ratio_constraint
 from fairmesh.cli import (
     OUTPUT_DIR_ENV,
     _build_workload,
@@ -21,6 +22,9 @@ from fairmesh.cli import (
     _workload_flows,
     main,
 )
+from fairmesh.core import Trace
+from fairmesh.fairness import rfb_estimate
+from fairmesh.schedulers import CongestionAwareRoundRobin, DeficitRoundRobin
 
 
 def write_cfg(tmp_path, name="cfg.json", **cfg):
@@ -42,6 +46,10 @@ def base_cfg(tmp_path, **over):
 
 
 P = "config key params."  # how a mesh config error names its key
+
+# spellings of an integer id other than str(id); each names no id
+ALIASES = ["00", "-0", "+1", "1_0", pytest.param(" 1", id="space-1"),
+           pytest.param("\u0661", id="arabic-indic-1")]
 
 
 class TestConfigErrors:
@@ -279,6 +287,44 @@ class TestConfigErrors:
         assert main([verb, write_cfg(tmp_path, **cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("output_dir", [5, ["a"], None, True])
+    def test_output_dir_must_be_a_string(self, tmp_path, capsys, output_dir, monkeypatch):
+        # a non-string used to reach Path() and exit 3 with a raw TypeError
+        monkeypatch.chdir(tmp_path)
+        path = write_cfg(tmp_path, **base_cfg(tmp_path, output_dir=output_dir))
+        assert main(["run", path]) == 2
+        assert (f"config key output_dir must be a string, got {output_dir!r}"
+                in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("params,library", [
+        ({"quantum": 0}, lambda: DeficitRoundRobin(quantum=0)),
+        ({"quantum": {"0": 4, "1": 2.5, "2": 4}},
+         lambda: DeficitRoundRobin(quantum={0: 4, 1: 2.5, 2: 4})),
+        ({"tau": 1.0}, lambda: CongestionAwareRoundRobin(tau=1.0)),
+        ({"demote_rounds": 0}, lambda: CongestionAwareRoundRobin(demote_rounds=0)),
+        ({"weights": {"0": 1, "1": -2, "2": 1}},
+         lambda: rfb_estimate(Trace(), {0: 1, 1: -2, 2: 1})),
+    ], ids=["quantum", "per-flow-quantum", "tau", "demote_rounds", "weights"])
+    def test_value_rule_is_the_library_text(self, tmp_path, capsys, params, library):
+        # each value rule lives in the library code that uses the value;
+        # the CLI only puts the config key in front of its message
+        with pytest.raises(ValueError) as e:
+            library()
+        cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: config key params.{e.value}\n"
+
+    @pytest.mark.parametrize("key,value", [("weights", 1), ("quantum", 4)])
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_flow_id_has_one_spelling(self, tmp_path, capsys, key, value, alias):
+        # "00" and "-0" used to name flow 0 a second time, and "1_0" flow 10
+        params = {key: {"0": value, "1": value, "2": value, alias: 2 * value}}
+        cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert (f"config key params.{key} keys must be integers in canonical decimal form, "
+                f"got {alias!r}" in capsys.readouterr().err)
+
     def test_runtime_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -450,6 +496,23 @@ class TestCompareVerb:
         assert "params.weights has no entry for flows [1]" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value", [("weights", 1.5), ("quantum", 8)])
+    @pytest.mark.parametrize("verb", ["compare", "run"])
+    def test_map_entry_for_a_flow_the_workload_lacks_rejected(self, tmp_path, capsys,
+                                                              verb, key, value):
+        # an extra weight used to add flow 2 to the report's fairness flows
+        params = {key: {"0": value, "1": value, "2": value}}
+        if verb == "compare":
+            path = self.compare_cfg(tmp_path, params=params)
+        else:
+            path = write_cfg(tmp_path, **base_cfg(
+                tmp_path, experiment="standalone-scheduler",
+                params=dict(params, workload="pathology")))
+        assert main([verb, path]) == 2
+        err = capsys.readouterr().err
+        assert f"params.{key} has entries for flows [2], which the workload" in err
+        assert not (tmp_path / "out").exists()
+
     def test_pathology_comparison(self, tmp_path):
         assert main(["compare", self.compare_cfg(tmp_path)]) == 0
         out = tmp_path / "out"
@@ -589,6 +652,32 @@ class TestAnalyzeVerb:
         assert main(["analyze", str(p)]) == 2
         assert "runs.1.s_matrix" in capsys.readouterr().err
         assert not (tmp_path / "analysis.json").exists()
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_s_entry_rule_is_the_library_text(self, tmp_path, capsys, nested):
+        with pytest.raises(ValueError) as e:
+            check_ratio_constraint({0: {0: 1.5, 1: 0.5}})
+        run, where = {"s_matrix": {"0": {"0": 1.5, "1": 0.5}}}, "runs.1.s_matrix"
+        if nested:  # an eq13-feasibility report keeps it in the mesh report
+            run, where = {"mesh": run}, "runs.1.mesh.s_matrix"
+        p = tmp_path / "rep.json"
+        p.write_text(json.dumps({"runs": {"1": run}}))
+        assert main(["analyze", str(p)]) == 2
+        assert capsys.readouterr().err == f"config error: report key {where}: {e.value}\n"
+        assert not (tmp_path / "analysis.json").exists()
+
+    @pytest.mark.parametrize("level", ["flow", "router"])
+    @pytest.mark.parametrize("alias", ALIASES)
+    def test_s_matrix_id_has_one_spelling(self, tmp_path, capsys, level, alias):
+        # a row keyed "-0" used to replace row "0"
+        sm = ({"0": {"0": 1.5}, alias: {"0": 2.0}} if level == "flow"
+              else {"0": {"0": 1.5, alias: 2.0}})
+        p = tmp_path / "rep.json"
+        p.write_text(json.dumps({"runs": {"1": {"s_matrix": sm}}}))
+        assert main(["analyze", str(p)]) == 2
+        where = "runs.1.s_matrix" if level == "flow" else "runs.1.s_matrix.0"
+        assert (f"report key {where} keys must be integers in canonical decimal form, "
+                f"got {alias!r}" in capsys.readouterr().err)
 
     def test_analyze_missing_runs(self, tmp_path, capsys):
         p = tmp_path / "rep.json"
