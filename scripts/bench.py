@@ -9,8 +9,10 @@ side by side:
     python scripts/bench.py --src ../parent/src --out BENCH.json
 
 * `mesh`: `MeshSim(cfg).run()` on the saturated k=8 hotspot line (each port
-  arbiter and each flow-queue discipline) and on k=16 uniform traffic at
-  rate 0.03 under CARR, MESH_HORIZON cycles, seed 1; cycles/s.
+  arbiter and each flow-queue discipline), on the k=16 line under round
+  robin, whose period (~2^16 cycles) exceeds the horizon, so that `run`
+  searches for a repeat it never finds, and on k=16 uniform traffic at rate
+  0.03 under CARR, MESH_HORIZON cycles, seed 1; cycles/s.
 * `schedulers`: `SchedulerBase.run` for each of the five disciplines on the
   credit-withheld pathology workload, built as `fairmesh compare` builds
   it, at horizon SCHED_HORIZON; scheduled cycles/s.
@@ -66,6 +68,7 @@ KINDS = ("rr", "drr", "err", "ebrr", "carr")
 MESH_CONFIGS = {
     **{f"hotspot-{a}": dict(HOTSPOT, arbiter=a)
        for a in ("round_robin", "age", "probabilistic")},
+    "hotspot-k16-round_robin": dict(HOTSPOT, k=16, arbiter="round_robin"),
     **{f"hotspot-fq-{s}": dict(HOTSPOT, scheduler=s) for s in KINDS},
     "uniform-k16-carr": UNIFORM,
 }

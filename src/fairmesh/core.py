@@ -43,8 +43,12 @@ def is_real(x) -> bool:
 
 
 def is_finite(x) -> bool:
-    """A finite real number that is not a bool (JSON's NaN and Infinity are not)."""
-    return is_real(x) and math.isfinite(x)
+    """A finite real number that is not a bool (JSON's NaN and Infinity are
+    not, nor is an integer too large for a float)."""
+    try:
+        return is_real(x) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 class TraceError(Exception):

@@ -239,8 +239,10 @@ class _FlowKernel:
         self.order.append(f)
         self.visits_left += 1
 
-    def choose(self, candidates: dict):
-        """Value of the candidate flow to grant; `candidates` is non-empty.
+    def choose(self, candidates: dict | None, lone: tuple | None = None):
+        """Value of the candidate flow to grant: `candidates` maps each
+        requesting flow to its value, or is None when `lone`, a lone
+        request's (flow, value), comes instead, so no dict is built for it.
 
         The rotation runs until it grants: DRR deficit and EBRR credit grow
         by the quantum on each turn, so a port with a ready packet is never
@@ -248,14 +250,16 @@ class _FlowKernel:
         """
         order = self.order
         balance = self.balance
-        if self.skips and len(candidates) == 1:
+        if self.skips and (lone or len(candidates) == 1):
             # a lone request is granted, as CARR demotes a flow only in
             # favour of another candidate: take the turns up to its own
-            (f, value), = candidates.items()
+            (f, value), = (lone,) if lone else candidates.items()
             if f not in balance:
                 self._join(f)
             self._turns(order.index(f) + 1)
             return value
+        if lone:
+            candidates = dict((lone,))
         for f in candidates:
             if f not in balance:
                 self._join(f)
@@ -445,6 +449,7 @@ class MeshSim:
 
         self._reset_stats()
         self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
+        self.deliveries: list[tuple[int, int]] | None = None  # (pid, cycle) while searching
 
     # -- helpers ----------------------------------------------------------
 
@@ -629,10 +634,11 @@ class MeshSim:
     def _grant(self, r: int, o: int, cands: list[tuple[int, int]]) -> tuple[int, int]:
         """(pid, input) granted a free output among (input, pid) requests."""
         if self.flow_mode:
+            if len(cands) == 1:
+                (i, pid), = cands
+                return self.ports[r][o].choose(None, (self.psrc[pid], (pid, i)))
             # a flow reaches a router through one input port only
-            return self.ports[r][o].choose(
-                {self.psrc[pid]: (pid, i) for i, pid in cands}
-            )
+            return self.ports[r][o].choose({self.psrc[pid]: (pid, i) for i, pid in cands})
         psrc, pdest, pinject, pcprod = self.psrc, self.pdest, self.pinject, self.pcprod
         arb = self.ports[r][o]
         if arb.kind is _RR:
@@ -663,6 +669,8 @@ class MeshSim:
             )
 
     def _deliver(self, pid: int, now: int) -> None:
+        if self.deliveries is not None:
+            self.deliveries.append((pid, now))
         src = self.psrc[pid]
         st = self.stats[src]
         st.delivered += 1
@@ -680,7 +688,18 @@ class MeshSim:
     # -- runs -------------------------------------------------------------
 
     def run(self) -> SimReport:
-        for _ in range(self.cfg.horizon - self.now):
+        """Step to the horizon.  A run that draws no random number (no lanes,
+        a fixed destination, the round-robin or age arbiter) first looks for
+        a repeat of its state after warmup, and skips the whole periods it
+        finds; its output is the stepped output."""
+        cfg = self.cfg
+        if (self.ports[0][0].kind in (_RR, _AGE) and not self.lanes.ids
+                and self.dest_fixed is not None):
+            while self.now <= cfg.warmup:
+                self.step()
+            from .periodic import fast_forward  # compiled only by runs that search
+            fast_forward(self)
+        while self.now < cfg.horizon:
             self.step()
         return self.report()
 

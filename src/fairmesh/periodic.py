@@ -1,0 +1,139 @@
+"""Exact fast-forward of a mesh run that repeats.
+
+A run that draws no random number (round-robin or age ports, a fixed
+destination, every source at rate 0 or 1) is a map on a finite state once its
+cycles and packet ids are made relative, so it repeats after a transient.
+`fast_forward` finds the first repeat after warmup with Brent's cycle search
+(BIT 20, 1980) and skips the whole periods left before the horizon: what the
+run writes is what stepping every cycle writes.  `MeshSim.run` imports this
+module at its first search, so a run that never searches does not compile it.
+"""
+
+from __future__ import annotations
+
+from operator import eq
+
+from .arbitration import ArbiterKind
+from .core import ServiceRecord
+from .meshsim import IN_INJ, MeshSim
+
+
+def signature(sim: MeshSim):
+    """What the next cycles read, besides the credits and the source heads'
+    flit counts that `fast_forward` compares first, one part at a time, with
+    cycles relative to `now` and packet ids to the next new one; under age,
+    inject cycles relative to the oldest pending arrival of a saturated
+    source (whose n-th packet arrived in cycle n).  Two cycles equal in all
+    of these start the same run, shifted in time and ids."""
+    L, now, psrc, pinject, fifos = sim.L, sim.now, sim.psrc, sim.pinject, sim.fifos
+    yield [getattr(a, "pointer", 0) for row in sim.ports for a in row]
+    yield [[s - now if (fifos[r][i] if i < IN_INJ else sim.inj_pkt[r] >= 0) else None
+            for i, s in enumerate(row)] for r, row in enumerate(sim.since)]
+    nxt = len(psrc)
+    age = sim.ports[0][0].kind is ArbiterKind.AGE
+    firsts = [q[0][0] if q else now for q in sim.saturated]
+    base = min(firsts, default=now)
+
+    def pkt(pid):
+        return pid - nxt, psrc[pid], pinject[pid] - base if age else 0
+
+    yield [pkt(p) if p >= 0 else None for p in sim.inj_pkt]
+    yield [[[pkt(f // L) + (f % L,) for f in q] for q in row] for row in fifos]
+    yield [[rec and pkt(rec[0]) + (rec[1], rec[3] - now, rec[4], rec[5]) for rec in row]
+           for row in sim.owner]
+    yield sorted(sim.active), sorted(set(sim.fresh)), age and [t - base for t in firsts]
+    # sources of rate 0 get no arrival, so an equal queue is one not served
+    yield [[run[:] for run in q] for n, q in enumerate(sim.queues) if sim.rates[n] < 1.0]
+
+
+def _mark(sim: MeshSim) -> tuple:
+    """Brent's tortoise: the state a later cycle is compared with, and what
+    the period after it is measured from."""
+    sim.deliveries = []
+    return ([c[:] for c in sim.credits], sim.inj_seq[:], tuple(signature(sim)),
+            len(sim.psrc), dict(sim.sending), dict(sim.blocking), dict(sim.kcount),
+            {link: len(t.records) for link, t in sim.traces.items()},
+            len(sim.eject_log or ()))
+
+
+def fast_forward(sim: MeshSim) -> None:
+    """Search from the cycle after warmup.  At the first repeat, with lag P,
+    skip the whole periods left before the horizon.  The search ends once its
+    power exceeds half the cycles left, as a longer period cannot save a step.
+
+    Each mark is at least `power` >= P cycles past warmup, and a record live
+    at a matched mark ends within the period, as its copy holds the same
+    output P cycles later.  So it began after warmup: every record of the
+    period is traced, as are its shifted copies."""
+    horizon, credits, inj_seq = sim.cfg.horizon, sim.credits, sim.inj_seq
+    power = lam = 1
+    mark = _mark(sim)
+    while sim.now <= horizon - 2 * power:
+        sim.step()
+        # the cheap parts first, the signature part by part
+        if (credits == mark[0] and inj_seq == mark[1]
+                and all(map(eq, signature(sim), mark[2]))):
+            skip(sim, mark, lam)
+            break
+        if lam == power:
+            mark = _mark(sim)
+            power *= 2
+            lam = 0
+        lam += 1
+    sim.deliveries = None
+
+
+def skip(sim: MeshSim, mark: tuple, P: int) -> None:
+    """Jump m = (horizon - now) // P periods: counters add m times their
+    growth over the period; its packets, trace records, deliveries and
+    ejections are made again, shifted; the live state moves on."""
+    made, sending, blocking, kcount, records, ejects = mark[3:]
+    now, psrc, pinject, L = sim.now, sim.psrc, sim.pinject, sim.L
+    m = (sim.cfg.horizon - now) // P
+    N = len(psrc) - made
+    per = [0] * sim.cfg.k  # packets per period of each source
+    for s in psrc[made:]:
+        per[s] += 1
+    for counts, old in ((sim.sending, sending), (sim.blocking, blocking),
+                        (sim.kcount, kcount)):
+        for key, v in counts.items():
+            counts[key] = v + m * (v - old.get(key, 0))
+    srcs, dests, cprods = psrc[made:], sim.pdest[made:], sim.pcprod[made:]
+    injs = pinject[made:]
+    grow = [per[s] for s in srcs]
+    recs = [(t.records, t.records[records[link]:]) for link, t in sim.traces.items()]
+    ejected = sim.eject_log[ejects:] if sim.eject_log is not None else ()
+    delivered, sim.deliveries = sim.deliveries, None
+    for j in range(1, m + 1):
+        psrc += srcs
+        sim.pdest += dests
+        sim.pcprod += cprods  # read by the probabilistic arbiter only
+        pinject += [t + j * g for t, g in zip(injs, grow)]
+        for to, period in recs:
+            to += [ServiceRecord(r.flow, len(to) + n, r.start + j * P, r.end + j * P,
+                                 r.sent_units, r.blocking) for n, r in enumerate(period, 1)]
+        for pid, t in delivered:
+            sim._deliver(pid + j * N, t + j * P)
+        if ejected:
+            sim.eject_log += [(r, pid + j * N, seq) for r, pid, seq in ejected]
+    dt, dn = m * P, m * N
+    sim.now = now + dt
+    for row in sim.fifos:
+        for q in row:
+            flits = [f + dn * L for f in q]
+            q.clear()
+            q.extend(flits)
+    for row in sim.owner:  # the same records as `holder`
+        for rec in row:
+            if rec is not None:
+                rec[0] += dn
+                rec[3] += dt
+    sim.inj_pkt[:] = [p + dn if p >= 0 else p for p in sim.inj_pkt]
+    for row in sim.since:
+        row[:] = [s + dt for s in row]
+    for n, q in enumerate(sim.queues):
+        if sim.rates[n] >= 1.0:  # one run, of the arrivals not yet made packets
+            first = (q[0][0] if q else now) + m * per[n]
+            q.clear()
+            if sim.now > first:
+                q.append([first, sim.now - first])

@@ -65,12 +65,24 @@ def test_criterion_1_geometric_bandwidth_decay(rr_hotspot, capsys):
         for src, exp in enumerate(presets.GEOMETRIC_SHARES)
     }
     worst = max(errs.values())
-    ok = len(shares) == 7 and worst <= 0.15 and elapsed < 30.0
+    # the run repeats every 256 cycles, each window delivering the series exactly
+    period, want = 256, [1, 1, 2, 4, 8, 16, 32]
+    warmup = rep.config["warmup"]
+    windows = [[0] * len(want) for _ in range((rep.config["horizon"] - warmup) // period)]
+    for ev in rep.sink_trace().events:
+        j = (ev.deliver - 1 - warmup) // period  # the cycle its tail ejected
+        if 0 <= j < len(windows):
+            windows[j][ev.flow] += 1
+    exact = sum(w == want for w in windows)
+    ok = (len(shares) == 7 and worst <= 0.15 and elapsed < 30.0
+          and exact == len(windows) > 0)
     _verdict(
         capsys, 1, ok,
         "saturated 8-node hotspot, round-robin ports: sink shares match the "
         f"halving series 1/64..1/2, worst per-source error {worst:.2%} "
-        f"(tol 15%), run {elapsed:.1f}s (budget 30s)",
+        f"(tol 15%); {exact} of {len(windows)} {period}-cycle windows after "
+        f"warmup deliver exactly {want} packets from sources 0-6; "
+        f"run {elapsed:.1f}s (budget 30s)",
     )
 
 

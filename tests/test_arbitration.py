@@ -12,7 +12,7 @@ from fairmesh.arbitration import (
     empirical_grant_frequencies,
     grant_probabilistic,
 )
-from fairmesh.meshsim import _SID_ARB, MeshConfig, MeshSim, run_mesh
+from fairmesh.meshsim import _SID_ARB, MeshConfig, MeshSim
 from fairmesh.rng import XorShift64Star
 
 
@@ -172,8 +172,9 @@ class TestFactory:
 
 
 class TestMeshGrantsThroughChoose:
-    """The mesh grants every packet through its arbiter's `choose`, the
-    method perfbench's trace mode wraps to time arbitration."""
+    """The mesh's cycle loop grants every packet through its arbiter's
+    `choose`, the method perfbench's trace mode wraps to time arbitration.
+    It is stepped here: `run` skips the whole periods of a periodic run."""
 
     @pytest.mark.parametrize("kind", list(ArbiterKind))
     def test_one_choose_call_per_grant(self, monkeypatch, kind):
@@ -187,6 +188,9 @@ class TestMeshGrantsThroughChoose:
             return choose(self, xs)
 
         monkeypatch.setattr(cls, "choose", counted)
-        rep = run_mesh(cfg)
+        sim = MeshSim(cfg)
+        for _ in range(cfg.horizon):
+            sim.step()
+        rep = sim.report()
         assert len(calls) == sum(rep.packets_through.values()) > 0
         assert max(calls) > 1  # contended grants go through choose too

@@ -187,6 +187,8 @@ class TestConfigErrors:
         (dict(workload={"kind": "random", "bogus": 3}),
          "unknown config key: params.workload.bogus"),
         (dict(workload=5), "config key params.workload must be a name or an object"),
+        # an integer too large for a float is no finite number
+        pytest.param(dict(scheduler="carr", tau=10**400), "params.tau", id="huge-int-tau"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
@@ -204,7 +206,8 @@ class TestConfigErrors:
         (dict(weights=[True, 2]), "params.weights"),
         (dict(weights=[float("nan"), 1]), "params.weights"),
         (dict(trials=True), "params.trials"),
-    ], ids=["bool-weight", "nan-weight", "bool-trials"])
+        (dict(weights=[10**400, 1]), "params.weights"),
+    ], ids=["bool-weight", "nan-weight", "bool-trials", "huge-int-weight"])
     def test_bad_arb_convergence_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, params=params)
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2

@@ -12,6 +12,7 @@ from fairmesh.core import (
     ServiceRecord,
     Trace,
     TraceError,
+    is_finite,
     latency_stats,
     throughput_by_flow,
 )
@@ -38,6 +39,17 @@ class TestServiceRecord:
     def test_rejects_blocking_beyond_span(self):
         with pytest.raises(ValueError):
             ServiceRecord(0, 1, 0, 5, 1, 6)
+
+
+class TestIsFinite:
+    @pytest.mark.parametrize("x,want", [
+        (1, True), (2.5, True), (Fraction(1, 3), True), (10**300, True),
+        (10**400, False), (-(10**400), False), (math.inf, False), (math.nan, False),
+        (True, False), ("1", False),
+    ], ids=["int", "float", "fraction", "int-1e300", "int-1e400", "int-minus-1e400",
+            "inf", "nan", "bool", "str"])
+    def test_verdict(self, x, want):
+        assert is_finite(x) is want
 
 
 class TestPacket:

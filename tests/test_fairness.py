@@ -227,6 +227,10 @@ class TestRfbEstimate:
             with pytest.raises(ValueError, match="finite number above 0"):
                 rfb_estimate(two_flow_trace, {0: w, 1: 1.0})
 
+    def test_integer_too_large_for_a_float_rejected(self, two_flow_trace):
+        with pytest.raises(ValueError, match=f"got {10**400}"):
+            rfb_estimate(two_flow_trace, {0: 10**400, 1: 1.0})
+
     def test_empty_trace(self):
         rep = rfb_estimate(Trace(), {0: 1, 1: 1})
         assert rep.rfb_estimate == 0.0

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from fairmesh import periodic
 from fairmesh.analysis import check_ratio_constraint
 from fairmesh.core import Packet, SchedulerKind
 from fairmesh.meshsim import (
@@ -33,6 +34,12 @@ def quiet_config(**kw):
 def run_with_arrivals(sim, arrivals):
     """Run `sim` to its horizon with one more arrival at source n in cycle t
     for each (t, n) of `arrivals`, queued as the cycle's drawn arrivals are."""
+    queue_arrivals(sim, arrivals)
+    sim.run()
+
+
+def queue_arrivals(sim, arrivals):
+    """Step `sim` up to the last of `arrivals`, queueing each in its cycle."""
     for t, n in sorted(arrivals):
         while sim.now < t:
             sim.step()
@@ -42,7 +49,6 @@ def run_with_arrivals(sim, arrivals):
         else:
             q.append([t, 1])
         sim.fresh.append(n)
-    sim.run()
 
 
 class TestConfigValidation:
@@ -767,3 +773,109 @@ class TestChannelTimeOracle:
         assert sum(blocking.values()) > 0
         assert rep.sending == sending
         assert rep.blocking == blocking
+
+
+def run_outputs(sim, rep):
+    """What a run writes: the report, each trace's CSV and packet events, and
+    the ejection log."""
+    parts = [rep.to_json()]
+    for link in sorted(rep.traces):
+        buf = io.StringIO()
+        rep.traces[link].to_csv(buf)
+        parts += [str(link), buf.getvalue(), repr(rep.traces[link].events)]
+    return parts + [repr(sim.eject_log)]
+
+
+class TestFastForward:
+    """`run` skips the whole periods of a run that draws no random number;
+    what it writes is what stepping every cycle writes."""
+
+    @staticmethod
+    def stepped(cfg):
+        sim = MeshSim(cfg)
+        for _ in range(cfg.horizon):
+            sim.step()
+        return run_outputs(sim, sim.report())
+
+    @staticmethod
+    def spy_skips(monkeypatch):
+        """The (cycle, period) of every skip `run` makes from now on."""
+        seen = []
+        skip = periodic.skip
+
+        def spy(sim, mark, period):
+            seen.append((sim.now, period))
+            skip(sim, mark, period)
+
+        monkeypatch.setattr(periodic, "skip", spy)
+        return seen
+
+    def check_horizons(self, monkeypatch, base):
+        """Horizons inside the transient, at a period edge, one cycle past it
+        and one cycle short of the next, from where a long run finds the
+        repeat."""
+        seen = self.spy_skips(monkeypatch)
+        MeshSim(MeshConfig(horizon=6000, **base)).run()
+        (found, period), = seen
+        # a long enough horizon finds the repeat at the same cycle
+        edge = found + period * -(-2 * found // period)
+        for horizon in (found - 1, edge, edge + 1, edge + period - 1):
+            seen.clear()
+            cfg = MeshConfig(horizon=horizon, **base)
+            sim = MeshSim(cfg)
+            assert run_outputs(sim, sim.run()) == self.stepped(cfg), horizon
+            assert seen == ([] if horizon < found else [(found, period)])
+
+    @pytest.mark.parametrize("warmup", [0, 150])
+    @pytest.mark.parametrize("arbiter", ["round_robin", "age"])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_stepping(self, monkeypatch, k, arbiter, warmup):
+        self.check_horizons(monkeypatch, dict(
+            k=k, rate=1.0, arbiter=arbiter, warmup=warmup, log_ejects=True,
+            trace_links=[(k // 2, DIR_R), (k - 1, DIR_EJ)]))
+
+    # traffic both ways into a middle sink, traces without the sink's,
+    # one-flit packets, one-slot buffers and idle sources
+    @pytest.mark.parametrize("kw", [
+        dict(k=6, hotspot=3, trace_links=[(2, DIR_R), (4, DIR_L), (3, DIR_EJ)]),
+        dict(k=5, trace_links=[(1, DIR_R), (3, DIR_R)]),
+        dict(k=5, packet_len=1, arbiter="age"),
+        dict(k=5, buffer_depth=1),
+        dict(k=6, packet_len=3, buffer_depth=2, arbiter="age", warmup=41),
+        dict(k=6, rate=[1.0, 0.0, 1.0, 0.0, 1.0, 0.0]),
+        dict(k=3, hotspot=1, packet_len=8, buffer_depth=3, arbiter="age", warmup=6,
+             trace_links=[(r, o) for r in range(3) for o in (DIR_L, DIR_R, DIR_EJ)]),
+    ], ids=["middle-sink", "no-sink-trace", "len1-age", "depth1", "len3-depth2-age",
+            "idle-sources", "len8-every-link-age"])
+    def test_matches_stepping_on_other_lines(self, monkeypatch, kw):
+        self.check_horizons(monkeypatch, dict(rate=1.0, warmup=20, log_ejects=True) | kw)
+
+    @pytest.mark.parametrize("counts", [(12, 0), (30, 5)])
+    def test_queued_arrivals_match_stepping(self, counts):
+        # sources of rate 0 with arrivals queued by hand, one a cycle: a
+        # repeat needs the same queues, not only the same network
+        arrivals = [(t, n) for n, c in enumerate(counts) for t in range(c)]
+        cfg = quiet_config(horizon=600, log_ejects=True)
+        fast, stepped = MeshSim(cfg), MeshSim(cfg)
+        run_with_arrivals(fast, arrivals)
+        queue_arrivals(stepped, arrivals)
+        while stepped.now < cfg.horizon:
+            stepped.step()
+        assert run_outputs(fast, fast.report()) == run_outputs(stepped, stepped.report())
+
+    # perfbench's hotspot-vw and uniform-fq, the hotspot under each
+    # flow-queue discipline, and arrivals drawn at rates below 1
+    @pytest.mark.parametrize("kw", [
+        dict(k=8, arbiter="probabilistic", policy="vw"),
+        dict(k=16, pattern="uniform", rate=0.03, scheduler="carr"),
+        dict(k=8, rate=1.0, pattern="uniform", arbiter="age"),
+        dict(k=8, rate=0.5),
+    ] + [dict(k=8, scheduler=s.value) for s in SchedulerKind],
+        ids=["hotspot-vw", "uniform-fq", "uniform-age", "lanes"]
+        + [f"hotspot-fq-{s.value}" for s in SchedulerKind])
+    def test_random_or_flow_queue_runs_never_search(self, monkeypatch, kw):
+        def refuse(sim):
+            raise AssertionError("a run that may not repeat computed a signature")
+
+        monkeypatch.setattr(periodic, "signature", refuse)
+        assert run_mesh(MeshConfig(horizon=1500, warmup=150, **kw)).cycles == 1500
