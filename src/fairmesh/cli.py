@@ -82,6 +82,10 @@ _WORKLOAD_DEFAULTS = {
     "random": {"n_flows": 3, "packets_per_flow": 200, "max_size": 16, "spread": 4000},
     "backlogged-pair": {"packets_per_flow": 500, "max_size": 16},
 }
+# size limits, so a mistyped config cannot allocate without bound: a
+# workload's packets, and its flows, whose pairs the fairness sweep visits
+MAX_WORKLOAD_PACKETS = 100_000
+MAX_WORKLOAD_FLOWS = 16
 
 
 def _normalize_workload(given, where: str = "workload") -> dict:
@@ -101,6 +105,14 @@ def _normalize_workload(given, where: str = "workload") -> dict:
     for key, v in merged.items():
         if key != "kind" and not (is_int(v) and v > 0):
             raise ConfigError(f"config key {where}.{key} must be a positive integer, got {v!r}")
+    if merged.get("n_flows", 0) > MAX_WORKLOAD_FLOWS:
+        raise ConfigError(f"config key {where}.n_flows must be <= {MAX_WORKLOAD_FLOWS}, "
+                          f"got {merged['n_flows']}")
+    packets = _workload_packets(merged)
+    if packets > MAX_WORKLOAD_PACKETS:
+        key = "horizon" if kind == "pathology" else "packets_per_flow"
+        raise ConfigError(f"config key {where}.{key}: the workload must build at most "
+                          f"{MAX_WORKLOAD_PACKETS} packets, got {packets}")
     return merged
 
 
@@ -117,6 +129,13 @@ def _build_workload(w: dict, seed: int) -> list[Packet]:
 def _workload_flows(w: dict) -> range:
     """The flows `_build_workload(w, seed)` gives packets to, for any seed."""
     return range(w.get("n_flows", 2))
+
+
+def _workload_packets(w: dict) -> int:
+    """The packets `_build_workload(w, seed)` builds, for any seed."""
+    if w["kind"] == "pathology":
+        return sum(-(-w["horizon"] // p) for p in presets.PATHOLOGY_PERIODS.values())
+    return len(_workload_flows(w)) * w["packets_per_flow"]
 
 
 def _by_id(obj, what: str) -> dict:

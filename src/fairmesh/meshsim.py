@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .arbitration import (AgeArbiter, ArbiterKind, ProbabilisticArbiter, RoundRobinArbiter,
                           WeightPolicy)
-from .core import PacketEvent, SchedulerKind, ServiceRecord, Trace, is_int, is_real
+from .core import PacketEvent, SchedulerKind, ServiceRecord, Trace, is_finite, is_int, is_real
 from .rng import BernoulliLanes, XorShift64Star
 
 # output directions / input ports share index space per router
@@ -33,7 +33,7 @@ IN_L, IN_R, IN_INJ = 0, 1, 2
 
 # the kinds the grant paths test, as plain names: reading a member off its
 # Enum class costs about ten times as much (CPython 3.11)
-_RR, _AGE = ArbiterKind.ROUND_ROBIN, ArbiterKind.AGE
+_RR, _AGE, _PROB = ArbiterKind.ROUND_ROBIN, ArbiterKind.AGE, ArbiterKind.PROBABILISTIC
 _DRR, _EBRR, _CARR = SchedulerKind.DRR, SchedulerKind.EBRR, SchedulerKind.CARR
 
 # stream-id spacing so every component draws from its own sequence
@@ -110,8 +110,11 @@ class MeshConfig:
             raise ValueError(f"pattern must be hotspot or uniform, got {self.pattern!r}")
         if self.pattern == "hotspot" and not (0 <= self.dest_of() < self.k):
             raise ValueError(f"hotspot {self.dest_of()} out of range for k={self.k}")
-        rates = self.rates()
-        if not all(0 <= r <= 1 for r in rates):  # false for NaN as well
+        if not (is_real(self.rate) or len(self.rate) == self.k):
+            raise ValueError(f"rate list length {len(self.rate)} != k {self.k}")
+        # the entries as given, as float() overflows on a huge integer
+        entries = [self.rate] if is_real(self.rate) else self.rate
+        if not all(0 <= r <= 1 for r in entries):  # false for NaN as well
             raise ValueError("rate entries must lie in [0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
@@ -132,9 +135,9 @@ class MeshConfig:
                 names = ", ".join(x.value for x in kinds)
                 raise ValueError(f"{name} must be one of [{names}], got {v!r}") from None
         # checked whatever the arbiter or scheduler, as the report echoes them
-        if not 1 <= self.weight_base < math.inf:
+        if not (is_finite(self.weight_base) and self.weight_base >= 1):
             raise ValueError(f"weight_base must be >= 1 and finite, got {self.weight_base}")
-        if not 1 < self.congestion_ratio < math.inf:
+        if not (is_finite(self.congestion_ratio) and self.congestion_ratio > 1):
             raise ValueError("congestion_ratio must exceed 1 and be finite, "
                              f"got {self.congestion_ratio}")
         if self.demote_rounds < 1:
@@ -168,8 +171,6 @@ class MeshConfig:
     def rates(self) -> list[float]:
         if is_real(self.rate):
             return [float(self.rate)] * self.k
-        if len(self.rate) != self.k:
-            raise ValueError(f"rate list length {len(self.rate)} != k {self.k}")
         return [float(r) for r in self.rate]
 
     def to_dict(self) -> dict:
@@ -239,10 +240,8 @@ class _FlowKernel:
         self.order.append(f)
         self.visits_left += 1
 
-    def choose(self, candidates: dict | None, lone: tuple | None = None):
-        """Value of the candidate flow to grant: `candidates` maps each
-        requesting flow to its value, or is None when `lone`, a lone
-        request's (flow, value), comes instead, so no dict is built for it.
+    def choose(self, flows: list[int]) -> int:
+        """Index in `flows`, the distinct requesting flows, of the one to grant.
 
         The rotation runs until it grants: DRR deficit and EBRR credit grow
         by the quantum on each turn, so a port with a ready packet is never
@@ -250,27 +249,25 @@ class _FlowKernel:
         """
         order = self.order
         balance = self.balance
-        if self.skips and (lone or len(candidates) == 1):
+        if self.skips and len(flows) == 1:
             # a lone request is granted, as CARR demotes a flow only in
             # favour of another candidate: take the turns up to its own
-            (f, value), = (lone,) if lone else candidates.items()
+            f = flows[0]
             if f not in balance:
                 self._join(f)
             self._turns(order.index(f) + 1)
-            return value
-        if lone:
-            candidates = dict((lone,))
-        for f in candidates:
+            return 0
+        for f in flows:
             if f not in balance:
                 self._join(f)
         kind = self.kind
         L = self.L
         f = self.current
         if f is not None:
-            if f in candidates and balance[f] >= L:
+            if f in flows and balance[f] >= L:
                 balance[f] -= L
-                return candidates[f]
-            if f not in candidates:
+                return flows.index(f)
+            if f not in flows:
                 balance[f] = 0
             self.current = None
         until = self.congested_until
@@ -278,7 +275,7 @@ class _FlowKernel:
             if self.skips:
                 # the turn of a flow with no packet only rotates: take the
                 # turns up to the first candidate's at once
-                self._turns(min(map(order.index, candidates)) + 1)
+                self._turns(min(map(order.index, flows)) + 1)
             elif self.visits_left > 0:
                 order.rotate(-1)
                 self.visits_left -= 1
@@ -288,7 +285,7 @@ class _FlowKernel:
             if kind is _EBRR and balance[f] <= 0:
                 balance[f] += self.q  # overdrawn: repays a quantum per turn
                 continue
-            if f not in candidates:
+            if f not in flows:
                 if kind is _DRR:
                     balance[f] = 0  # idle at its turn: the deficit is forfeit
                 continue
@@ -301,10 +298,10 @@ class _FlowKernel:
             elif kind is _EBRR:
                 balance[f] -= L
             elif kind is _CARR and until.get(f, 0) > self.round and any(
-                until.get(g, 0) <= self.round for g in candidates
+                until.get(g, 0) <= self.round for g in flows
             ):
                 continue  # demoted: loses this round's visit
-            return candidates[f]
+            return flows.index(f)
 
 
 @dataclass
@@ -632,24 +629,25 @@ class MeshSim:
         self.now = now + 1
 
     def _grant(self, r: int, o: int, cands: list[tuple[int, int]]) -> tuple[int, int]:
-        """(pid, input) granted a free output among (input, pid) requests."""
-        if self.flow_mode:
-            if len(cands) == 1:
-                (i, pid), = cands
-                return self.ports[r][o].choose(None, (self.psrc[pid], (pid, i)))
-            # a flow reaches a router through one input port only
-            return self.ports[r][o].choose({self.psrc[pid]: (pid, i) for i, pid in cands})
-        psrc, pdest, pinject, pcprod = self.psrc, self.pdest, self.pinject, self.pcprod
-        arb = self.ports[r][o]
-        if arb.kind is _RR:
-            idx = arb.choose([i for i, _pid in cands])
-        elif arb.kind is _AGE:
-            idx = arb.choose([(pinject[pid], i) for i, pid in cands])
+        """(pid, input) granted a free output among (input, pid) requests:
+        the port chooses over the one value per request that it reads."""
+        port = self.ports[r][o]
+        kind = port.kind
+        psrc = self.psrc
+        if self.flow_mode:  # a flow reaches a router through one input port only
+            vals = [psrc[pid] for _i, pid in cands]
+        elif kind is _RR:
+            vals = [i for i, _pid in cands]
+        elif kind is _AGE:
+            vals = [(self.pinject[pid], i) for i, pid in cands]
         else:  # routes: (hops_total, hops_traversed, contention_product)
-            idx = arb.choose([(abs(pdest[pid] - psrc[pid]), abs(r - psrc[pid]), pcprod[pid])
-                              for _i, pid in cands])
-        i, pid = cands[idx]
-        pcprod[pid] *= len(cands)
+            pdest = self.pdest
+            pcprod = self.pcprod
+            vals = [(abs(pdest[pid] - psrc[pid]), abs(r - psrc[pid]), pcprod[pid])
+                    for _i, pid in cands]
+        i, pid = cands[port.choose(vals)]
+        if kind is _PROB:  # the one port that reads the product
+            pcprod[pid] *= len(cands)
         return pid, i
 
     def _release(self, r: int, o: int, now: int) -> None:
@@ -693,8 +691,8 @@ class MeshSim:
         a repeat of its state after warmup, and skips the whole periods it
         finds; its output is the stepped output."""
         cfg = self.cfg
-        if (self.ports[0][0].kind in (_RR, _AGE) and not self.lanes.ids
-                and self.dest_fixed is not None):
+        if (not self.flow_mode and self.ports[0][0].kind in (_RR, _AGE)
+                and not self.lanes.ids and self.dest_fixed is not None):
             while self.now <= cfg.warmup:
                 self.step()
             from .periodic import fast_forward  # compiled only by runs that search

@@ -2,11 +2,13 @@
 messages naming the offending config key, artifact formats, and
 byte-for-byte deterministic reports."""
 
+import contextlib
 import csv
 import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +18,13 @@ import pytest
 import fairmesh
 from fairmesh.analysis import check_ratio_constraint
 from fairmesh.cli import (
+    MAX_WORKLOAD_FLOWS,
+    MAX_WORKLOAD_PACKETS,
     OUTPUT_DIR_ENV,
     _build_workload,
     _normalize_workload,
     _workload_flows,
+    _workload_packets,
     main,
 )
 from fairmesh.core import Trace
@@ -46,6 +51,26 @@ def base_cfg(tmp_path, **over):
 
 
 P = "config key params."  # how a mesh config error names its key
+
+# the shortest pathology horizon whose workload builds more than
+# MAX_WORKLOAD_PACKETS packets (TestConfigErrors checks it by building)
+PAST_HORIZON = 2_666_641
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once `seconds` of wall time pass."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
 
 # spellings of an integer id other than str(id); each names no id
 ALIASES = ["00", "-0", "+1", "1_0", pytest.param(" 1", id="space-1"),
@@ -245,12 +270,83 @@ class TestConfigErrors:
          P + "weight_base must be >= 1 and finite"),
         # a test hook of MeshConfig, not a config key
         (dict(log_ejects=True), "unknown config key: params.log_ejects"),
+        # an integer too large for a float is no finite number: these used to
+        # exit 3 with an OverflowError, or run and echo it into report.json
+        pytest.param(dict(weight_base=10**400), P + "weight_base must be >= 1 and finite",
+                     id="huge-int-weight_base"),
+        pytest.param(dict(arbiter="probabilistic", weight_base=10**400),
+                     P + "weight_base must be >= 1 and finite",
+                     id="huge-int-weight_base-probabilistic"),
+        pytest.param(dict(scheduler="carr", congestion_ratio=10**400),
+                     P + "congestion_ratio must exceed 1 and be finite",
+                     id="huge-int-congestion_ratio"),
+        pytest.param(dict(rate=10**400), P + "rate entries must lie in [0, 1]",
+                     id="huge-int-rate"),
+        pytest.param(dict(rate=[1.0] * 7 + [10**400]), P + "rate entries must lie in [0, 1]",
+                     id="huge-int-rate-entry"),
         # the ids keep the paramsN-fragment form, less the prefix P
     ], ids=lambda v: v.removeprefix(P) if isinstance(v, str) else None)
     def test_bad_mesh_param_types_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_past_horizon_is_the_first_past_the_packet_bound(self):
+        past = {"kind": "pathology", "horizon": PAST_HORIZON}
+        assert len(_build_workload(past, 1)) > MAX_WORKLOAD_PACKETS
+        w = _normalize_workload(dict(past, horizon=PAST_HORIZON - 1))  # admitted
+        assert len(_build_workload(w, 1)) <= MAX_WORKLOAD_PACKETS
+
+    @pytest.mark.parametrize("verb,over,key", [
+        ("run", dict(experiment="rfb-vs-cfb-pathology", params={"horizon": 10**400}),
+         "params.horizon"),
+        ("run", dict(experiment="rfb-vs-cfb-pathology", params={"horizon": PAST_HORIZON}),
+         "params.horizon"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "pathology", "horizon": 10**400}}),
+         "params.workload.horizon"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "n_flows": 10**400}}),
+         "params.workload.n_flows"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "n_flows": MAX_WORKLOAD_FLOWS + 1}}),
+         "params.workload.n_flows"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "packets_per_flow": 10**400}}),
+         "params.workload.packets_per_flow"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "n_flows": MAX_WORKLOAD_FLOWS,
+                                          "packets_per_flow":
+                                          MAX_WORKLOAD_PACKETS // MAX_WORKLOAD_FLOWS + 1}}),
+         "params.workload.packets_per_flow"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "backlogged-pair",
+                                          "packets_per_flow": 10**400}}),
+         "params.workload.packets_per_flow"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "backlogged-pair",
+                                          "packets_per_flow": MAX_WORKLOAD_PACKETS // 2 + 1}}),
+         "params.workload.packets_per_flow"),
+        ("compare", dict(schedulers=["rr", "drr"],
+                         workload={"kind": "pathology", "horizon": 10**400}),
+         "workload.horizon"),
+        ("compare", dict(schedulers=["rr", "drr"],
+                         workload={"kind": "random", "n_flows": MAX_WORKLOAD_FLOWS + 1}),
+         "workload.n_flows"),
+    ], ids=["pathology-horizon-huge", "pathology-horizon-past", "workload-horizon-huge",
+            "n_flows-huge", "n_flows-past", "random-packets-huge", "random-packets-past",
+            "pair-packets-huge", "pair-packets-past", "compare-horizon-huge",
+            "compare-n_flows-past"])
+    def test_workload_size_bounds_exit_2(self, tmp_path, capsys, verb, over, key):
+        # these used to build their packets, or sweep their flow pairs,
+        # without bound; the check runs before the output directory exists
+        cfg = base_cfg(tmp_path, **over)
+        if verb == "compare":
+            del cfg["experiment"], cfg["params"]
+        with time_limit(10):
+            assert main([verb, write_cfg(tmp_path, **cfg)]) == 2
+        assert f"config key {key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_config_error_leaves_no_new_directory(self, tmp_path, capsys, existing):
@@ -277,8 +373,11 @@ class TestConfigErrors:
          "config key params.warmup and params.horizon: warmup must satisfy"),
         ("run", dict(params={"trials": True}), "params.trials"),
         ("compare", dict(schedulers=["rr", "drr"], params={"quantum": 0}), "params.quantum"),
+        # used to exit 3 with an OverflowError from float()
+        ("run", dict(experiment="eq13-feasibility", params={"weight_base": 10**400}),
+         "config key params.weight_base must be >= 1 and finite"),
     ], ids=["standalone-scheduler", "rfb-vs-cfb-pathology", "mesh-hotspot",
-            "eq13-feasibility", "arb-convergence", "compare"])
+            "eq13-feasibility", "arb-convergence", "compare", "eq13-huge-int-weight_base"])
     def test_config_checked_before_output_dir(self, tmp_path, capsys, verb, over, key):
         # the output directory cannot be made under a regular file, so a
         # check that ran after making it would exit 3 with that error
@@ -728,6 +827,19 @@ def test_checked_flows_are_the_workload_flows(workload):
     w = _normalize_workload(workload)
     for seed in range(1, 6):
         assert set(_workload_flows(w)) == {p.flow for p in _build_workload(w, seed)}
+
+
+@pytest.mark.parametrize("workload", [
+    "random",
+    {"kind": "random", "n_flows": 5, "packets_per_flow": 1},
+    {"kind": "backlogged-pair", "packets_per_flow": 3},
+    *({"kind": "pathology", "horizon": h} for h in (1, 47, 48, 49, 240, 241)),
+])
+def test_counted_packets_are_the_workload_packets(workload):
+    """The packet bound is checked on the count the workload will build."""
+    w = _normalize_workload(workload)
+    for seed in range(1, 4):
+        assert _workload_packets(w) == len(_build_workload(w, seed))
 
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"

@@ -403,27 +403,27 @@ class TestKernelMatchesStandalone:
                 for _ in range(r.sent_units // L)]
         assert len(want) == n_flows * n_pkts
         kern = _FlowKernel(kind, L, quantum, tau=2.0, demote_rounds=2)
-        ready = {f: f for f in range(n_flows)}
-        assert [kern.choose(ready) for _ in want] == want
+        ready = list(range(n_flows))
+        assert [ready[kern.choose(ready)] for _ in want] == want
 
 
 class TurnByTurnKernel(_FlowKernel):
     """The rotation one turn at a time: the oracle of `_FlowKernel.choose`,
     which takes the turns of flows without a packet at once."""
 
-    def choose(self, candidates):
+    def choose(self, flows):
         kind, L, balance = self.kind, self.L, self.balance
-        for f in candidates:
+        for f in flows:
             if f not in balance:
                 balance[f] = self.q if kind is SchedulerKind.EBRR else 0
                 self.order.append(f)
                 self.visits_left += 1
         f = self.current
         if f is not None:
-            if f in candidates and balance[f] >= L:
+            if f in flows and balance[f] >= L:
                 balance[f] -= L
-                return candidates[f]
-            if f not in candidates:
+                return flows.index(f)
+            if f not in flows:
                 balance[f] = 0
             self.current = None
 
@@ -440,7 +440,7 @@ class TurnByTurnKernel(_FlowKernel):
             if kind is SchedulerKind.EBRR and balance[f] <= 0:
                 balance[f] += self.q
                 continue
-            if f not in candidates:
+            if f not in flows:
                 if kind is SchedulerKind.DRR:
                     balance[f] = 0
                 continue
@@ -453,10 +453,10 @@ class TurnByTurnKernel(_FlowKernel):
             elif kind is SchedulerKind.EBRR:
                 balance[f] -= L
             elif kind is SchedulerKind.CARR and congested(f) and any(
-                not congested(g) for g in candidates
+                not congested(g) for g in flows
             ):
                 continue
-            return candidates[f]
+            return flows.index(f)
 
 
 class TestKernelRotation:
@@ -472,8 +472,8 @@ class TestKernelRotation:
             fast, slow = _FlowKernel(*args), TurnByTurnKernel(*args)
             flows = list(range(2 + seed))
             for _ in range(400):
-                cands = {f: (f, 0) for f in rng.sample(flows, rng.randint(1, len(flows)))}
-                assert fast.choose(dict(cands)) == slow.choose(dict(cands))
+                picked = rng.sample(flows, rng.randint(1, len(flows)))
+                assert fast.choose(picked) == slow.choose(picked)
                 if rng.random() < 0.3:
                     f, sent = rng.choice(flows), 4
                     duration = sent * rng.choice([1, 3])  # 3 exceeds tau
@@ -492,22 +492,22 @@ class ScanningKernel(_FlowKernel):
     grants a lone request through the general loop: the oracle of
     `_FlowKernel.choose` and its closed-form lone-request branch."""
 
-    def choose(self, candidates: dict):
+    def choose(self, flows: list[int]) -> int:
         kind = self.kind
         L = self.L
         balance = self.balance
         order = self.order
-        for f in candidates:
+        for f in flows:
             if f not in balance:
                 balance[f] = self.q if kind is _EBRR else 0
                 order.append(f)
                 self.visits_left += 1  # joins the current round
         f = self.current
         if f is not None:
-            if f in candidates and balance[f] >= L:
+            if f in flows and balance[f] >= L:
                 balance[f] -= L
-                return candidates[f]
-            if f not in candidates:
+                return flows.index(f)
+            if f not in flows:
                 balance[f] = 0
             self.current = None
         visits_left, rnd = self.visits_left, self.round
@@ -517,7 +517,7 @@ class ScanningKernel(_FlowKernel):
             if skips:
                 # the turn of a flow with no packet only rotates: take the
                 # turns before the first candidate at once
-                n = min(map(order.index, candidates))
+                n = min(map(order.index, flows))
                 order.rotate(-n)
                 if n > visits_left:  # new rounds start within those turns
                     n -= visits_left
@@ -534,7 +534,7 @@ class ScanningKernel(_FlowKernel):
             if kind is _EBRR and balance[f] <= 0:
                 balance[f] += self.q  # overdrawn: repays a quantum per turn
                 continue
-            if f not in candidates:
+            if f not in flows:
                 if kind is _DRR:
                     balance[f] = 0  # idle at its turn: the deficit is forfeit
                 continue
@@ -547,11 +547,11 @@ class ScanningKernel(_FlowKernel):
             elif kind is _EBRR:
                 balance[f] -= L
             elif kind is _CARR and until.get(f, 0) > rnd and any(
-                until.get(g, 0) <= rnd for g in candidates
+                until.get(g, 0) <= rnd for g in flows
             ):
                 continue  # demoted: loses this round's visit
             self.visits_left, self.round = visits_left, rnd
-            return candidates[f]
+            return flows.index(f)
 
 
 class TestLoneRequest:
@@ -577,8 +577,7 @@ class TestLoneRequest:
                 else:
                     picked = rng.sample(flows, rng.randint(1, len(flows)))
                 lone += len(picked) == 1
-                cands = {f: (f, rng.randrange(3)) for f in picked}
-                assert fast.choose(dict(cands)) == slow.choose(dict(cands))
+                assert fast.choose(picked) == slow.choose(picked)
                 if rng.random() < 0.3:
                     f, sent = rng.choice(flows), 4
                     duration = sent * rng.choice([1, 3])  # 3 exceeds tau
