@@ -82,10 +82,14 @@ _WORKLOAD_DEFAULTS = {
     "random": {"n_flows": 3, "packets_per_flow": 200, "max_size": 16, "spread": 4000},
     "backlogged-pair": {"packets_per_flow": 500, "max_size": 16},
 }
-# size limits, so a mistyped config cannot allocate without bound: a
-# workload's packets, and its flows, whose pairs the fairness sweep visits
+# size limits, so a mistyped config cannot allocate or run without bound: a
+# workload's packets, and its flows, whose pairs the fairness sweep visits;
+# a packet's size, as DRR and EBRR take size / quantum turns to send one;
+# and the inject cycles, so every time fits the sweep's int64 arrays
 MAX_WORKLOAD_PACKETS = 100_000
 MAX_WORKLOAD_FLOWS = 16
+MAX_PACKET_SIZE = 1024
+MAX_WORKLOAD_SPREAD = 10**12
 
 
 def _normalize_workload(given, where: str = "workload") -> dict:
@@ -105,9 +109,10 @@ def _normalize_workload(given, where: str = "workload") -> dict:
     for key, v in merged.items():
         if key != "kind" and not (is_int(v) and v > 0):
             raise ConfigError(f"config key {where}.{key} must be a positive integer, got {v!r}")
-    if merged.get("n_flows", 0) > MAX_WORKLOAD_FLOWS:
-        raise ConfigError(f"config key {where}.n_flows must be <= {MAX_WORKLOAD_FLOWS}, "
-                          f"got {merged['n_flows']}")
+    for key, top in (("n_flows", MAX_WORKLOAD_FLOWS), ("max_size", MAX_PACKET_SIZE),
+                     ("spread", MAX_WORKLOAD_SPREAD)):
+        if merged.get(key, 0) > top:
+            raise ConfigError(f"config key {where}.{key} must be <= {top}, got {merged[key]}")
     packets = _workload_packets(merged)
     if packets > MAX_WORKLOAD_PACKETS:
         key = "horizon" if kind == "pathology" else "packets_per_flow"
@@ -171,7 +176,7 @@ def _flow_map(params: dict, key: str, flows: Sequence[int]) -> dict:
 
 def _scheduler_kind(name, key: str) -> SchedulerKind:
     try:
-        return SchedulerKind(str(name).lower())
+        return SchedulerKind(name)
     except ValueError:
         names = ", ".join(k.value for k in SchedulerKind)
         raise ConfigError(

@@ -408,12 +408,11 @@ class MeshSim:
         self.inj_seq: list[int] = [0] * k
         self.fresh = list(range(k))  # sources that may take a head packet next
 
-        # packet metadata, indexed by id (made when a packet reaches the
-        # head of its source queue)
-        self.psrc: list[int] = []
-        self.pdest: list[int] = []
-        self.pinject: list[int] = []
-        self.pcprod: list[float] = []
+        # live packets by id, [src, dest, inject, contention product]: one
+        # enters when it reaches the head of its source queue, and leaves
+        # when its tail ejects; `made` is the next id
+        self.packets: dict[int, list] = {}
+        self.made = 0
 
         seed = cfg.seed
         self.rng_dest = [XorShift64Star(seed, _SID_DEST * k + n) for n in range(k)]
@@ -446,7 +445,7 @@ class MeshSim:
 
         self._reset_stats()
         self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
-        self.deliveries: list[tuple[int, int]] | None = None  # (pid, cycle) while searching
+        self.deliveries: list[tuple] | None = None  # (pid, packet, cycle) while searching
 
     # -- helpers ----------------------------------------------------------
 
@@ -454,11 +453,9 @@ class MeshSim:
         dest = self.dest_fixed
         if dest is None:
             dest = (src + 1 + self.rng_dest[src].randrange(self.cfg.k - 1)) % self.cfg.k
-        pid = len(self.psrc)
-        self.psrc.append(src)
-        self.pdest.append(dest)
-        self.pinject.append(inject_time)
-        self.pcprod.append(1.0)
+        pid = self.made
+        self.made = pid + 1
+        self.packets[pid] = [src, dest, inject_time, 1.0]
         return pid
 
     def _reset_stats(self) -> None:
@@ -531,8 +528,7 @@ class MeshSim:
         credits = self.credits
         owner = self.owner
         holder = self.holder
-        psrc = self.psrc
-        pdest = self.pdest
+        packets = self.packets
         inj_seq = self.inj_seq
         kcount = self.kcount
         woken = set()  # routers active next cycle
@@ -559,7 +555,7 @@ class MeshSim:
                         rec[4] += 1
                     continue
                 pid = flit // L
-                dest = pdest[pid]
+                dest = packets[pid][1]
                 o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
                 if owners[o] is None:
                     if reqs is None:
@@ -569,7 +565,7 @@ class MeshSim:
                 for o, cands in enumerate(reqs):
                     if cands:
                         pid, i = self._grant(r, o, cands)
-                        key = (psrc[pid], r)
+                        key = (packets[pid][0], r)
                         kcount[key] = kcount.get(key, 0) + 1
                         rec = owners[o] = held[i] = [pid, i, key, now, 0, o]
                         if o == DIR_EJ or credit[o]:
@@ -611,7 +607,7 @@ class MeshSim:
                 if self.eject_log is not None:
                     self.eject_log.append((r, pid, sent - 1))
                 if tail:
-                    self._deliver(pid, now)
+                    self._deliver(pid, packets.pop(pid), now)
             else:
                 fifo, nbr, j = down[r][o]
                 if not fifo:  # the flit is the new head there
@@ -633,21 +629,21 @@ class MeshSim:
         the port chooses over the one value per request that it reads."""
         port = self.ports[r][o]
         kind = port.kind
-        psrc = self.psrc
+        packets = self.packets
         if self.flow_mode:  # a flow reaches a router through one input port only
-            vals = [psrc[pid] for _i, pid in cands]
+            vals = [packets[pid][0] for _i, pid in cands]
         elif kind is _RR:
             vals = [i for i, _pid in cands]
         elif kind is _AGE:
-            vals = [(self.pinject[pid], i) for i, pid in cands]
+            vals = [(packets[pid][2], i) for i, pid in cands]
         else:  # routes: (hops_total, hops_traversed, contention_product)
-            pdest = self.pdest
-            pcprod = self.pcprod
-            vals = [(abs(pdest[pid] - psrc[pid]), abs(r - psrc[pid]), pcprod[pid])
-                    for _i, pid in cands]
+            vals = []
+            for _i, pid in cands:
+                src, dest, _inject, cprod = packets[pid]
+                vals.append((abs(dest - src), abs(r - src), cprod))
         i, pid = cands[port.choose(vals)]
         if kind is _PROB:  # the one port that reads the product
-            pcprod[pid] *= len(cands)
+            packets[pid][3] *= len(cands)
         return pid, i
 
     def _release(self, r: int, o: int, now: int) -> None:
@@ -666,21 +662,21 @@ class MeshSim:
                 )
             )
 
-    def _deliver(self, pid: int, now: int) -> None:
+    def _deliver(self, pid: int, packet: Sequence, now: int) -> None:
+        """Count packet `pid`, out of the live table, as delivered in cycle `now`."""
         if self.deliveries is not None:
-            self.deliveries.append((pid, now))
-        src = self.psrc[pid]
+            self.deliveries.append((pid, packet, now))
+        src, dest, inject, _cprod = packet
         st = self.stats[src]
         st.delivered += 1
-        latency = now + 1 - self.pinject[pid]
+        latency = now + 1 - inject
         st.latency_sum += latency
         if latency > st.latency_max:
             st.latency_max = latency
-        link = (self.pdest[pid], DIR_EJ)
+        link = (dest, DIR_EJ)
         if link in self.traced:
             self.traces[link].events.append(
-                PacketEvent(packet_id=pid, flow=src,
-                            inject=self.pinject[pid], deliver=now + 1)
+                PacketEvent(packet_id=pid, flow=src, inject=inject, deliver=now + 1)
             )
 
     # -- runs -------------------------------------------------------------
@@ -713,7 +709,7 @@ class MeshSim:
             for i, flit in enumerate(heads):
                 wait = self.now - max(self.since[r][i], warmup)
                 if flit >= 0 and wait > 0:
-                    key = (self.psrc[flit // L], r)
+                    key = (self.packets[flit // L][0], r)
                     blocking[key] = blocking.get(key, 0) + wait
         total = sum(s.delivered for s in self.stats.values())
         shares = {}

@@ -25,17 +25,17 @@ def signature(sim: MeshSim):
     inject cycles relative to the oldest pending arrival of a saturated
     source (whose n-th packet arrived in cycle n).  Two cycles equal in all
     of these start the same run, shifted in time and ids."""
-    L, now, psrc, pinject, fifos = sim.L, sim.now, sim.psrc, sim.pinject, sim.fifos
+    L, now, packets, fifos = sim.L, sim.now, sim.packets, sim.fifos
     yield [getattr(a, "pointer", 0) for row in sim.ports for a in row]
     yield [[s - now if (fifos[r][i] if i < IN_INJ else sim.inj_pkt[r] >= 0) else None
             for i, s in enumerate(row)] for r, row in enumerate(sim.since)]
-    nxt = len(psrc)
+    nxt = sim.made
     age = sim.ports[0][0].kind is ArbiterKind.AGE
     firsts = [q[0][0] if q else now for q in sim.saturated]
     base = min(firsts, default=now)
 
     def pkt(pid):
-        return pid - nxt, psrc[pid], pinject[pid] - base if age else 0
+        return pid - nxt, packets[pid][0], packets[pid][2] - base if age else 0
 
     yield [pkt(p) if p >= 0 else None for p in sim.inj_pkt]
     yield [[[pkt(f // L) + (f % L,) for f in q] for q in row] for row in fifos]
@@ -51,7 +51,7 @@ def _mark(sim: MeshSim) -> tuple:
     the period after it is measured from."""
     sim.deliveries = []
     return ([c[:] for c in sim.credits], sim.inj_seq[:], tuple(signature(sim)),
-            len(sim.psrc), dict(sim.sending), dict(sim.blocking), dict(sim.kcount),
+            dict(sim.sending), dict(sim.blocking), dict(sim.kcount),
             {link: len(t.records) for link, t in sim.traces.items()},
             len(sim.eject_log or ()))
 
@@ -85,39 +85,40 @@ def fast_forward(sim: MeshSim) -> None:
 
 def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     """Jump m = (horizon - now) // P periods: counters add m times their
-    growth over the period; its packets, trace records, deliveries and
-    ejections are made again, shifted; the live state moves on."""
-    made, sending, blocking, kcount, records, ejects = mark[3:]
-    now, psrc, pinject, L = sim.now, sim.psrc, sim.pinject, sim.L
+    growth over the period; its trace records, deliveries and ejections are
+    replayed, shifted; the live packets are re-keyed.  The live packets at
+    the mark and now match, so the period makes as many packets of each
+    source s as it delivers, per[s], N in all.  A source's packets share one
+    path and are delivered in order, and a saturated source's n-th packet
+    arrived in cycle n: each delivery repeats every period with its id N and
+    its inject cycle per[s] later, and the live packets move on likewise."""
+    sending, blocking, kcount, records, ejects = mark[3:]
+    now, L = sim.now, sim.L
     m = (sim.cfg.horizon - now) // P
-    N = len(psrc) - made
+    delivered, sim.deliveries = sim.deliveries, None
+    N = len(delivered)
     per = [0] * sim.cfg.k  # packets per period of each source
-    for s in psrc[made:]:
-        per[s] += 1
+    for _pid, packet, _t in delivered:
+        per[packet[0]] += 1
     for counts, old in ((sim.sending, sending), (sim.blocking, blocking),
                         (sim.kcount, kcount)):
         for key, v in counts.items():
             counts[key] = v + m * (v - old.get(key, 0))
-    srcs, dests, cprods = psrc[made:], sim.pdest[made:], sim.pcprod[made:]
-    injs = pinject[made:]
-    grow = [per[s] for s in srcs]
     recs = [(t.records, t.records[records[link]:]) for link, t in sim.traces.items()]
     ejected = sim.eject_log[ejects:] if sim.eject_log is not None else ()
-    delivered, sim.deliveries = sim.deliveries, None
     for j in range(1, m + 1):
-        psrc += srcs
-        sim.pdest += dests
-        sim.pcprod += cprods  # read by the probabilistic arbiter only
-        pinject += [t + j * g for t, g in zip(injs, grow)]
         for to, period in recs:
             to += [ServiceRecord(r.flow, len(to) + n, r.start + j * P, r.end + j * P,
                                  r.sent_units, r.blocking) for n, r in enumerate(period, 1)]
-        for pid, t in delivered:
-            sim._deliver(pid + j * N, t + j * P)
+        for pid, (src, dest, inject, cprod), t in delivered:
+            sim._deliver(pid + j * N, (src, dest, inject + j * per[src], cprod), t + j * P)
         if ejected:
             sim.eject_log += [(r, pid + j * N, seq) for r, pid, seq in ejected]
     dt, dn = m * P, m * N
     sim.now = now + dt
+    sim.made += dn
+    sim.packets = {pid + dn: [src, dest, inject + m * per[src], cprod]
+                   for pid, (src, dest, inject, cprod) in sim.packets.items()}
     for row in sim.fifos:
         for q in row:
             flits = [f + dn * L for f in q]

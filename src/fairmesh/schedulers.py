@@ -405,9 +405,7 @@ _KINDS = {cls.kind: cls for cls in (RoundRobinScheduler, DeficitRoundRobin, Elas
 
 def make_scheduler(kind: SchedulerKind | str, **params) -> SchedulerBase:
     """Build a scheduler by kind; params go to the class constructor."""
-    if isinstance(kind, str):
-        kind = SchedulerKind(kind.lower())
-    return _KINDS[kind](**params)
+    return _KINDS[SchedulerKind(kind)](**params)
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,7 @@ def flit_census(sim: MeshSim) -> tuple[int, int, int]:
     eject_log entry; every other flit sits in a network input FIFO.
     """
     L = sim.L
-    entered = L * len(sim.psrc) - sum(
+    entered = L * sim.made - sum(
         L - sim.inj_seq[r] for r, pid in enumerate(sim.inj_pkt) if pid >= 0
     )
     in_flight = sum(len(f) for row in sim.fifos for f in row)

@@ -18,8 +18,10 @@ import pytest
 import fairmesh
 from fairmesh.analysis import check_ratio_constraint
 from fairmesh.cli import (
+    MAX_PACKET_SIZE,
     MAX_WORKLOAD_FLOWS,
     MAX_WORKLOAD_PACKETS,
+    MAX_WORKLOAD_SPREAD,
     OUTPUT_DIR_ENV,
     _build_workload,
     _normalize_workload,
@@ -214,6 +216,9 @@ class TestConfigErrors:
         (dict(workload=5), "config key params.workload must be a name or an object"),
         # an integer too large for a float is no finite number
         pytest.param(dict(scheduler="carr", tau=10**400), "params.tau", id="huge-int-tau"),
+        # one spelling per kind, as mesh-hotspot has: this one used to run DRR
+        pytest.param(dict(scheduler="DRR"), "config key params.scheduler must use kinds",
+                     id="upper-case-scheduler"),
     ])
     def test_bad_scheduler_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler", params=params)
@@ -333,10 +338,35 @@ class TestConfigErrors:
         ("compare", dict(schedulers=["rr", "drr"],
                          workload={"kind": "random", "n_flows": MAX_WORKLOAD_FLOWS + 1}),
          "workload.n_flows"),
+        # a huge max_size kept DRR adding quanta past any timeout, and a
+        # huge spread exited 3 with an OverflowError from the fairness sweep
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "max_size": 10**400}}),
+         "params.workload.max_size"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "max_size": MAX_PACKET_SIZE + 1}}),
+         "params.workload.max_size"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "backlogged-pair",
+                                          "max_size": MAX_PACKET_SIZE + 1}}),
+         "params.workload.max_size"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "spread": 10**400}}),
+         "params.workload.spread"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"workload": {"kind": "random", "spread": MAX_WORKLOAD_SPREAD + 1}}),
+         "params.workload.spread"),
+        ("compare", dict(schedulers=["rr", "drr"],
+                         workload={"kind": "random", "max_size": 10**400}),
+         "workload.max_size"),
+        ("compare", dict(schedulers=["rr", "drr"],
+                         workload={"kind": "random", "spread": MAX_WORKLOAD_SPREAD + 1}),
+         "workload.spread"),
     ], ids=["pathology-horizon-huge", "pathology-horizon-past", "workload-horizon-huge",
             "n_flows-huge", "n_flows-past", "random-packets-huge", "random-packets-past",
             "pair-packets-huge", "pair-packets-past", "compare-horizon-huge",
-            "compare-n_flows-past"])
+            "compare-n_flows-past", "max_size-huge", "max_size-past", "pair-max_size-past",
+            "spread-huge", "spread-past", "compare-max_size-huge", "compare-spread-past"])
     def test_workload_size_bounds_exit_2(self, tmp_path, capsys, verb, over, key):
         # these used to build their packets, or sweep their flow pairs,
         # without bound; the check runs before the output directory exists
@@ -535,10 +565,17 @@ class TestCompareVerb:
         assert "schedulers" in err and "srr" in err
 
     def test_repeated_kind_rejected(self, tmp_path, capsys):
-        # kinds are case-folded, so RR repeats rr
-        path = self.compare_cfg(tmp_path, schedulers=["rr", "RR", "drr"])
+        path = self.compare_cfg(tmp_path, schedulers=["rr", "rr", "drr"])
         assert main(["compare", path]) == 2
         assert "config key schedulers must not repeat a kind" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_kind_has_one_spelling(self, tmp_path, capsys):
+        # as in mesh configs, a kind is its enum value: "RR" is no kind
+        path = self.compare_cfg(tmp_path, schedulers=["RR", "drr"])
+        assert main(["compare", path]) == 2
+        err = capsys.readouterr().err
+        assert "config key schedulers must use kinds" in err and "'RR'" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("params,key", [

@@ -295,6 +295,8 @@ class TestEngineBehavior:
         assert isinstance(make_scheduler(SchedulerKind.CARR), CongestionAwareRoundRobin)
         with pytest.raises(ValueError):
             make_scheduler("wfq")
+        with pytest.raises(ValueError):  # a kind has one spelling, its value
+            make_scheduler("DRR", quantum=4)
 
 
 class SteppingTransmit:
