@@ -904,3 +904,56 @@ class TestFastForward:
 
         monkeypatch.setattr(periodic, "signature", refuse)
         assert run_mesh(MeshConfig(horizon=1500, warmup=150, **kw)).cycles == 1500
+
+
+def wide_configs(n=100, seed=2024):
+    """`n` seeded random mesh configs: k 2-16, hotspot and uniform traffic,
+    rate lists mixing 0, fractions and 1, every arbiter and policy and every
+    flow-queue kind with quanta, packet lengths and buffer depths 1-5, a
+    warmup anywhere before the horizon, and two traced links."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        k = rng.randint(2, 16)
+        kw = dict(k=k, packet_len=rng.randint(1, 5), buffer_depth=rng.randint(1, 5),
+                  pattern=rng.choice(["hotspot", "uniform"]), horizon=rng.randint(50, 1500),
+                  seed=rng.randrange(1000), log_ejects=True,
+                  trace_links=[(rng.randrange(k), rng.choice([DIR_L, DIR_R, DIR_EJ]))
+                               for _ in range(2)])
+        kw["warmup"] = rng.randrange(kw["horizon"])
+        if kw["pattern"] == "hotspot":
+            kw["hotspot"] = rng.randrange(k)
+        shape = rng.random()
+        if shape < 0.3:  # no random arrivals: round robin and age may repeat
+            kw["rate"] = [float(rng.random() < 0.7) for _ in range(k)]
+        elif shape < 0.6:
+            kw["rate"] = [rng.choice([0.0, 1.0, round(rng.random(), 3)]) for _ in range(k)]
+        else:
+            kw["rate"] = rng.choice([1.0, round(rng.uniform(0.01, 0.5), 3)])
+        if rng.random() < 0.5:
+            kw["arbiter"] = rng.choice(["round_robin", "age", "probabilistic"])
+            kw["policy"] = rng.choice(["fw", "cw", "vw"])
+            kw["weight_base"] = rng.choice([1.0, 1.5, 2.0])
+        else:
+            kw["scheduler"] = rng.choice([s.value for s in SchedulerKind])
+            kw["quantum"] = rng.choice([None, 1, 2, 3, 5, 9])
+        out.append(kw)
+    return out
+
+
+class TestWideDigest:
+    """One sha256 over what a wide spread of seeded random configs write:
+    each report, every traced link's records and events, and the ejection
+    log.  The hash was recorded before the mesh's data layout was reworked;
+    a change that moves it changes simulated behaviour."""
+
+    def test_digest(self):
+        h = hashlib.sha256()
+        configs = wide_configs()
+        for kw in configs:
+            sim = MeshSim(MeshConfig(**kw))
+            h.update("\n".join(run_outputs(sim, sim.run())).encode())
+        kinds = {kw.get("arbiter", kw.get("scheduler")) for kw in configs}
+        assert len(kinds) == 8
+        assert h.hexdigest() == (
+            "71dbfcba1b62016bc680e38c93ae19fe5c488faa45f5029676e1430af3ffe7f6")
