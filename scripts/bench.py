@@ -7,6 +7,10 @@ Five layers, each a set of rows timed in process for this repository's
 side by side:
 
     python scripts/bench.py --src ../parent/src --out BENCH.json
+    python scripts/bench.py --src ../parent/src --layer mesh --layer startup
+
+`--layer NAME`, given once per layer, times only those layers; with none
+given, every layer runs.
 
 * `mesh`: `MeshSim(cfg).run()` on the saturated k=8 hotspot line (each port
   arbiter and each flow-queue discipline), on the k=16 line under round
@@ -277,6 +281,8 @@ def main() -> None:
                     help="source tree of a parent checkout (DIR/fairmesh) to time "
                          "against this repository's src/")
     ap.add_argument("--out", help="write the table as JSON here")
+    ap.add_argument("--layer", action="append", choices=list(LAYERS),
+                    help="time only this layer (repeatable; default: every layer)")
     ap.add_argument("--child", nargs=2, metavar=("LAYER", "ROW"), help=argparse.SUPPRESS)
     ap.add_argument("--traced", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
@@ -308,7 +314,7 @@ def main() -> None:
                     "grant-frequencies": GRANT_TRIALS},
         "runs": RUNS,
         "machine": machine(),
-        "layer": {layer: measure(trees, layer) for layer in LAYERS},
+        "layer": {layer: measure(trees, layer) for layer in args.layer or LAYERS},
     }
     if args.out:
         with open(args.out, "w") as fh:

@@ -60,7 +60,7 @@ def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
         if not 0.0 < w < _INF:
             raise ValueError(f"arbitration weight {w!r} is not a finite number above 0")
         total += w
-    r = rng.random() * total
+    r = (rng.next_u64() >> 11) * 2.0 ** -53 * total  # rng.random() * total, one call fewer
     for i, w in enumerate(weights):
         r -= w
         if r < 0:

@@ -84,12 +84,15 @@ _WORKLOAD_DEFAULTS = {
 }
 # size limits, so a mistyped config cannot allocate or run without bound: a
 # workload's packets, and its flows, whose pairs the fairness sweep visits;
-# a packet's size, as DRR and EBRR take size / quantum turns to send one;
-# and the inject cycles, so every time fits the sweep's int64 arrays
+# a packet's size; the inject cycles, so every time fits the sweep's int64
+# arrays; and the scheduler turns, packets x ceil(max_size / smallest
+# quantum), as DRR and EBRR take up to ceil(size / quantum) turns to send a
+# packet (the workload bounds at the default quantum, 16, stay within it)
 MAX_WORKLOAD_PACKETS = 100_000
 MAX_WORKLOAD_FLOWS = 16
 MAX_PACKET_SIZE = 1024
 MAX_WORKLOAD_SPREAD = 10**12
+MAX_SCHEDULER_TURNS = MAX_WORKLOAD_PACKETS * MAX_PACKET_SIZE // 16
 
 
 def _normalize_workload(given, where: str = "workload") -> dict:
@@ -209,6 +212,13 @@ def _scheduler_settings(
         CongestionAwareRoundRobin(**carr)
     except ValueError as e:  # the message starts with the field's name
         raise ConfigError(f"config key params.{e}") from None
+    packets = _workload_packets(w)
+    size = max(presets.PATHOLOGY_SIZES.values()) if pathological else w["max_size"]
+    smallest = min(q.values()) if isinstance(q, dict) else q
+    if packets * -(-size // smallest) > MAX_SCHEDULER_TURNS:
+        raise ConfigError(f"config key params.quantum: {packets} packets of up to {size} units "
+                          f"at quantum {smallest} take up to {packets * -(-size // smallest)} "
+                          f"scheduler turns, more than {MAX_SCHEDULER_TURNS}")
 
     def run_one(kind: SchedulerKind, packets: list[Packet]) -> tuple[Trace, FairnessReport, dict]:
         kw: dict = {}
@@ -276,6 +286,10 @@ def _write_mesh_csvs(outdir: Path, rep: SimReport) -> None:
     if sink is not None:
         with open(outdir / "trace.csv", "w", newline="") as fh:
             sink.to_csv(fh)
+    # trace.csv holds one link, the highest: with more, each has its own file
+    for (r, o), trace in rep.traces.items() if len(rep.traces) > 1 else ():
+        with open(outdir / f"trace-{r}-{o}.csv", "w", newline="") as fh:
+            trace.to_csv(fh)
 
 
 def _feasibility_entry(s: dict, **eps) -> tuple[dict, RequiredWeights | None]:

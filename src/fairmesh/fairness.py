@@ -192,20 +192,8 @@ def rfb_estimate(
     nb = len(times)
     report.grid = f"all {nb} record boundaries"
     report._times = times
-    # units per flow ending at each boundary, one table per mode; records
-    # never straddle a boundary of the same trace, so the sums are exact
-    incs = tuple({f: [0] * nb for f in flows} for _ in _MODES)
-    pos = {t: k for k, t in enumerate(times)}
-    for r in trace.records:
-        if r.flow in incs[0]:
-            k = pos[r.end]
-            incs[0][r.flow][k] += r.sent_units
-            incs[1][r.flow][k] += r.end - r.start
-    # `/` on the weight as given keeps Fraction weights exact
-    report._curves = tuple(
-        {f: [c / weights[f] for c in accumulate(inc[f])] for f in flows} for inc in incs
-    )
-    best, witness = [0.0, 0.0], report._witness
+    # each flow pair's [lo, hi) boundary index spans of its common stretches,
+    # found first, so that only flows in a pair with spans get curves
     for ai, fa in enumerate(flows):
         for fb in flows[ai + 1:]:
             spans = [
@@ -214,20 +202,37 @@ def rfb_estimate(
                 for lo, hi in [(bisect_left(times, a), bisect_right(times, b))]
                 if hi - lo >= 2
             ]
-            if not spans:
-                continue
-            report._spans[fa, fb] = spans
-            for m, c in enumerate(report._curves):
-                d = list(map(operator.sub, c[fa], c[fb]))
-                for lo, hi in spans:
-                    seg = d[lo:hi]
-                    vmax, vmin = max(seg), min(seg)
-                    gap = float(vmax - vmin)
-                    if gap > best[m]:
-                        best[m] = gap
-                        # ties go to the first occurrence of each
-                        ends = times[lo + seg.index(vmax)], times[lo + seg.index(vmin)]
-                        witness[m] = (min(ends), max(ends))
+            if spans:
+                report._spans[fa, fb] = spans
+    if not report._spans:
+        return report
+    paired = sorted({f for pair in report._spans for f in pair})
+    # units per flow ending at each boundary, one table per mode; records
+    # never straddle a boundary of the same trace, so the sums are exact
+    incs = tuple({f: [0] * nb for f in paired} for _ in _MODES)
+    pos = {t: k for k, t in enumerate(times)}
+    for r in trace.records:
+        if r.flow in incs[0]:
+            k = pos[r.end]
+            incs[0][r.flow][k] += r.sent_units
+            incs[1][r.flow][k] += r.end - r.start
+    # `/` on the weight as given keeps Fraction weights exact
+    report._curves = tuple(
+        {f: [c / weights[f] for c in accumulate(inc[f])] for f in paired} for inc in incs
+    )
+    best, witness = [0.0, 0.0], report._witness
+    for (fa, fb), spans in report._spans.items():
+        for m, c in enumerate(report._curves):
+            d = list(map(operator.sub, c[fa], c[fb]))
+            for lo, hi in spans:
+                seg = d[lo:hi]
+                vmax, vmin = max(seg), min(seg)
+                gap = float(vmax - vmin)
+                if gap > best[m]:
+                    best[m] = gap
+                    # ties go to the first occurrence of each
+                    ends = times[lo + seg.index(vmax)], times[lo + seg.index(vmin)]
+                    witness[m] = (min(ends), max(ends))
     report.rfb_estimate, report.cfb_estimate = best
     return report
 

@@ -30,6 +30,8 @@ from .rng import BernoulliLanes, XorShift64Star
 # output directions / input ports share index space per router
 DIR_L, DIR_R, DIR_EJ = 0, 1, 2
 IN_L, IN_R, IN_INJ = 0, 1, 2
+# the credit row an owner record of an ejection output reads: it never waits
+_EJECT_CREDIT = (0, 0, 1)
 
 # the kinds the grant paths test, as plain names: reading a member off its
 # Enum class costs about ten times as much (CPython 3.11)
@@ -387,25 +389,25 @@ class MeshSim:
         # network state
         self.fifos = [[deque(), deque()] for _ in range(k)]  # [r][IN_L/IN_R]
         self.credits = [[cfg.buffer_depth, cfg.buffer_depth] for _ in range(k)]
-        # the input each output feeds, (fifo, router, port); and the output
-        # each network input returns its credits to, (credits, output, router)
-        self.down = [[(self.fifos[r - 1][IN_R], r - 1, IN_R) if r else None,
-                      (self.fifos[r + 1][IN_L], r + 1, IN_L) if r + 1 < k else None]
-                     for r in range(k)]
-        self.up = [[(self.credits[r - 1], DIR_R, r - 1) if r else None,
-                    (self.credits[r + 1], DIR_L, r + 1) if r + 1 < k else None]
-                   for r in range(k)]
-        # one ownership record per output, None while free:
-        # [pid, input, (flow, router), start, sent, output]
+        # per input [r][IN_L/IN_R/IN_INJ], the first post-warmup cycle its
+        # head was there
+        self.since = [[cfg.warmup] * 3 for _ in range(k)]
+        # one owner record per output, None while free, and the same records
+        # per input, None while no packet there owns an output: its head
+        # flit, if any, is then a packet's first.  A record is
+        # [pid, sent, output, credit row, cell, flow, start, input link, output link]
         self.owner: list[list[list | None]] = [[None, None, None] for _ in range(k)]
-        # the same records per input, None while no packet there owns an
-        # output: its head flit, if any, is then a packet's first
         self.holder: list[list[list | None]] = [[None, None, None] for _ in range(k)]
+        # per (flow, router), summed over the outputs the flow takes there:
+        # [sending, blocking, grants]; a record charges its sending at its tail
+        self.cells: dict[tuple[int, int], list[int]] = {}
         self.active: set[int] = set()  # routers processed in the next cycle
-        # arrivals not yet made a packet, as runs [first_cycle, count]
+        # arrivals not yet made a packet, as runs [first_cycle, count]; a
+        # source of rate 1 has one arrival every cycle, so it keeps only the
+        # cycle of its oldest (None for the others)
         self.queues: list[deque[list[int]]] = [deque() for _ in range(k)]
+        self.oldest = [0 if p >= 1.0 else None for p in self.rates]
         self.inj_pkt: list[int] = [-1] * k  # head packet of each source queue
-        self.inj_seq: list[int] = [0] * k
         self.fresh = list(range(k))  # sources that may take a head packet next
 
         # live packets by id, [src, dest, inject, contention product]: one
@@ -416,9 +418,7 @@ class MeshSim:
 
         seed = cfg.seed
         self.rng_dest = [XorShift64Star(seed, _SID_DEST * k + n) for n in range(k)]
-        # a source of rate 1 gets an arrival every cycle; those of rate in
-        # (0, 1) draw theirs together, one lane each
-        self.saturated = [self.queues[n] for n in range(k) if self.rates[n] >= 1.0]
+        # those of rate in (0, 1) draw their arrivals together, one lane each
         self.lanes = BernoulliLanes(seed, self.rates, _SID_INJECT * k)
 
         self.flow_mode = cfg.scheduler is not None
@@ -438,10 +438,29 @@ class MeshSim:
         else:
             self.traced = {tuple(link) for link in cfg.trace_links}
         self.traces = {link: Trace() for link in sorted(self.traced)}
-        # outputs whose packet ends go to `_release`: CARR demotes on them,
-        # and a trace records them
+
+        # what an owner record reads of its links.  An input's: (router,
+        # input, its since and holder rows, its fifo, and upstream the credit
+        # row, output and router).  An output's: (credit row, owner row,
+        # whether its packet ends go to `_release`, and downstream the fifo,
+        # its since row and input, and router).  CARR demotes on packet ends,
+        # and a trace records them.
         carr = self.flow_mode and SchedulerKind(cfg.scheduler) is SchedulerKind.CARR
-        self.noted = [[carr or (r, o) in self.traced for o in range(3)] for r in range(k)]
+        f, c, s = self.fifos, self.credits, self.since
+        self.ins, self.outs, self.inputs = [], [], []
+        for r in range(k):
+            ins = [None, None, (r, IN_INJ, s[r], self.holder[r]) + (None,) * 4]
+            outs = [None, None, (_EJECT_CREDIT, self.owner[r], carr or (r, DIR_EJ) in self.traced)
+                    + (None,) * 4]
+            for n, m in ((IN_L, r - 1), (IN_R, r + 1)):  # input n faces output 1 - n of m
+                if 0 <= m < k:
+                    ins[n] = (r, n, s[r], self.holder[r], f[r][n], c[m], 1 - n, m)
+                    outs[n] = (c[r], self.owner[r], carr or (r, n) in self.traced,
+                               f[m][1 - n], s[m], 1 - n, m)
+            self.ins.append(ins)
+            self.outs.append(outs)
+            # the inputs that can hold a flit, in port order; the source's has no fifo
+            self.inputs.append([(into[1], into[4]) for into in ins if into])
 
         self._reset_stats()
         self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
@@ -459,14 +478,16 @@ class MeshSim:
         return pid
 
     def _reset_stats(self) -> None:
-        """Statistics per source and per (flow, router), and `since`: per input
-        [r][IN_L/IN_R/IN_INJ], the first post-warmup cycle its head was there."""
-        k, warmup = self.cfg.k, self.cfg.warmup
-        self.stats = {n: SourceStats() for n in range(k)}
-        self.sending = {}
-        self.blocking = {}
-        self.kcount = {}
-        self.since = [[warmup] * 3 for _ in range(k)]
+        """Zero the statistics per source and the cells, less what each live
+        record has sent, which its tail charges, and start `since` at warmup."""
+        self.stats = {n: SourceStats() for n in range(self.cfg.k)}
+        for cell in self.cells.values():
+            cell[:] = (0, 0, 0)
+        for row in self.owner:
+            for rec in filter(None, row):
+                rec[4][0] -= rec[1]
+        for row in self.since:
+            row[:] = (self.cfg.warmup,) * 3
 
     # -- cycle ------------------------------------------------------------
 
@@ -495,14 +516,9 @@ class MeshSim:
 
         # arrivals join the (unbounded) source queues; a source takes the
         # oldest as its head packet when its last one has left or it had none
-        for q in self.saturated:
-            if q:
-                q[-1][1] += 1
-            else:
-                q.append([now, 1])
         active = self.active
-        since = self.since
         inj_pkt = self.inj_pkt
+        oldest = self.oldest
         form = self.fresh
         for n in self.lanes.step() if self.lanes.ids else ():
             q = self.queues[n]
@@ -512,121 +528,109 @@ class MeshSim:
                 q.append([now, 1])
             form.append(n)
         for n in sorted(set(form)):  # packet ids in source order
-            q = self.queues[n]
-            if inj_pkt[n] < 0 and q:
+            first, q = oldest[n], self.queues[n]
+            if inj_pkt[n] >= 0 or first is None and not q:
+                continue
+            if first is not None:  # a saturated source: arrivals through this cycle
+                oldest[n] = first + 1
+            else:
                 first, count = q.popleft()
                 if count > 1:
                     q.appendleft([first + 1, count - 1])
-                inj_pkt[n] = self._new_packet(n, first)
-                self.inj_seq[n] = 0
-                since[n][IN_INJ] = now
-                active.add(n)
+            inj_pkt[n] = self._new_packet(n, first)
+            self.since[n][IN_INJ] = now
+            active.add(n)
         fresh = self.fresh = []
 
-        moves = []  # (r, flit, owner record)
-        fifos = self.fifos
-        credits = self.credits
+        # a flit of a packet that owns its output moves when the output has
+        # a credit; a first flit requests the output its route takes, and a
+        # free output with requests grants one of them
+        moves = []  # owner records that send a flit
+        woken = set()  # routers active next cycle
+        packets = self.packets
         owner = self.owner
         holder = self.holder
-        packets = self.packets
-        inj_seq = self.inj_seq
-        kcount = self.kcount
-        woken = set()  # routers active next cycle
+        inputs = self.inputs
         for r in sorted(active):
-            fl, fr = fifos[r]
-            pid = inj_pkt[r]
-            # flit id at the head of each input, -1 when empty
-            heads = (fl[0] if fl else -1, fr[0] if fr else -1,
-                     pid * L + inj_seq[r] if pid >= 0 else -1)
-            # a flit of a packet that owns its output moves when the output
-            # has a credit; a first flit requests the output its route
-            # takes, and a free output with requests grants one of them
-            owners = owner[r]
             held = holder[r]
-            credit = credits[r]
-            reqs = None  # per output: [(input port, pid)]
-            for i, flit in enumerate(heads):
-                if flit < 0:
+            moved = False
+            reqs = None  # per output: [(input, pid)]
+            for i, fifo in inputs[r]:
+                # the source's input has no fifo: its head packet, if any
+                if not fifo and (fifo is not None or inj_pkt[r] < 0):
                     continue
                 rec = held[i]
-                if rec is not None:
-                    if rec[5] == DIR_EJ or credit[rec[5]]:
-                        moves.append((r, flit, rec))
-                        rec[4] += 1
-                    continue
-                pid = flit // L
-                dest = packets[pid][1]
-                o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
-                if owners[o] is None:
-                    if reqs is None:
-                        reqs = [[], [], []]
-                    reqs[o].append((i, pid))
+                if rec is None:
+                    pid = fifo[0] // L if fifo else inj_pkt[r]
+                    dest = packets[pid][1]
+                    o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
+                    if owner[r][o] is None:
+                        if reqs is None:
+                            reqs = [[], [], []]
+                        reqs[o].append((i, pid))
+                elif rec[3][rec[2]]:
+                    rec[1] += 1
+                    moves.append(rec)
+                    moved = True
             if reqs is not None:
                 for o, cands in enumerate(reqs):
                     if cands:
-                        pid, i = self._grant(r, o, cands)
-                        key = (packets[pid][0], r)
-                        kcount[key] = kcount.get(key, 0) + 1
-                        rec = owners[o] = held[i] = [pid, i, key, now, 0, o]
-                        if o == DIR_EJ or credit[o]:
-                            moves.append((r, heads[i], rec))
-                            rec[4] = 1
+                        rec = self._grant(r, o, cands)
+                        if rec[3][o]:
+                            rec[1] = 1
+                            moves.append(rec)
+                            moved = True
+            if moved:
+                woken.add(r)
 
-        sending = self.sending
-        blocking = self.blocking
-        noted = self.noted
-        down = self.down
-        up = self.up
-        for r, flit, rec in moves:
-            pid, i, key, _start, sent, o = rec
+        eject_log = self.eject_log
+        for rec in moves:
+            pid, sent, o, credit, cell, _flow, _start, into, out = rec
+            r, i, since, held, fifo, up, o_up, r_up = into
             tail = sent == L
-            woken.add(r)
             # channel time is charged when the head flit moves: the cycles
             # it waited at the head, then the cycle it is sent
-            wait = now - since[r][i]
+            wait = now - since[i]
             if wait > 0:
-                blocking[key] = blocking.get(key, 0) + wait
-            sending[key] = sending.get(key, 0) + 1
-            since[r][i] = now + 1
+                cell[1] += wait
+            since[i] = now + 1
             # consume from the input side
-            if i == IN_INJ:
-                inj_seq[r] = sent
+            if fifo is None:
                 if tail:
                     inj_pkt[r] = -1
                     fresh.append(r)
             else:
-                fifos[r][i].popleft()
+                fifo.popleft()
                 # the freed slot counts upstream from the next cycle on, as
                 # every decision of this one is made
-                row, o_up, r_up = up[r][i]
-                if not row[o_up]:  # the output may send again
+                if not up[o_up]:  # the output may send again
                     woken.add(r_up)
-                row[o_up] += 1
+                up[o_up] += 1
             # deliver or forward
-            if o == DIR_EJ:
-                if self.eject_log is not None:
-                    self.eject_log.append((r, pid, sent - 1))
+            _credit, owners, noted, fifo, since, j, nbr = out
+            if fifo is None:
+                if eject_log is not None:
+                    eject_log.append((r, pid, sent - 1))
                 if tail:
                     self._deliver(pid, packets.pop(pid), now)
             else:
-                fifo, nbr, j = down[r][o]
                 if not fifo:  # the flit is the new head there
-                    since[nbr][j] = now + 1
+                    since[j] = now + 1
                     woken.add(nbr)
-                fifo.append(flit)
-                credits[r][o] -= 1
+                fifo.append(pid * L + sent - 1)
+                credit[o] -= 1
             if tail:
-                holder[r][i] = None
-                if noted[r][o]:
-                    self._release(r, o, now)
-                else:
-                    owner[r][o] = None
+                cell[0] += L
+                held[i] = owners[o] = None
+                if noted:
+                    self._release(rec, now)
         self.active = woken
         self.now = now + 1
 
-    def _grant(self, r: int, o: int, cands: list[tuple[int, int]]) -> tuple[int, int]:
-        """(pid, input) granted a free output among (input, pid) requests:
-        the port chooses over the one value per request that it reads."""
+    def _grant(self, r: int, o: int, cands: list[tuple[int, int]]) -> list:
+        """The owner record of the request granted a free output among
+        (input, pid) requests: the port chooses over the one value per
+        request that it reads."""
         port = self.ports[r][o]
         kind = port.kind
         packets = self.packets
@@ -642,25 +646,28 @@ class MeshSim:
                 src, dest, _inject, cprod = packets[pid]
                 vals.append((abs(dest - src), abs(r - src), cprod))
         i, pid = cands[port.choose(vals)]
+        packet = packets[pid]
         if kind is _PROB:  # the one port that reads the product
-            packets[pid][3] *= len(cands)
-        return pid, i
+            packet[3] *= len(cands)
+        flow = packet[0]
+        cell = self.cells.setdefault((flow, r), [0, 0, 0])
+        cell[2] += 1
+        out = self.outs[r][o]
+        rec = self.owner[r][o] = self.holder[r][i] = [
+            pid, 0, o, out[0], cell, flow, self.now, self.ins[r][i], out]
+        return rec
 
-    def _release(self, r: int, o: int, now: int) -> None:
-        _pid, _i, (flow, _r), start, sent, _o = self.owner[r][o]
-        self.owner[r][o] = None
+    def _release(self, rec: list, now: int) -> None:
+        _pid, sent, o, _credit, _cell, flow, start, into, _out = rec
+        r = into[0]
         blocked = now + 1 - start - sent  # every owned cycle sends or blocks
         link = (r, o)
         if self.flow_mode:
             self.ports[r][o].note_service(flow, sent + blocked, sent)
         if link in self.traced and start >= self.cfg.warmup:
             trace = self.traces[link]
-            trace.append(
-                ServiceRecord(
-                    flow=flow, round=len(trace.records) + 1, start=start,
-                    end=now + 1, sent_units=sent, blocking=blocked,
-                )
-            )
+            trace.append(ServiceRecord(flow=flow, round=len(trace.records) + 1, start=start,
+                                       end=now + 1, sent_units=sent, blocking=blocked))
 
     def _deliver(self, pid: int, packet: Sequence, now: int) -> None:
         """Count packet `pid`, out of the live table, as delivered in cycle `now`."""
@@ -698,24 +705,23 @@ class MeshSim:
         return self.report()
 
     def report(self) -> SimReport:
+        L, warmup, now = self.L, self.cfg.warmup, self.now
+        counts = {key: cell[:] for key, cell in self.cells.items()}
+        for r, row in enumerate(self.owner):
+            for rec in row:
+                if rec is not None:  # its sending, not yet charged at its tail
+                    counts[rec[5], r][0] += rec[1]
         # head flits still waiting have blocked since they reached the head
-        L, warmup = self.L, self.cfg.warmup
-        blocking = dict(self.blocking)
-        for r in range(self.cfg.k):
-            fl, fr = self.fifos[r]
-            pid = self.inj_pkt[r]
-            heads = (fl[0] if fl else -1, fr[0] if fr else -1,
-                     pid * L + self.inj_seq[r] if pid >= 0 else -1)
-            for i, flit in enumerate(heads):
-                wait = self.now - max(self.since[r][i], warmup)
-                if flit >= 0 and wait > 0:
-                    key = (self.packets[flit // L][0], r)
-                    blocking[key] = blocking.get(key, 0) + wait
+        for r, (fl, fr) in enumerate(self.fifos):
+            heads = (fl[0] // L if fl else -1, fr[0] // L if fr else -1, self.inj_pkt[r])
+            for pid, first in zip(heads, self.since[r]):
+                wait = now - max(first, warmup)
+                if pid >= 0 and wait > 0:
+                    counts.setdefault((self.packets[pid][0], r), [0, 0, 0])[1] += wait
+        sending, blocking, through = ({key: c[j] for key, c in counts.items() if c[j]}
+                                      for j in range(3))
         total = sum(s.delivered for s in self.stats.values())
-        shares = {}
-        mean_lat = {}
-        max_lat = {}
-        delivered = {}
+        shares, mean_lat, max_lat, delivered = {}, {}, {}, {}
         for n, st in sorted(self.stats.items()):
             if n == self.dest_fixed:
                 continue
@@ -723,19 +729,10 @@ class MeshSim:
             shares[n] = st.delivered / total if total else 0.0
             mean_lat[n] = st.latency_sum / st.delivered if st.delivered else 0.0
             max_lat[n] = st.latency_max
-        return SimReport(
-            config=self.cfg.to_dict(),
-            cycles=self.now,
-            delivered=delivered,
-            shares=shares,
-            mean_latency=mean_lat,
-            max_latency=max_lat,
-            sending=dict(self.sending),
-            blocking=blocking,
-            packets_through=dict(self.kcount),
-            drops=0,
-            traces=self.traces,
-        )
+        return SimReport(config=self.cfg.to_dict(), cycles=now, delivered=delivered,
+                         shares=shares, mean_latency=mean_lat, max_latency=max_lat,
+                         sending=sending, blocking=blocking, packets_through=through,
+                         drops=0, traces=self.traces)
 
 
 def run_mesh(cfg: MeshConfig) -> SimReport:

@@ -19,19 +19,19 @@ from .meshsim import IN_INJ, MeshSim
 
 
 def signature(sim: MeshSim):
-    """What the next cycles read, besides the credits and the source heads'
-    flit counts that `fast_forward` compares first, one part at a time, with
-    cycles relative to `now` and packet ids to the next new one; under age,
-    inject cycles relative to the oldest pending arrival of a saturated
-    source (whose n-th packet arrived in cycle n).  Two cycles equal in all
-    of these start the same run, shifted in time and ids."""
+    """What the next cycles read, besides the credits that `fast_forward`
+    compares first, one part at a time, with cycles relative to `now` and
+    packet ids to the next new one; under age, inject cycles relative to the
+    oldest pending arrival of a saturated source (whose n-th packet arrived
+    in cycle n).  Two cycles equal in all of these start the same run,
+    shifted in time and ids."""
     L, now, packets, fifos = sim.L, sim.now, sim.packets, sim.fifos
     yield [getattr(a, "pointer", 0) for row in sim.ports for a in row]
     yield [[s - now if (fifos[r][i] if i < IN_INJ else sim.inj_pkt[r] >= 0) else None
             for i, s in enumerate(row)] for r, row in enumerate(sim.since)]
     nxt = sim.made
     age = sim.ports[0][0].kind is ArbiterKind.AGE
-    firsts = [q[0][0] if q else now for q in sim.saturated]
+    firsts = [t for t in sim.oldest if t is not None]
     base = min(firsts, default=now)
 
     def pkt(pid):
@@ -39,19 +39,20 @@ def signature(sim: MeshSim):
 
     yield [pkt(p) if p >= 0 else None for p in sim.inj_pkt]
     yield [[[pkt(f // L) + (f % L,) for f in q] for q in row] for row in fifos]
-    yield [[rec and pkt(rec[0]) + (rec[1], rec[3] - now, rec[4], rec[5]) for rec in row]
+    # a record: its packet, input, start, flits sent and output
+    yield [[rec and pkt(rec[0]) + (rec[7][1], rec[6] - now, rec[1], rec[2]) for rec in row]
            for row in sim.owner]
     yield sorted(sim.active), sorted(set(sim.fresh)), age and [t - base for t in firsts]
     # sources of rate 0 get no arrival, so an equal queue is one not served
-    yield [[run[:] for run in q] for n, q in enumerate(sim.queues) if sim.rates[n] < 1.0]
+    yield [[run[:] for run in q] for q in sim.queues]
 
 
 def _mark(sim: MeshSim) -> tuple:
     """Brent's tortoise: the state a later cycle is compared with, and what
     the period after it is measured from."""
     sim.deliveries = []
-    return ([c[:] for c in sim.credits], sim.inj_seq[:], tuple(signature(sim)),
-            dict(sim.sending), dict(sim.blocking), dict(sim.kcount),
+    return ([c[:] for c in sim.credits], tuple(signature(sim)),
+            {key: cell[:] for key, cell in sim.cells.items()},
             {link: len(t.records) for link, t in sim.traces.items()},
             len(sim.eject_log or ()))
 
@@ -65,14 +66,13 @@ def fast_forward(sim: MeshSim) -> None:
     at a matched mark ends within the period, as its copy holds the same
     output P cycles later.  So it began after warmup: every record of the
     period is traced, as are its shifted copies."""
-    horizon, credits, inj_seq = sim.cfg.horizon, sim.credits, sim.inj_seq
+    horizon, credits = sim.cfg.horizon, sim.credits
     power = lam = 1
     mark = _mark(sim)
     while sim.now <= horizon - 2 * power:
         sim.step()
         # the cheap parts first, the signature part by part
-        if (credits == mark[0] and inj_seq == mark[1]
-                and all(map(eq, signature(sim), mark[2]))):
+        if credits == mark[0] and all(map(eq, signature(sim), mark[1])):
             skip(sim, mark, lam)
             break
         if lam == power:
@@ -84,7 +84,7 @@ def fast_forward(sim: MeshSim) -> None:
 
 
 def skip(sim: MeshSim, mark: tuple, P: int) -> None:
-    """Jump m = (horizon - now) // P periods: counters add m times their
+    """Jump m = (horizon - now) // P periods: each cell adds m times its
     growth over the period; its trace records, deliveries and ejections are
     replayed, shifted; the live packets are re-keyed.  The live packets at
     the mark and now match, so the period makes as many packets of each
@@ -92,7 +92,7 @@ def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     path and are delivered in order, and a saturated source's n-th packet
     arrived in cycle n: each delivery repeats every period with its id N and
     its inject cycle per[s] later, and the live packets move on likewise."""
-    sending, blocking, kcount, records, ejects = mark[3:]
+    cells, records, ejects = mark[2:]
     now, L = sim.now, sim.L
     m = (sim.cfg.horizon - now) // P
     delivered, sim.deliveries = sim.deliveries, None
@@ -100,10 +100,8 @@ def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     per = [0] * sim.cfg.k  # packets per period of each source
     for _pid, packet, _t in delivered:
         per[packet[0]] += 1
-    for counts, old in ((sim.sending, sending), (sim.blocking, blocking),
-                        (sim.kcount, kcount)):
-        for key, v in counts.items():
-            counts[key] = v + m * (v - old.get(key, 0))
+    for key, cell in sim.cells.items():
+        cell[:] = [v + m * (v - v0) for v, v0 in zip(cell, cells.get(key, (0, 0, 0)))]
     recs = [(t.records, t.records[records[link]:]) for link, t in sim.traces.items()]
     ejected = sim.eject_log[ejects:] if sim.eject_log is not None else ()
     for j in range(1, m + 1):
@@ -128,13 +126,10 @@ def skip(sim: MeshSim, mark: tuple, P: int) -> None:
         for rec in row:
             if rec is not None:
                 rec[0] += dn
-                rec[3] += dt
+                rec[6] += dt
     sim.inj_pkt[:] = [p + dn if p >= 0 else p for p in sim.inj_pkt]
     for row in sim.since:
         row[:] = [s + dt for s in row]
-    for n, q in enumerate(sim.queues):
-        if sim.rates[n] >= 1.0:  # one run, of the arrivals not yet made packets
-            first = (q[0][0] if q else now) + m * per[n]
-            q.clear()
-            if sim.now > first:
-                q.append([first, sim.now - first])
+    for n, first in enumerate(sim.oldest):  # a saturated source's oldest arrival
+        if first is not None:
+            sim.oldest[n] = first + m * per[n]

@@ -21,7 +21,7 @@ from typing import Sequence, TextIO
 from fairmesh import presets
 from fairmesh.core import Accounting, FlowId, ServiceRecord, Trace, TraceError
 from fairmesh.fairness import Interval, backlog_from_trace
-from fairmesh.meshsim import MeshConfig, MeshSim
+from fairmesh.meshsim import IN_INJ, MeshConfig, MeshSim
 
 
 def trace_from_csv(fh: TextIO) -> Trace:
@@ -182,8 +182,10 @@ def flit_census(sim: MeshSim) -> tuple[int, int, int]:
     eject_log entry; every other flit sits in a network input FIFO.
     """
     L = sim.L
+    # a source head's owner record counts the flits it has sent
+    sent = [row[IN_INJ][1] if row[IN_INJ] else 0 for row in sim.holder]
     entered = L * sim.made - sum(
-        L - sim.inj_seq[r] for r, pid in enumerate(sim.inj_pkt) if pid >= 0
+        L - sent[r] for r, pid in enumerate(sim.inj_pkt) if pid >= 0
     )
     in_flight = sum(len(f) for row in sim.fifos for f in row)
     return entered, len(sim.eject_log), in_flight

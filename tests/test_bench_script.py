@@ -3,6 +3,8 @@ gives the same output hash twice, untraced and traced.  perfbench's trace
 mode keeps its hooks: every callable it wraps still exists."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,29 @@ def test_each_layer_row_is_deterministic(bench, layer):
         assert plain["sha256"] == traced["sha256"]
         assert plain["peak_mb"] is None and traced["peak_mb"] > 0
         assert plain["work"] > 0 and plain["seconds"] >= 0
+
+
+@pytest.mark.parametrize("argv,want", [
+    ([], ["mesh", "schedulers", "rfb_estimate", "sampling", "startup"]),
+    (["--layer", "startup", "--layer", "mesh"], ["startup", "mesh"]),
+])
+def test_layer_option_picks_the_layers_timed(bench, monkeypatch, tmp_path, argv, want):
+    timed = []
+    monkeypatch.setattr(bench, "measure", lambda trees, layer: timed.append(layer) or {})
+    monkeypatch.setattr(bench, "machine", dict)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--out", str(out)] + argv)
+    bench.main()
+    assert timed == want
+    assert list(json.loads(out.read_text())["layer"]) == want
+
+
+def test_unknown_layer_is_refused(bench, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["bench.py", "--layer", "mesh", "--layer", "meshes"])
+    with pytest.raises(SystemExit) as e:
+        bench.main()
+    assert e.value.code == 2
+    assert "--layer" in capsys.readouterr().err
 
 
 def test_perfbench_targets_resolve():

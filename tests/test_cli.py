@@ -23,8 +23,10 @@ from fairmesh.cli import (
     MAX_WORKLOAD_PACKETS,
     MAX_WORKLOAD_SPREAD,
     OUTPUT_DIR_ENV,
+    ConfigError,
     _build_workload,
     _normalize_workload,
+    _scheduler_settings,
     _workload_flows,
     _workload_packets,
     main,
@@ -53,6 +55,10 @@ def base_cfg(tmp_path, **over):
 
 
 P = "config key params."  # how a mesh config error names its key
+
+# a random workload at every bound, MAX_WORKLOAD_FLOWS x 6250 packets
+_LARGEST_RANDOM = {"kind": "random", "n_flows": MAX_WORKLOAD_FLOWS, "packets_per_flow": 6250,
+                   "max_size": MAX_PACKET_SIZE}
 
 # the shortest pathology horizon whose workload builds more than
 # MAX_WORKLOAD_PACKETS packets (TestConfigErrors checks it by building)
@@ -362,21 +368,43 @@ class TestConfigErrors:
         ("compare", dict(schedulers=["rr", "drr"],
                          workload={"kind": "random", "spread": MAX_WORKLOAD_SPREAD + 1}),
          "workload.spread"),
+        # quantum 1 at max_size 1024 took size / quantum DRR turns a packet:
+        # the 16 x 6250-packet run was killed at 60 s
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"quantum": 1, "workload": _LARGEST_RANDOM}), "params.quantum"),
+        ("run", dict(experiment="standalone-scheduler",
+                     params={"scheduler": "ebrr", "workload": _LARGEST_RANDOM,
+                             "quantum": {str(f): 1 + 15 * (f > 0) for f in range(16)}}),
+         "params.quantum"),
+        ("compare", dict(schedulers=["rr", "drr"], workload=_LARGEST_RANDOM,
+                         params={"quantum": 15}), "params.quantum"),
     ], ids=["pathology-horizon-huge", "pathology-horizon-past", "workload-horizon-huge",
             "n_flows-huge", "n_flows-past", "random-packets-huge", "random-packets-past",
             "pair-packets-huge", "pair-packets-past", "compare-horizon-huge",
             "compare-n_flows-past", "max_size-huge", "max_size-past", "pair-max_size-past",
-            "spread-huge", "spread-past", "compare-max_size-huge", "compare-spread-past"])
+            "spread-huge", "spread-past", "compare-max_size-huge", "compare-spread-past",
+            "quantum-1", "flow-quantum-1", "compare-quantum-past"])
     def test_workload_size_bounds_exit_2(self, tmp_path, capsys, verb, over, key):
         # these used to build their packets, or sweep their flow pairs,
         # without bound; the check runs before the output directory exists
         cfg = base_cfg(tmp_path, **over)
         if verb == "compare":
-            del cfg["experiment"], cfg["params"]
+            del cfg["experiment"]
+            if "params" not in over:
+                del cfg["params"]
         with time_limit(10):
             assert main([verb, write_cfg(tmp_path, **cfg)]) == 2
         assert f"config key {key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_largest_workload_at_default_quantum_is_accepted(self):
+        # checked only: the DRR run itself takes about 25 s
+        w = _normalize_workload(_LARGEST_RANDOM)
+        for params in ({}, {"quantum": 16}, {"quantum": {str(f): 16 for f in range(16)}}):
+            _scheduler_settings(w, params)
+        with pytest.raises(ConfigError, match="params.quantum: 100000 packets of up to 1024 "
+                                              "units at quantum 15 take up to 6900000"):
+            _scheduler_settings(w, {"quantum": 15})
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_config_error_leaves_no_new_directory(self, tmp_path, capsys, existing):
@@ -524,6 +552,31 @@ class TestRunVerb:
         assert run["scheduler"] == "err"
         assert set(run["throughput"]) == {"0", "1"}
         assert run["rfb_estimate"] >= 0
+
+    def test_each_traced_link_has_a_trace_file(self, tmp_path):
+        cfg = base_cfg(
+            tmp_path, experiment="mesh-hotspot",
+            params={"k": 4, "horizon": 2000, "warmup": 200, "trace_links": [[1, 1], [0, 1]]},
+        )
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 0
+        out = tmp_path / "out"
+        flows = {}
+        for link in ("1-1", "0-1"):
+            with open(out / f"trace-{link}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) > 100
+            flows[link] = {int(row["flow"]) for row in rows}
+        # router 1's right output carries flows 0 and 1, router 0's flow 0 only
+        assert flows == {"1-1": {0, 1}, "0-1": {0}}
+        # trace.csv stays the highest link's
+        assert (out / "trace.csv").read_text() == (out / "trace-1-1.csv").read_text()
+
+    def test_one_traced_link_has_trace_csv_only(self, tmp_path):
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot",
+                       params={"k": 4, "horizon": 500, "warmup": 50,
+                               "trace_links": [[1, 1]]})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").glob("trace*.csv")) == ["trace.csv"]
 
     def test_mesh_hotspot_shares_csv(self, tmp_path):
         cfg = base_cfg(

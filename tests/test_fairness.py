@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -235,6 +236,31 @@ class TestRfbEstimate:
         rep = rfb_estimate(Trace(), {0: 1, 1: 1})
         assert rep.rfb_estimate == 0.0
         assert rep.sweeps[Accounting.PACKET_SIZE.value].witness is None
+
+    def test_no_common_stretch_builds_no_curves(self):
+        # four flows served one after another, each backlogged only in its
+        # own turn: no pair shares a stretch, so nothing reads a curve.  The
+        # curves would take a float per flow, mode and boundary, 8 x 32 bytes
+        # a boundary here; the boundary times alone take about 130
+        n_flows, n = 4, 5000
+        t = Trace()
+        clock = 0
+        for f in range(n_flows):
+            start = clock
+            for rnd in range(1, n + 1):
+                t.append(rec(f, rnd, clock, clock + 3, 2, blocking=1))
+                clock += 3
+            covered(t, f, start, clock)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rep = rfb_estimate(t, {f: 1.0 for f in range(n_flows)})
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rep.grid == f"all {n_flows * n + 1} record boundaries"
+        assert rep.rfb_estimate == rep.cfb_estimate == 0.0
+        assert peak < 200 * (n_flows * n + 1), peak
 
     def test_alternation_bounded_by_packet_size(self):
         # strict alternation of 8-unit packets: gap never exceeds one packet

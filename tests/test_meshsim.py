@@ -123,9 +123,9 @@ class TestSinglePacket:
         assert sim.stats[0].latency_max == 6
 
     def test_zero_blocking(self):
-        sim = self.hand_run()
-        assert sim.blocking == {}
-        assert sum(sim.sending.values()) == 3 * 4  # 4 flits over 3 hops
+        rep = self.hand_run().report()
+        assert rep.blocking == {}
+        assert sum(rep.sending.values()) == 3 * 4  # 4 flits over 3 hops
 
     def test_sink_record(self):
         sim = self.hand_run()
@@ -265,7 +265,9 @@ def queued(sim, n):
     for (a, na), (b, _nb) in zip(runs, runs[1:]):
         assert a + na < b
     assert all(count >= 1 for _first, count in runs)
-    return sum(count for _first, count in runs)
+    # a saturated source keeps the cycle of its oldest arrival not yet a packet
+    oldest = sim.oldest[n]
+    return sum(count for _first, count in runs) + (0 if oldest is None else sim.now - oldest)
 
 
 class TestSourceQueues:
@@ -736,8 +738,9 @@ def recount_channel_time(sim):
             for i, fifo in enumerate(sim.fifos[r]):
                 if fifo:
                     out[(r, i)] = fifo[0]
-            if sim.inj_pkt[r] >= 0:
-                out[(r, IN_INJ)] = sim.inj_pkt[r] * L + sim.inj_seq[r]
+            if sim.inj_pkt[r] >= 0:  # its owner record counts the flits sent
+                rec = sim.holder[r][IN_INJ]
+                out[(r, IN_INJ)] = sim.inj_pkt[r] * L + (rec[1] if rec else 0)
         return out
 
     while sim.now < sim.cfg.horizon:
