@@ -314,7 +314,7 @@ def main() -> None:
                     "grant-frequencies": GRANT_TRIALS},
         "runs": RUNS,
         "machine": machine(),
-        "layer": {layer: measure(trees, layer) for layer in args.layer or LAYERS},
+        "layer": {layer: measure(trees, layer) for layer in dict.fromkeys(args.layer or LAYERS)},
     }
     if args.out:
         with open(args.out, "w") as fh:

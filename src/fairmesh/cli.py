@@ -212,13 +212,14 @@ def _scheduler_settings(
         CongestionAwareRoundRobin(**carr)
     except ValueError as e:  # the message starts with the field's name
         raise ConfigError(f"config key params.{e}") from None
-    packets = _workload_packets(w)
+    n_packets = _workload_packets(w)
     size = max(presets.PATHOLOGY_SIZES.values()) if pathological else w["max_size"]
     smallest = min(q.values()) if isinstance(q, dict) else q
-    if packets * -(-size // smallest) > MAX_SCHEDULER_TURNS:
-        raise ConfigError(f"config key params.quantum: {packets} packets of up to {size} units "
-                          f"at quantum {smallest} take up to {packets * -(-size // smallest)} "
-                          f"scheduler turns, more than {MAX_SCHEDULER_TURNS}")
+    turns = n_packets * -(-size // smallest)
+    if turns > MAX_SCHEDULER_TURNS:
+        raise ConfigError(f"config key params.quantum: {n_packets} packets of up to {size} units "
+                          f"at quantum {smallest} take up to {turns} scheduler turns, "
+                          f"more than {MAX_SCHEDULER_TURNS}")
 
     def run_one(kind: SchedulerKind, packets: list[Packet]) -> tuple[Trace, FairnessReport, dict]:
         kw: dict = {}
@@ -287,9 +288,10 @@ def _write_mesh_csvs(outdir: Path, rep: SimReport) -> None:
         with open(outdir / "trace.csv", "w", newline="") as fh:
             sink.to_csv(fh)
     # trace.csv holds one link, the highest: with more, each has its own file
-    for (r, o), trace in rep.traces.items() if len(rep.traces) > 1 else ():
-        with open(outdir / f"trace-{r}-{o}.csv", "w", newline="") as fh:
-            trace.to_csv(fh)
+    if len(rep.traces) > 1:
+        for (r, o), trace in rep.traces.items():
+            with open(outdir / f"trace-{r}-{o}.csv", "w", newline="") as fh:
+                trace.to_csv(fh)
 
 
 def _feasibility_entry(s: dict, **eps) -> tuple[dict, RequiredWeights | None]:

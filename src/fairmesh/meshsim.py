@@ -568,7 +568,7 @@ class MeshSim:
                         if reqs is None:
                             reqs = [[], [], []]
                         reqs[o].append((i, pid))
-                elif rec[3][rec[2]]:
+                elif rec[3][rec[2]]:  # its credit row, at its output
                     rec[1] += 1
                     moves.append(rec)
                     moved = True

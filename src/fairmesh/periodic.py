@@ -86,12 +86,14 @@ def fast_forward(sim: MeshSim) -> None:
 def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     """Jump m = (horizon - now) // P periods: each cell adds m times its
     growth over the period; its trace records, deliveries and ejections are
-    replayed, shifted; the live packets are re-keyed.  The live packets at
-    the mark and now match, so the period makes as many packets of each
-    source s as it delivers, per[s], N in all.  A source's packets share one
-    path and are delivered in order, and a saturated source's n-th packet
-    arrived in cycle n: each delivery repeats every period with its id N and
-    its inject cycle per[s] later, and the live packets move on likewise."""
+    replayed, shifted; the live packets are re-keyed.  The live packets and
+    owner records at the mark and now match, so the sending a cell leaves to
+    its live records is the same at both, and the period makes as many
+    packets of each source s as it delivers, per[s], N in all.  A source's
+    packets share one path and are delivered in order, and a saturated
+    source's n-th packet arrived in cycle n: each delivery repeats every
+    period with its id N and its inject cycle per[s] later, and the live
+    packets and each saturated source's oldest arrival move on likewise."""
     cells, records, ejects = mark[2:]
     now, L = sim.now, sim.L
     m = (sim.cfg.horizon - now) // P

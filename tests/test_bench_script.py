@@ -40,7 +40,7 @@ def test_each_layer_row_is_deterministic(bench, layer):
 
 @pytest.mark.parametrize("argv,want", [
     ([], ["mesh", "schedulers", "rfb_estimate", "sampling", "startup"]),
-    (["--layer", "startup", "--layer", "mesh"], ["startup", "mesh"]),
+    (["--layer", "startup", "--layer", "mesh", "--layer", "startup"], ["startup", "mesh"]),
 ])
 def test_layer_option_picks_the_layers_timed(bench, monkeypatch, tmp_path, argv, want):
     timed = []
