@@ -447,7 +447,7 @@ class MeshSim:
         # and a trace records them.
         carr = self.flow_mode and SchedulerKind(cfg.scheduler) is SchedulerKind.CARR
         f, c, s = self.fifos, self.credits, self.since
-        self.ins, self.outs, self.inputs = [], [], []
+        self.ins, self.outs, self.routers = [], [], []
         for r in range(k):
             ins = [None, None, (r, IN_INJ, s[r], self.holder[r]) + (None,) * 4]
             outs = [None, None, (_EJECT_CREDIT, self.owner[r], carr or (r, DIR_EJ) in self.traced)
@@ -459,8 +459,10 @@ class MeshSim:
                                f[m][1 - n], s[m], 1 - n, m)
             self.ins.append(ins)
             self.outs.append(outs)
-            # the inputs that can hold a flit, in port order; the source's has no fifo
-            self.inputs.append([(into[1], into[4]) for into in ins if into])
+            # its holder and owner rows, and the inputs that can hold a flit,
+            # in port order; the source's has no fifo
+            self.routers.append((self.holder[r], self.owner[r],
+                                 [(into[1], into[4]) for into in ins if into]))
 
         self._reset_stats()
         self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
@@ -548,14 +550,12 @@ class MeshSim:
         moves = []  # owner records that send a flit
         woken = set()  # routers active next cycle
         packets = self.packets
-        owner = self.owner
-        holder = self.holder
-        inputs = self.inputs
+        routers = self.routers
         for r in sorted(active):
-            held = holder[r]
+            held, owners, inputs = routers[r]
             moved = False
             reqs = None  # per output: [(input, pid)]
-            for i, fifo in inputs[r]:
+            for i, fifo in inputs:
                 # the source's input has no fifo: its head packet, if any
                 if not fifo and (fifo is not None or inj_pkt[r] < 0):
                     continue
@@ -564,7 +564,7 @@ class MeshSim:
                     pid = fifo[0] // L if fifo else inj_pkt[r]
                     dest = packets[pid][1]
                     o = DIR_R if dest > r else DIR_L if dest < r else DIR_EJ
-                    if owner[r][o] is None:
+                    if owners[o] is None:
                         if reqs is None:
                             reqs = [[], [], []]
                         reqs[o].append((i, pid))
