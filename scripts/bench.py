@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Layer timings of fairmesh: mesh, standalone schedulers, fairness sweeps
-and the random draws of the sampling oracles.
+"""Layer timings of fairmesh: mesh, streamed mesh runs, standalone
+schedulers, fairness sweeps and the random draws of the sampling oracles.
 
-Five layers, each a set of rows timed in process for this repository's
+Six layers, each a set of rows timed in process for this repository's
 `src/` and, with `--src DIR`, the `fairmesh` package of a parent checkout
 side by side:
 
@@ -17,6 +17,12 @@ given, every layer runs.
   robin, whose period (~2^16 cycles) exceeds the horizon, so that `run`
   searches for a repeat it never finds, and on k=16 uniform traffic at rate
   0.03 under CARR, MESH_HORIZON cycles, seed 1; cycles/s.
+* `memory`: `run_mesh(cfg, sink)` with the sink trace streamed to a
+  temporary file, as the CLI runs it, on the k=8 round-robin line and on
+  uniform-k16-carr, each at two horizons (MEMORY_HORIZONS), so the two
+  `tracemalloc` peaks of a row pair show whether memory grows with the
+  horizon; cycles/s.  A tree whose `run_mesh` takes no sink keeps the
+  trace and writes it once the run returns.
 * `schedulers`: `SchedulerBase.run` for each of the five disciplines on the
   credit-withheld pathology workload, built as `fairmesh compare` builds
   it, at horizon SCHED_HORIZON; scheduled cycles/s.
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -52,12 +59,15 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 HOTSPOT = {"k": 8, "rate": 1.0}
 UNIFORM = {"k": 16, "pattern": "uniform", "rate": 0.03, "scheduler": "carr"}
 MESH_HORIZON = 40_000
+MEMORY_HORIZONS = {"hotspot-round_robin": (100_000, 1_000_000),
+                   "uniform-k16-carr": (10_000, 40_000)}
 SCHED_HORIZON = 96_000
 SINK_HORIZON = 40_000
 # k x MESH_HORIZON: the scalar oracle of the uniform-k16-carr row's arrival
@@ -78,6 +88,8 @@ MESH_CONFIGS = {
 }
 LAYERS = {
     "mesh": {"rows": list(MESH_CONFIGS), "unit": "cycles"},
+    "memory": {"rows": [f"{name}-{h}" for name, hs in MEMORY_HORIZONS.items() for h in hs],
+               "unit": "cycles"},
     "schedulers": {"rows": [f"pathology-{s}" for s in KINDS], "unit": "cycles"},
     "rfb_estimate": {"rows": ["hotspot-sink"] + [f"pathology-{s}" for s in KINDS],
                      "unit": "records"},
@@ -150,6 +162,29 @@ def _mesh_row(name: str, traced: bool) -> dict:
     return {"seconds": elapsed, "peak_mb": peak, "work": MESH_HORIZON, "sha256": _sha(*blob)}
 
 
+def _memory_row(name: str, traced: bool) -> dict:
+    from fairmesh import meshsim
+
+    config, _, horizon = name.rpartition("-")
+    cfg = meshsim.MeshConfig(horizon=int(horizon), warmup=int(horizon) // 10, seed=1,
+                             **MESH_CONFIGS[config])
+    streams = "sink" in inspect.signature(meshsim.run_mesh).parameters
+    with tempfile.TemporaryFile("w+", newline="") as fh:
+        def run():
+            if streams:
+                return meshsim.run_mesh(cfg, lambda link: fh)
+            # a parent tree keeps the trace, so it writes it once the run returns
+            rep = meshsim.run_mesh(cfg)
+            rep.sink_trace().to_csv(fh)
+            return rep
+
+        rep, elapsed, peak = _timed(run, traced)
+        fh.seek(0)
+        blob = [rep.to_json(), fh.read()]
+    return {"seconds": elapsed, "peak_mb": peak, "work": int(horizon), "sha256": _sha(*blob),
+            "info": {"streamed": streams}}
+
+
 def _schedulers_row(name: str, traced: bool) -> dict:
     sched = _pathology_scheduler(name.removeprefix("pathology-"))
     trace, elapsed, peak = _timed(lambda: sched.run(horizon=SCHED_HORIZON), traced)
@@ -219,7 +254,7 @@ def _startup_row(name: str, traced: bool) -> dict:
             "info": {"numpy_loaded": res["numpy_loaded"]}}
 
 
-ROW_FNS = {"mesh": _mesh_row, "schedulers": _schedulers_row,
+ROW_FNS = {"mesh": _mesh_row, "memory": _memory_row, "schedulers": _schedulers_row,
            "rfb_estimate": _rfb_estimate_row, "sampling": _sampling_row,
            "startup": _startup_row}
 
@@ -299,6 +334,9 @@ def main() -> None:
     doc = {
         "what": {
             "mesh": "in-process MeshSim(cfg).run() per config, seed 1, warmup horizon/10",
+            "memory": "in-process run_mesh(cfg, sink) with the sink trace streamed to a "
+                      "temporary file, seed 1, warmup horizon/10; a tree without a sink "
+                      "writes its kept trace after the run",
             "schedulers": "in-process SchedulerBase.run on the pathology workload "
                           "as `compare` builds it",
             "rfb_estimate": "in-process rfb_estimate and its report JSON on the k=8 "
@@ -308,7 +346,8 @@ def main() -> None:
                         "merge-chain oracle and empirical_grant_frequencies",
             "startup": "import fairmesh.cli in a fresh interpreter",
         },
-        "horizon": {"mesh": MESH_HORIZON, "schedulers": SCHED_HORIZON,
+        "horizon": {"mesh": MESH_HORIZON, "memory": MEMORY_HORIZONS,
+                    "schedulers": SCHED_HORIZON,
                     "rfb_estimate": {"hotspot-sink": SINK_HORIZON, "pathology": SCHED_HORIZON}},
         "samples": {"bernoulli": BERNOULLI_DRAWS, "merge-chain": MERGE_GRANTS,
                     "grant-frequencies": GRANT_TRIALS},

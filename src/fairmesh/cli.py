@@ -20,7 +20,9 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
+from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -280,18 +282,31 @@ def _mesh_config(params: dict, defaults: dict) -> MeshConfig:
     return cfg
 
 
-def _write_mesh_csvs(outdir: Path, rep: SimReport) -> None:
+def _run_mesh_csvs(outdir: Path, cfg: MeshConfig) -> SimReport:
+    """Run `cfg`, streaming each traced link's records to its CSV under a
+    temporary name, renamed only once the run returns, then write shares.csv.
+    trace.csv holds one link, the highest: with more, each has its own file."""
+    paths: dict[tuple[int, int], Path] = {}  # each traced link's own file
+    files = ExitStack()
+
+    def sink(link: tuple[int, int]):
+        paths[link] = outdir / "trace-{}-{}.csv".format(*link)
+        return files.enter_context(open(paths[link].with_suffix(".part"), "w", newline=""))
+
+    try:
+        with files:
+            rep = run_mesh(cfg, sink)
+    except BaseException:
+        for path in paths.values():
+            path.with_suffix(".part").unlink(missing_ok=True)
+        raise
+    for path in paths.values():
+        path.with_suffix(".part").replace(path if len(paths) > 1 else outdir / "trace.csv")
+    if len(paths) > 1:
+        shutil.copyfile(paths[max(paths)], outdir / "trace.csv")
     with open(outdir / "shares.csv", "w", newline="") as fh:
         rep.shares_csv(fh)
-    sink = rep.sink_trace()
-    if sink is not None:
-        with open(outdir / "trace.csv", "w", newline="") as fh:
-            sink.to_csv(fh)
-    # trace.csv holds one link, the highest: with more, each has its own file
-    if len(rep.traces) > 1:
-        for (r, o), trace in rep.traces.items():
-            with open(outdir / f"trace-{r}-{o}.csv", "w", newline="") as fh:
-                trace.to_csv(fh)
+    return rep
 
 
 def _feasibility_entry(s: dict, **eps) -> tuple[dict, RequiredWeights | None]:
@@ -375,13 +390,15 @@ def _exp_mesh(params: dict, defaults: dict, with_feasibility: bool) -> Run:
     def run(seeds: list[int], outdir: Path) -> dict:
         runs = {}
         for i, seed in enumerate(seeds):
-            rep = run_mesh(dataclasses.replace(cfg, seed=seed))
+            # only the first seed writes its CSVs: the others trace no link
+            if i == 0:
+                rep = _run_mesh_csvs(outdir, dataclasses.replace(cfg, seed=seed))
+            else:
+                rep = run_mesh(dataclasses.replace(cfg, seed=seed, trace_links=[]))
             payload: dict = {"mesh": rep.to_dict()}
             if with_feasibility:
                 payload.update(_feasibility_entry(rep.s_matrix())[0])
             runs[str(seed)] = payload
-            if i == 0:
-                _write_mesh_csvs(outdir, rep)
         return runs
 
     return run

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral, Real
+from operator import attrgetter
 from typing import Iterable, TextIO
 
 FlowId = int
@@ -116,25 +117,36 @@ class PacketEvent:
 
 
 class Trace:
-    """Ordered service records plus packet events for one output link."""
+    """Ordered service records plus packet events for one output link.  Given
+    `out`, a text file, it writes the CSV header there, then each appended
+    record's row, and keeps no record (`records` is None) and no event."""
 
-    def __init__(self) -> None:
-        self.records: list[ServiceRecord] = []
+    CSV_HEADER = ["flow", "round", "start", "end", "sent_units", "blocking"]
+    row = attrgetter(*CSV_HEADER)  # a record's CSV row
+
+    def __init__(self, out: TextIO | None = None) -> None:
+        self.records: list[ServiceRecord] | None = [] if out is None else None
         self.events: list[PacketEvent] = []
+        self.sink = None if out is None else csv.writer(out).writerow
+        if self.sink is not None:
+            self.sink(self.CSV_HEADER)
+        self.count = 0  # records appended, kept or written
+        self.end: int | None = None  # the last one's end
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def last_end(self) -> int | None:
-        return self.records[-1].end if self.records else None
+        return self.count
 
     def append(self, rec: ServiceRecord) -> None:
-        last = self.last_end()
-        if last is not None and rec.start < last:
+        if self.end is not None and rec.start < self.end:
             raise TraceError(
-                f"record for flow {rec.flow} starts at {rec.start} before previous end {last}"
+                f"record for flow {rec.flow} starts at {rec.start} before previous end {self.end}"
             )
-        self.records.append(rec)
+        self.count += 1
+        self.end = rec.end
+        if self.records is not None:
+            self.records.append(rec)
+        if self.sink is not None:
+            self.sink(self.row(rec))
 
     def flows(self) -> list[FlowId]:
         return sorted({r.flow for r in self.records})
@@ -149,13 +161,10 @@ class Trace:
 
     # -- serialization ----------------------------------------------------
 
-    CSV_HEADER = ["flow", "round", "start", "end", "sent_units", "blocking"]
-
     def to_csv(self, fh: TextIO) -> None:
         w = csv.writer(fh)
         w.writerow(self.CSV_HEADER)
-        for r in self.records:
-            w.writerow([r.flow, r.round, r.start, r.end, r.sent_units, r.blocking])
+        w.writerows(map(self.row, self.records))
 
 
 def throughput_by_flow(trace: Trace) -> dict[FlowId, int]:

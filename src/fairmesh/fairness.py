@@ -50,7 +50,7 @@ def backlog_from_trace(trace: Trace) -> dict[FlowId, list[Interval]]:
                                  f"{ev.deliver}, before its inject at {ev.inject}")
             d[ev.deliver] = d.get(ev.deliver, 0) - 1
         elif close is None:
-            last = trace.last_end()
+            last = trace.end
             close = last if last is not None else ev.inject + 1
     out: dict[FlowId, list[Interval]] = {}
     for flow, d in deltas.items():

@@ -20,7 +20,7 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence, TextIO
 
 from .arbitration import (AgeArbiter, ArbiterKind, ProbabilisticArbiter, RoundRobinArbiter,
                           WeightPolicy)
@@ -32,6 +32,8 @@ DIR_L, DIR_R, DIR_EJ = 0, 1, 2
 IN_L, IN_R, IN_INJ = 0, 1, 2
 # the credit row an owner record of an ejection output reads: it never waits
 _EJECT_CREDIT = (0, 0, 1)
+# names the text file a traced link's trace streams to, or None to keep it
+Sink = Callable[[tuple[int, int]], TextIO | None]
 
 # the kinds the grant paths test, as plain names: reading a member off its
 # Enum class costs about ten times as much (CPython 3.11)
@@ -375,7 +377,9 @@ class SimReport:
 
 
 class MeshSim:
-    def __init__(self, cfg: MeshConfig):
+    """A run of `cfg`; `sink`, if given, names each traced link's file."""
+
+    def __init__(self, cfg: MeshConfig, sink: Sink | None = None):
         cfg.validate()
         self.cfg = cfg
         k = cfg.k
@@ -433,11 +437,10 @@ class MeshSim:
             for o in (DIR_L, DIR_R, DIR_EJ)] for r in range(k)]
 
         if cfg.trace_links is None:
-            sink = cfg.dest_of() if cfg.pattern == "hotspot" else k - 1
-            self.traced = {(sink, DIR_EJ)}
+            links = [(cfg.dest_of() if cfg.pattern == "hotspot" else k - 1, DIR_EJ)]
         else:
-            self.traced = {tuple(link) for link in cfg.trace_links}
-        self.traces = {link: Trace() for link in sorted(self.traced)}
+            links = sorted({tuple(link) for link in cfg.trace_links})
+        self.traces = {link: Trace(sink(link) if sink else None) for link in links}
 
         # what an owner record reads of its links.  An input's: (router,
         # input, its since and holder rows, its fifo, and upstream the credit
@@ -450,12 +453,12 @@ class MeshSim:
         self.ins, self.outs, self.routers = [], [], []
         for r in range(k):
             ins = [None, None, (r, IN_INJ, s[r], self.holder[r]) + (None,) * 4]
-            outs = [None, None, (_EJECT_CREDIT, self.owner[r], carr or (r, DIR_EJ) in self.traced)
+            outs = [None, None, (_EJECT_CREDIT, self.owner[r], carr or (r, DIR_EJ) in self.traces)
                     + (None,) * 4]
             for n, m in ((IN_L, r - 1), (IN_R, r + 1)):  # input n faces output 1 - n of m
                 if 0 <= m < k:
                     ins[n] = (r, n, s[r], self.holder[r], f[r][n], c[m], 1 - n, m)
-                    outs[n] = (c[r], self.owner[r], carr or (r, n) in self.traced,
+                    outs[n] = (c[r], self.owner[r], carr or (r, n) in self.traces,
                                f[m][1 - n], s[m], 1 - n, m)
             self.ins.append(ins)
             self.outs.append(outs)
@@ -661,12 +664,11 @@ class MeshSim:
         _pid, sent, o, _credit, _cell, flow, start, into, _out = rec
         r = into[0]
         blocked = now + 1 - start - sent  # every owned cycle sends or blocks
-        link = (r, o)
         if self.flow_mode:
             self.ports[r][o].note_service(flow, sent + blocked, sent)
-        if link in self.traced and start >= self.cfg.warmup:
-            trace = self.traces[link]
-            trace.append(ServiceRecord(flow=flow, round=len(trace.records) + 1, start=start,
+        trace = self.traces.get((r, o))
+        if trace is not None and start >= self.cfg.warmup:
+            trace.append(ServiceRecord(flow=flow, round=trace.count + 1, start=start,
                                        end=now + 1, sent_units=sent, blocking=blocked))
 
     def _deliver(self, pid: int, packet: Sequence, now: int) -> None:
@@ -680,9 +682,9 @@ class MeshSim:
         st.latency_sum += latency
         if latency > st.latency_max:
             st.latency_max = latency
-        link = (dest, DIR_EJ)
-        if link in self.traced:
-            self.traces[link].events.append(
+        trace = self.traces.get((dest, DIR_EJ))
+        if trace is not None and trace.sink is None:  # a streamed trace keeps no event
+            trace.events.append(
                 PacketEvent(packet_id=pid, flow=src, inject=inject, deliver=now + 1)
             )
 
@@ -735,5 +737,5 @@ class MeshSim:
                          drops=0, traces=self.traces)
 
 
-def run_mesh(cfg: MeshConfig) -> SimReport:
-    return MeshSim(cfg).run()
+def run_mesh(cfg: MeshConfig, sink: Sink | None = None) -> SimReport:
+    return MeshSim(cfg, sink).run()

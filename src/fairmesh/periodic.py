@@ -47,10 +47,19 @@ def signature(sim: MeshSim):
     yield [[run[:] for run in q] for q in sim.queues]
 
 
+def _hold(sim: MeshSim, on: bool) -> None:
+    """Make each streamed trace keep the records it writes from now on, or none."""
+    for t in sim.traces.values():
+        if t.sink is not None:
+            t.records = [] if on else None
+
+
 def _mark(sim: MeshSim) -> tuple:
     """Brent's tortoise: the state a later cycle is compared with, and what
-    the period after it is measured from."""
+    the period after it is measured from.  A streamed trace keeps the
+    records from here on, fewer than 2 * power while the search runs."""
     sim.deliveries = []
+    _hold(sim, True)
     return ([c[:] for c in sim.credits], tuple(signature(sim)),
             {key: cell[:] for key, cell in sim.cells.items()},
             {link: len(t.records) for link, t in sim.traces.items()},
@@ -81,15 +90,17 @@ def fast_forward(sim: MeshSim) -> None:
             lam = 0
         lam += 1
     sim.deliveries = None
+    _hold(sim, False)
 
 
 def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     """Jump m = (horizon - now) // P periods: each cell adds m times its
-    growth over the period; its trace records, deliveries and ejections are
-    replayed, shifted; the live packets are re-keyed.  The live packets and
-    owner records at the mark and now match, so the sending a cell leaves to
-    its live records is the same at both, and the period makes as many
-    packets of each source s as it delivers, per[s], N in all.  A source's
+    growth over the period; its trace records are appended, shifted (a
+    streamed trace writes them), and its deliveries and ejections replayed;
+    the live packets are re-keyed.  The live packets and owner records at
+    the mark and now match, so the sending a cell leaves to its live records
+    is the same at both, and the period makes as many packets of each
+    source s as it delivers, per[s], N in all.  A source's
     packets share one path and are delivered in order, and a saturated
     source's n-th packet arrived in cycle n: each delivery repeats every
     period with its id N and its inject cycle per[s] later, and the live
@@ -104,12 +115,14 @@ def skip(sim: MeshSim, mark: tuple, P: int) -> None:
         per[packet[0]] += 1
     for key, cell in sim.cells.items():
         cell[:] = [v + m * (v - v0) for v, v0 in zip(cell, cells.get(key, (0, 0, 0)))]
-    recs = [(t.records, t.records[records[link]:]) for link, t in sim.traces.items()]
+    recs = [(t, t.records[records[link]:]) for link, t in sim.traces.items()]
+    _hold(sim, False)
     ejected = sim.eject_log[ejects:] if sim.eject_log is not None else ()
     for j in range(1, m + 1):
-        for to, period in recs:
-            to += [ServiceRecord(r.flow, len(to) + n, r.start + j * P, r.end + j * P,
-                                 r.sent_units, r.blocking) for n, r in enumerate(period, 1)]
+        for t, period in recs:
+            for r in period:
+                t.append(ServiceRecord(r.flow, t.count + 1, r.start + j * P, r.end + j * P,
+                                       r.sent_units, r.blocking))
         for pid, (src, dest, inject, cprod), t in delivered:
             sim._deliver(pid + j * N, (src, dest, inject + j * per[src], cprod), t + j * P)
         if ejected:

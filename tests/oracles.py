@@ -155,7 +155,7 @@ def backlog_by_cycle(trace: Trace) -> dict[FlowId, list[Interval]]:
     holds it to: the last record's end, or with no records one cycle past
     the first undelivered packet's inject.
     """
-    close = trace.last_end()
+    close = trace.end
     if close is None:
         close = next((ev.inject + 1 for ev in trace.events if ev.deliver is None), None)
     queued: dict[FlowId, Counter] = {}

@@ -38,8 +38,23 @@ def test_each_layer_row_is_deterministic(bench, layer):
         assert plain["work"] > 0 and plain["seconds"] >= 0
 
 
+def test_memory_rows_stream_or_fall_back_alike(bench, monkeypatch):
+    """A streamed row writes what a tree whose `run_mesh` takes no sink
+    keeps and writes after the run."""
+    from fairmesh import meshsim
+
+    for name in ("hotspot-round_robin-300", "uniform-k16-carr-300"):
+        streamed = bench.ROW_FNS["memory"](name, traced=True)
+        assert streamed["info"] == {"streamed": True} and streamed["peak_mb"] > 0
+        with monkeypatch.context() as m:
+            m.setattr(meshsim, "run_mesh", lambda cfg: meshsim.MeshSim(cfg).run())
+            kept = bench.ROW_FNS["memory"](name, traced=False)
+        assert kept["info"] == {"streamed": False}
+        assert kept["sha256"] == streamed["sha256"] and kept["work"] == 300
+
+
 @pytest.mark.parametrize("argv,want", [
-    ([], ["mesh", "schedulers", "rfb_estimate", "sampling", "startup"]),
+    ([], ["mesh", "memory", "schedulers", "rfb_estimate", "sampling", "startup"]),
     (["--layer", "startup", "--layer", "mesh", "--layer", "startup"], ["startup", "mesh"]),
 ])
 def test_layer_option_picks_the_layers_timed(bench, monkeypatch, tmp_path, argv, want):

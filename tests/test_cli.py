@@ -4,7 +4,9 @@ byte-for-byte deterministic reports."""
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import fairmesh
+from fairmesh import periodic, presets
 from fairmesh.analysis import check_ratio_constraint
 from fairmesh.cli import (
     MAX_PACKET_SIZE,
@@ -25,6 +28,7 @@ from fairmesh.cli import (
     OUTPUT_DIR_ENV,
     ConfigError,
     _build_workload,
+    _mesh_config,
     _normalize_workload,
     _scheduler_settings,
     _workload_flows,
@@ -33,6 +37,7 @@ from fairmesh.cli import (
 )
 from fairmesh.core import Trace
 from fairmesh.fairness import rfb_estimate
+from fairmesh.meshsim import MeshSim, run_mesh
 from fairmesh.schedulers import CongestionAwareRoundRobin, DeficitRoundRobin
 
 
@@ -592,6 +597,88 @@ class TestRunVerb:
         shares = {int(r[0]): float(r[1]) for r in rows[1:]}
         assert abs(sum(shares.values()) - 1.0) < 1e-9
         assert shares[2] > shares[0]  # final hop owns the biggest share
+
+
+def csv_bytes(trace) -> bytes:
+    buf = io.StringIO()
+    trace.to_csv(buf)
+    return buf.getvalue().encode()
+
+
+class TestStreamedTraces:
+    """A mesh run streams each traced link's records to its CSV as they
+    close; what it writes is `Trace.to_csv` of the library's in-memory run."""
+
+    @pytest.mark.parametrize("params", [
+        {"k": 6, "horizon": 1500, "warmup": 100},
+        {"k": 5, "arbiter": "age", "horizon": 1200, "warmup": 50},
+        {"k": 5, "arbiter": "probabilistic", "policy": "vw", "horizon": 800, "warmup": 100},
+        {"k": 5, "scheduler": "drr", "quantum": 2, "horizon": 800, "warmup": 100},
+        {"k": 5, "scheduler": "carr", "horizon": 800, "warmup": 100},
+        {"k": 6, "pattern": "uniform", "rate": 0.2, "horizon": 800, "warmup": 100},
+        {"k": 4, "horizon": 900, "warmup": 0},
+        {"k": 6, "horizon": 1500, "warmup": 100, "trace_links": [[3, 1], [5, 2]]},
+        {"k": 6, "pattern": "uniform", "rate": 0.15, "scheduler": "carr", "horizon": 800,
+         "warmup": 0, "trace_links": [[4, 1], [2, 0]]},
+    ], ids=["rr", "age", "vw", "fq-drr", "fq-carr", "uniform-rr", "warmup0",
+            "two-links-rr", "two-links-uniform-carr"])
+    def test_files_are_the_kept_traces(self, tmp_path, monkeypatch, params):
+        skips = []
+        skip = periodic.skip
+        monkeypatch.setattr(periodic, "skip",
+                            lambda sim, mark, p: skips.append(p) or skip(sim, mark, p))
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot", seeds=[3, 4], params=params)
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 0
+        searches = params.get("arbiter") != "probabilistic"
+        if searches and params.keys().isdisjoint({"scheduler", "pattern"}):
+            assert skips, "a saturated line under round robin or age skips periods"
+        out = tmp_path / "out"
+        runs = json.loads((out / "report.json").read_text())["runs"]
+        mesh = _mesh_config(params, presets.HOTSPOT_DEFAULTS)
+        # the later seed traces no link; its report is the library's all the same
+        reps = {seed: run_mesh(dataclasses.replace(mesh, seed=seed)) for seed in (3, 4)}
+        for seed, rep in reps.items():
+            assert json.dumps(runs[str(seed)]["mesh"], sort_keys=True) == rep.to_json()
+        traces = reps[3].traces
+        want = {"trace.csv": csv_bytes(traces[max(traces)])}
+        if len(traces) > 1:
+            want.update({f"trace-{r}-{o}.csv": csv_bytes(t) for (r, o), t in traces.items()})
+        got = {p.name: p.read_bytes() for p in out.iterdir() if p.name.startswith("trace")}
+        assert got == want
+
+    def test_later_seeds_trace_no_link(self, tmp_path, monkeypatch):
+        traced = []
+        run = fairmesh.cli.run_mesh
+
+        def spy(cfg, sink=None):
+            rep = run(cfg, sink)
+            traced.append(sorted(rep.traces))
+            return rep
+
+        monkeypatch.setattr(fairmesh.cli, "run_mesh", spy)
+        cfg = base_cfg(tmp_path, experiment="mesh-hotspot", seeds=[1, 2, 3],
+                       params={"k": 4, "horizon": 300, "warmup": 50})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 0
+        assert traced == [[(3, 2)], [], []]
+
+    def test_failed_run_leaves_no_trace_file(self, tmp_path, monkeypatch, capsys):
+        step = MeshSim.step
+
+        def failing(sim):
+            if sim.now == 500:
+                raise RuntimeError("failed mid-run")
+            step(sim)
+
+        monkeypatch.setattr(MeshSim, "step", failing)
+        for links in (None, [[2, 1], [5, 2]]):
+            params = {"k": 6, "arbiter": "probabilistic", "horizon": 1000, "warmup": 100}
+            if links:
+                params["trace_links"] = links
+            cfg = base_cfg(tmp_path, experiment="mesh-hotspot", params=params)
+            assert main(["run", write_cfg(tmp_path, **cfg)]) == 3
+            assert "failed mid-run" in capsys.readouterr().err
+            # not even a temporary file, though rows were written before the failure
+            assert sorted(p.name for p in (tmp_path / "out").iterdir()) == []
 
 
 class TestCompareVerb:

@@ -86,6 +86,20 @@ class TestRecordService:
         with pytest.raises(TraceError):
             t.append(ServiceRecord(1, 1, 9, 12, 3, 0))
 
+    def test_streamed_trace_writes_the_kept_rows(self):
+        rows = [(0, 1, 0, 10, 10, 0), (1, 2, 10, 14, 3, 1)]
+        kept, out = io.StringIO(), io.StringIO()
+        make_trace(rows).to_csv(kept)
+        t = Trace(out)
+        for row in rows:
+            t.append(ServiceRecord(*row))
+        assert out.getvalue() == kept.getvalue()
+        assert t.records is None and t.events == []
+        assert len(t) == 2 and t.end == 14
+        with pytest.raises(TraceError):  # the same check, and no row written
+            t.append(ServiceRecord(1, 3, 13, 16, 3, 0))
+        assert out.getvalue() == kept.getvalue()
+
 
 class TestSentInInterval:
     def test_contained_record(self):

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -907,6 +909,35 @@ class TestFastForward:
 
         monkeypatch.setattr(periodic, "signature", refuse)
         assert run_mesh(MeshConfig(horizon=1500, warmup=150, **kw)).cycles == 1500
+
+
+class TestStreamedMemory:
+    """A trace that streams keeps no record or event, so the peak memory of
+    a run does not grow with its horizon."""
+
+    @staticmethod
+    def peak(cfg):
+        """The tracemalloc peak of `cfg`'s run, with its traces streamed.  The
+        file is line-buffered, so the text layer holds no pending rows: they
+        are bounded too, but fill its chunk only after some 300 rows."""
+        with open(os.devnull, "w", buffering=1) as fh:
+            tracemalloc.start()
+            try:
+                run_mesh(cfg, lambda link: fh)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    # a round-robin line that skips periods, and a flow-queue line that
+    # steps every cycle, as it never searches
+    @pytest.mark.parametrize("kw,horizons", [
+        (dict(k=3, packet_len=64), (20_000, 200_000)),
+        (dict(k=3, packet_len=16, scheduler="carr"), (600, 3000)),
+    ], ids=["rr", "fq-carr"])
+    def test_peak_does_not_grow_with_the_horizon(self, kw, horizons):
+        self.peak(MeshConfig(horizon=200, warmup=100, **kw))  # what a first run compiles
+        short, long = (self.peak(MeshConfig(horizon=h, warmup=100, **kw)) for h in horizons)
+        assert abs(long - short) < 0.1 * short, (short, long)
 
 
 def wide_configs(n=100, seed=2024):
