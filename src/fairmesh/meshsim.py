@@ -393,9 +393,8 @@ class MeshSim:
         # network state
         self.fifos = [[deque(), deque()] for _ in range(k)]  # [r][IN_L/IN_R]
         self.credits = [[cfg.buffer_depth, cfg.buffer_depth] for _ in range(k)]
-        # per input [r][IN_L/IN_R/IN_INJ], the first post-warmup cycle its
-        # head was there
-        self.since = [[cfg.warmup] * 3 for _ in range(k)]
+        # per input [r][IN_L/IN_R/IN_INJ], the first cycle its head was there
+        self.since = [[0] * 3 for _ in range(k)]
         # one owner record per output, None while free, and the same records
         # per input, None while no packet there owns an output: its head
         # flit, if any, is then a packet's first.  A record is
@@ -469,7 +468,7 @@ class MeshSim:
 
         self._reset_stats()
         self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
-        self.deliveries: list[tuple] | None = None  # (pid, packet, cycle) while searching
+        self.log: list[tuple] | None = None  # searching: (trace, record) or (pid, packet, cycle)
 
     # -- helpers ----------------------------------------------------------
 
@@ -483,16 +482,25 @@ class MeshSim:
         return pid
 
     def _reset_stats(self) -> None:
-        """Zero the statistics per source and the cells, less what each live
-        record has sent, which its tail charges, and start `since` at warmup."""
+        """Zero the statistics per source; `report` counts from here."""
         self.stats = {n: SourceStats() for n in range(self.cfg.k)}
-        for cell in self.cells.values():
-            cell[:] = (0, 0, 0)
-        for row in self.owner:
+        self.base = self._counts()
+
+    def _counts(self) -> tuple[dict[tuple[int, int], int], ...]:
+        """Sending, blocking and grants per (flow, router) since cycle 0: the
+        cells, plus each live record's `sent` and each waiting head's wait."""
+        L, now, cells = self.L, self.now, self.cells.items()
+        sending, blocking, grants = ({key: c[j] for key, c in cells} for j in range(3))
+        for r, row in enumerate(self.owner):
             for rec in filter(None, row):
-                rec[4][0] -= rec[1]
-        for row in self.since:
-            row[:] = (self.cfg.warmup,) * 3
+                sending[rec[5], r] += rec[1]
+        for r, (fl, fr) in enumerate(self.fifos):
+            heads = (fl[0] // L if fl else -1, fr[0] // L if fr else -1, self.inj_pkt[r])
+            for pid, first in zip(heads, self.since[r]):
+                if pid >= 0 and now > first:
+                    key = self.packets[pid][0], r
+                    blocking[key] = blocking.get(key, 0) + now - first
+        return sending, blocking, grants
 
     # -- cycle ------------------------------------------------------------
 
@@ -668,13 +676,15 @@ class MeshSim:
             self.ports[r][o].note_service(flow, sent + blocked, sent)
         trace = self.traces.get((r, o))
         if trace is not None and start >= self.cfg.warmup:
-            trace.append(ServiceRecord(flow=flow, round=trace.count + 1, start=start,
-                                       end=now + 1, sent_units=sent, blocking=blocked))
+            rec = ServiceRecord(flow, trace.count + 1, start, now + 1, sent, blocked)
+            trace.append(rec)
+            if self.log is not None:
+                self.log.append((trace, rec))
 
     def _deliver(self, pid: int, packet: Sequence, now: int) -> None:
         """Count packet `pid`, out of the live table, as delivered in cycle `now`."""
-        if self.deliveries is not None:
-            self.deliveries.append((pid, packet, now))
+        if self.log is not None:
+            self.log.append((pid, packet, now))
         src, dest, inject, _cprod = packet
         st = self.stats[src]
         st.delivered += 1
@@ -707,21 +717,13 @@ class MeshSim:
         return self.report()
 
     def report(self) -> SimReport:
-        L, warmup, now = self.L, self.cfg.warmup, self.now
-        counts = {key: cell[:] for key, cell in self.cells.items()}
-        for r, row in enumerate(self.owner):
-            for rec in row:
-                if rec is not None:  # its sending, not yet charged at its tail
-                    counts[rec[5], r][0] += rec[1]
-        # head flits still waiting have blocked since they reached the head
-        for r, (fl, fr) in enumerate(self.fifos):
-            heads = (fl[0] // L if fl else -1, fr[0] // L if fr else -1, self.inj_pkt[r])
-            for pid, first in zip(heads, self.since[r]):
-                wait = now - max(first, warmup)
-                if pid >= 0 and wait > 0:
-                    counts.setdefault((self.packets[pid][0], r), [0, 0, 0])[1] += wait
-        sending, blocking, through = ({key: c[j] for key, c in counts.items() if c[j]}
-                                      for j in range(3))
+        """The counts since warmup, or since cycle 0 before warmup."""
+        sending, blocking, through = counts = self._counts()
+        for d, base in zip(counts, self.base):  # in place, as a run's memory peaks here
+            for key in list(d):
+                d[key] -= base.get(key, 0)
+                if not d[key]:
+                    del d[key]
         total = sum(s.delivered for s in self.stats.values())
         shares, mean_lat, max_lat, delivered = {}, {}, {}, {}
         for n, st in sorted(self.stats.items()):
@@ -731,7 +733,7 @@ class MeshSim:
             shares[n] = st.delivered / total if total else 0.0
             mean_lat[n] = st.latency_sum / st.delivered if st.delivered else 0.0
             max_lat[n] = st.latency_max
-        return SimReport(config=self.cfg.to_dict(), cycles=now, delivered=delivered,
+        return SimReport(config=self.cfg.to_dict(), cycles=self.now, delivered=delivered,
                          shares=shares, mean_latency=mean_lat, max_latency=max_lat,
                          sending=sending, blocking=blocking, packets_through=through,
                          drops=0, traces=self.traces)

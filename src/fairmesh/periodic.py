@@ -47,23 +47,13 @@ def signature(sim: MeshSim):
     yield [[run[:] for run in q] for q in sim.queues]
 
 
-def _hold(sim: MeshSim, on: bool) -> None:
-    """Make each streamed trace keep the records it writes from now on, or none."""
-    for t in sim.traces.values():
-        if t.sink is not None:
-            t.records = [] if on else None
-
-
 def _mark(sim: MeshSim) -> tuple:
     """Brent's tortoise: the state a later cycle is compared with, and what
-    the period after it is measured from.  A streamed trace keeps the
-    records from here on, fewer than 2 * power while the search runs."""
-    sim.deliveries = []
-    _hold(sim, True)
+    the period after it is measured from.  The run logs its traced records
+    and deliveries from here on, under 2 * power cycles' worth."""
+    sim.log = []
     return ([c[:] for c in sim.credits], tuple(signature(sim)),
-            {key: cell[:] for key, cell in sim.cells.items()},
-            {link: len(t.records) for link, t in sim.traces.items()},
-            len(sim.eject_log or ()))
+            {key: cell[:] for key, cell in sim.cells.items()}, len(sim.eject_log or ()))
 
 
 def fast_forward(sim: MeshSim) -> None:
@@ -89,15 +79,14 @@ def fast_forward(sim: MeshSim) -> None:
             power *= 2
             lam = 0
         lam += 1
-    sim.deliveries = None
-    _hold(sim, False)
+    sim.log = None
 
 
 def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     """Jump m = (horizon - now) // P periods: each cell adds m times its
-    growth over the period; its trace records are appended, shifted (a
-    streamed trace writes them), and its deliveries and ejections replayed;
-    the live packets are re-keyed.  The live packets and owner records at
+    growth over the period; its log is replayed, shifted (a record goes to
+    its trace's `append`, and a streamed trace writes it), and its ejections
+    too; the live packets are re-keyed.  The live packets and owner records at
     the mark and now match, so the sending a cell leaves to its live records
     is the same at both, and the period makes as many packets of each
     source s as it delivers, per[s], N in all.  A source's
@@ -105,26 +94,27 @@ def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     source's n-th packet arrived in cycle n: each delivery repeats every
     period with its id N and its inject cycle per[s] later, and the live
     packets and each saturated source's oldest arrival move on likewise."""
-    cells, records, ejects = mark[2:]
+    cells, ejects = mark[2:]
     now, L = sim.now, sim.L
     m = (sim.cfg.horizon - now) // P
-    delivered, sim.deliveries = sim.deliveries, None
-    N = len(delivered)
+    log, sim.log = sim.log, None
     per = [0] * sim.cfg.k  # packets per period of each source
-    for _pid, packet, _t in delivered:
-        per[packet[0]] += 1
+    for entry in log:
+        if len(entry) == 3:
+            per[entry[1][0]] += 1
+    N = sum(per)
     for key, cell in sim.cells.items():
         cell[:] = [v + m * (v - v0) for v, v0 in zip(cell, cells.get(key, (0, 0, 0)))]
-    recs = [(t, t.records[records[link]:]) for link, t in sim.traces.items()]
-    _hold(sim, False)
     ejected = sim.eject_log[ejects:] if sim.eject_log is not None else ()
     for j in range(1, m + 1):
-        for t, period in recs:
-            for r in period:
+        for entry in log:
+            if len(entry) == 2:
+                t, r = entry
                 t.append(ServiceRecord(r.flow, t.count + 1, r.start + j * P, r.end + j * P,
                                        r.sent_units, r.blocking))
-        for pid, (src, dest, inject, cprod), t in delivered:
-            sim._deliver(pid + j * N, (src, dest, inject + j * per[src], cprod), t + j * P)
+            else:
+                pid, (src, dest, inject, cprod), t = entry
+                sim._deliver(pid + j * N, (src, dest, inject + j * per[src], cprod), t + j * P)
         if ejected:
             sim.eject_log += [(r, pid + j * N, seq) for r, pid, seq in ejected]
     dt, dn = m * P, m * N

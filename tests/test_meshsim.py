@@ -341,6 +341,24 @@ class TestServiceCounters:
             # packets still in flight at the horizon
             assert abs(grants - rep.delivered[src]) <= 2
 
+    @pytest.mark.parametrize("kw", [
+        dict(arbiter="round_robin"), dict(arbiter="age"), dict(arbiter="probabilistic"),
+        dict(scheduler="carr"),
+    ], ids=["rr", "age", "vw", "fq-carr"])
+    def test_report_before_warmup_counts_from_cycle_0(self, kw):
+        # waits still open count from cycle 0, as sending and grants do
+        reports = []
+        for warmup in (900, 0):
+            sim = MeshSim(MeshConfig(k=6, rate=1.0, seed=2, horizon=1000, warmup=warmup, **kw))
+            for _ in range(500):
+                sim.step()
+            reports.append(sim.report())
+        early, zero = reports
+        assert sum(zero.blocking.values()) > 0
+        assert early.sending == zero.sending
+        assert early.blocking == zero.blocking
+        assert early.packets_through == zero.packets_through
+
     def test_ratio_consistency_depends_on_arbitration(self):
         # round-robin merging is input-blind, so every flow's
         # occupation-to-sending ratio scales identically across routers and
@@ -927,6 +945,26 @@ class TestStreamedMemory:
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+
+    def test_nothing_kept_while_searching(self, monkeypatch):
+        cfg = MeshConfig(k=8, rate=1.0, horizon=6000, warmup=100,
+                         trace_links=[(3, DIR_R), (7, DIR_EJ)])
+        kept = run_mesh(cfg).traces
+        files, seen = {}, []
+        skip = periodic.skip
+
+        def spy(sim, mark, period):
+            seen.append(period)
+            assert all(t.records is None and t.events == [] for t in sim.traces.values())
+            skip(sim, mark, period)
+
+        monkeypatch.setattr(periodic, "skip", spy)
+        run_mesh(cfg, lambda link: files.setdefault(link, io.StringIO()))
+        assert len(seen) == 1 and sorted(files) == [(3, DIR_R), (7, DIR_EJ)]
+        for link, fh in files.items():
+            want = io.StringIO()
+            kept[link].to_csv(want)
+            assert fh.getvalue() == want.getvalue(), link
 
     # a round-robin line that skips periods, and a flow-queue line that
     # steps every cycle, as it never searches
