@@ -1,6 +1,9 @@
 """Shared domain types: packets, service records, traces, and the enums of
 the disciplines and their accounting modes.
 
+Packets and service records are immutable tuples of their fields, checked
+as they are built, so a record equals the plain tuple of its values.
+
 A Trace collects the service history of one output link.  Service records
 never overlap because the link transmits one packet at a time; packet-level
 inject/deliver events ride along so backlog and latency can be reconstructed
@@ -11,11 +14,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from numbers import Integral, Real
 from operator import attrgetter
-from typing import Iterable, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 FlowId = int
 
@@ -53,35 +56,42 @@ def is_finite(x) -> bool:
 
 
 class TraceError(Exception):
-    """A trace operation would violate record ordering."""
+    """A trace operation would violate record ordering, or would read the
+    records of a trace that streams them and keeps none."""
 
 
-@dataclass(frozen=True)
-class Packet:
-    """One unit of traffic, `size` service units (flits or bytes) long."""
+def _frozen(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
+
+def _checked_make(cls, fields):
+    return cls(*fields)  # so that `_make` and `_replace` check, as `__new__` does
+
+
+class _PacketFields(NamedTuple):
     id: int
     flow: FlowId
     size: int
     inject_time: int = 0
 
-    def __post_init__(self) -> None:
-        if not (is_int(self.size) and self.size >= 1):
-            raise ValueError(f"packet size must be an integer >= 1, got {self.size!r}")
-        if not (is_int(self.inject_time) and self.inject_time >= 0):
+
+class Packet(_PacketFields):
+    """One unit of traffic, `size` service units (flits or bytes) long."""
+
+    __slots__ = ()
+    __setattr__ = _frozen
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, id: int, flow: FlowId, size: int, inject_time: int = 0):
+        if not (is_int(size) and size >= 1):
+            raise ValueError(f"packet size must be an integer >= 1, got {size!r}")
+        if not (is_int(inject_time) and inject_time >= 0):
             raise ValueError(f"packet inject_time must be an integer >= 0, "
-                             f"got {self.inject_time!r}")
+                             f"got {inject_time!r}")
+        return tuple.__new__(cls, (id, flow, size, inject_time))
 
 
-@dataclass(frozen=True)
-class ServiceRecord:
-    """One contiguous service visit of a flow on an output link.
-
-    `sent_units` counts units actually moved; `blocking` counts cycles inside
-    [start, end) where the head unit could not advance.  At one unit per
-    non-blocked cycle, end - start - blocking == sent_units.
-    """
-
+class _ServiceRecordFields(NamedTuple):
     flow: FlowId
     round: int
     start: int
@@ -89,13 +99,28 @@ class ServiceRecord:
     sent_units: int
     blocking: int = 0
 
-    def __post_init__(self) -> None:
-        if self.end <= self.start:
-            raise ValueError(f"record must span time: start={self.start} end={self.end}")
-        if self.blocking < 0 or self.blocking > self.end - self.start:
-            raise ValueError(f"blocking {self.blocking} outside [0, {self.end - self.start}]")
-        if self.sent_units < 0:
+
+class ServiceRecord(_ServiceRecordFields):
+    """One contiguous service visit of a flow on an output link.
+
+    `sent_units` counts units actually moved; `blocking` counts cycles inside
+    [start, end) where the head unit could not advance.  At one unit per
+    non-blocked cycle, end - start - blocking == sent_units.
+    """
+
+    __slots__ = ()
+    __setattr__ = _frozen
+    _make = classmethod(_checked_make)
+
+    def __new__(cls, flow: FlowId, round: int, start: int, end: int, sent_units: int,
+                blocking: int = 0):
+        if end <= start:
+            raise ValueError(f"record must span time: start={start} end={end}")
+        if blocking < 0 or blocking > end - start:
+            raise ValueError(f"blocking {blocking} outside [0, {end - start}]")
+        if sent_units < 0:
             raise ValueError("sent_units must be >= 0")
+        return tuple.__new__(cls, (flow, round, start, end, sent_units, blocking))
 
     @property
     def duration(self) -> int:
@@ -106,7 +131,7 @@ class ServiceRecord:
         return self.end - self.start - self.blocking
 
 
-@dataclass
+@dataclass(slots=True)
 class PacketEvent:
     """Inject/deliver lifecycle of one packet as seen by a trace."""
 
@@ -148,13 +173,19 @@ class Trace:
         if self.sink is not None:
             self.sink(self.row(rec))
 
+    def kept(self) -> list[ServiceRecord]:
+        """The records, which a streamed trace does not keep."""
+        if self.records is None:
+            raise TraceError("this trace streams its records to its file and keeps none")
+        return self.records
+
     def flows(self) -> list[FlowId]:
-        return sorted({r.flow for r in self.records})
+        return sorted({r.flow for r in self.kept()})
 
     def boundaries(self) -> list[int]:
         """Sorted distinct record start/end times."""
         pts: set[int] = set()
-        for r in self.records:
+        for r in self.kept():
             pts.add(r.start)
             pts.add(r.end)
         return sorted(pts)
@@ -162,15 +193,16 @@ class Trace:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self, fh: TextIO) -> None:
+        records = self.kept()  # before the header, so a streamed trace writes nothing
         w = csv.writer(fh)
         w.writerow(self.CSV_HEADER)
-        w.writerows(map(self.row, self.records))
+        w.writerows(map(self.row, records))
 
 
 def throughput_by_flow(trace: Trace) -> dict[FlowId, int]:
     """Total units sent per flow over the whole trace."""
     out: dict[FlowId, int] = {}
-    for r in trace.records:
+    for r in trace.kept():
         out[r.flow] = out.get(r.flow, 0) + r.sent_units
     return out
 

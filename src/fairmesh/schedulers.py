@@ -29,18 +29,23 @@ scheduler setting: they belong to the fairness measure.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
+from typing import Callable, Iterable
 
 from .core import (Accounting, FlowId, Packet, PacketEvent, SchedulerKind, ServiceRecord,
                    Trace, is_finite, is_int)
 
+_OCCUPATION = Accounting.OCCUPATION
 
-@dataclass
+
+@dataclass(slots=True)
 class FlowState:
     id: FlowId
     queue: deque[Packet] = field(default_factory=deque)
+    events: deque[PacketEvent] = field(default_factory=deque)  # one per queued packet
     # DRR
     deficit: int = 0
     # ERR / CARR
@@ -59,6 +64,7 @@ class SchedulerBase:
 
     `now` is the cycle clock.  `active` is the rotation of backlogged flows;
     its first `visits_left` entries are the current round's remaining visits.
+    `_due` is the next arrival's inject cycle (infinite once none is left).
     """
 
     kind: SchedulerKind
@@ -83,15 +89,16 @@ class SchedulerBase:
         self.visit_log: list[dict] = []
         self._arrivals: list[Packet] = []
         self._next_arrival = 0
-        self._events: dict[int, PacketEvent] = {}
+        self._due = math.inf
 
     # -- workload ---------------------------------------------------------
 
     def load(self, packets: Iterable[Packet]) -> None:
         """Queue an arrival schedule; packets are injected as the clock reaches
         their inject_time."""
-        self._arrivals = sorted(packets, key=lambda p: p.inject_time)
+        self._arrivals = sorted(packets, key=attrgetter("inject_time"))
         self._next_arrival = 0
+        self._due = self._arrivals[0].inject_time if self._arrivals else math.inf
 
     def _new_flow(self, fid: FlowId) -> FlowState:
         return FlowState(id=fid)
@@ -104,6 +111,7 @@ class SchedulerBase:
             self._enqueue(arr[i])
             i += 1
         self._next_arrival = i
+        self._due = arr[i].inject_time if i < len(arr) else math.inf
 
     def _enqueue(self, pkt: Packet) -> None:
         fs = self.flows.get(pkt.flow)
@@ -114,7 +122,7 @@ class SchedulerBase:
             return
         fs.queue.append(pkt)
         ev = PacketEvent(pkt.id, pkt.flow, pkt.inject_time)
-        self._events[pkt.id] = ev
+        fs.events.append(ev)
         self.trace.events.append(ev)
         if not fs.listed:
             fs.listed = True
@@ -137,13 +145,12 @@ class SchedulerBase:
                 self._start_round()
             fs = self.active.popleft()
             self.visits_left -= 1
-            if self._should_skip(fs):
-                self.active.append(fs)
-                continue
-            return fs
+            if self._should_skip is None or not self._should_skip(fs):
+                return fs
+            self.active.append(fs)
 
-    def _should_skip(self, fs: FlowState) -> bool:
-        return False
+    # a discipline's test that a popped flow loses this visit, if it has one
+    _should_skip: Callable[[FlowState], bool] | None = None
 
     # -- one visit --------------------------------------------------------
 
@@ -156,31 +163,33 @@ class SchedulerBase:
         they join in the order and state they would cycle by cycle.
         """
         start = self.now
-        if self.blocked is None:
-            end = start + pkt.size
+        blocked = self.blocked
+        if blocked is not None and fs.id == blocked.flow:
+            end = blocked.finish(fs.id, start, pkt.size)
         else:
-            end = self.blocked.finish(fs.id, start, pkt.size)
+            end = start + pkt.size
         self.now = end
-        self._inject_due()
-        ev = self._events.get(pkt.id)
-        if ev is not None:
-            ev.deliver = end
+        fs.events.popleft().deliver = end
+        if self._due <= end:
+            self._inject_due()
         return end - start - pkt.size
 
     def _used_units(self, size: int, blocking: int) -> int:
-        if self.accounting is Accounting.OCCUPATION:
+        if self.accounting is _OCCUPATION:
             return size + blocking
         return size
 
     def _visit(self, fs: FlowState) -> ServiceRecord | None:
         raise NotImplementedError
 
-    def _emit(self, fs: FlowState, start: int, sent: int, blocking: int, /,
-              **log_fields) -> ServiceRecord | None:
-        """End a visit: log it, put the flow back in the rotation (or delist
-        it if its queue is empty), and record it if it moved data."""
-        if self.log_visits:
-            self.visit_log.append({"flow": fs.id, "round": self.round_number, **log_fields})
+    def _log(self, fs: FlowState, **fields) -> None:
+        """Log a visit; a discipline calls it only when `log_visits` is on,
+        before `_emit`, which may change the flow."""
+        self.visit_log.append({"flow": fs.id, "round": self.round_number, **fields})
+
+    def _emit(self, fs: FlowState, start: int, sent: int, blocking: int) -> ServiceRecord | None:
+        """End a visit: put the flow back in the rotation (or delist it if
+        its queue is empty), and record it if it moved data."""
         if fs.queue:
             self._activate(fs)
         else:
@@ -198,18 +207,16 @@ class SchedulerBase:
 
         Work conserving: the clock only jumps over spans where no flow is
         backlogged."""
+        stop = math.inf if horizon is None else horizon
         while True:
-            self._inject_due()
+            if self._due <= self.now:
+                self._inject_due()
             if not self.active:
-                if self._next_arrival >= len(self._arrivals):
+                if self._due >= stop:  # and so when no arrival is left
                     break
-                nxt = self._arrivals[self._next_arrival].inject_time
-                if horizon is not None and nxt >= horizon:
-                    break
-                if nxt > self.now:
-                    self.now = nxt
+                self.now = self._due
                 continue
-            if horizon is not None and self.now >= horizon:
+            if self.now >= stop:
                 break
             self._visit(self._pop_for_service())
         return self.trace
@@ -227,7 +234,9 @@ class RoundRobinScheduler(SchedulerBase):
         start = self.now
         pkt = fs.queue.popleft()
         blocking = self._transmit_packet(fs, pkt)
-        return self._emit(fs, start, pkt.size, blocking, packets=1)
+        if self.log_visits:
+            self._log(fs, packets=1)
+        return self._emit(fs, start, pkt.size, blocking)
 
 
 class _QuantumScheduler(SchedulerBase):
@@ -272,7 +281,9 @@ class DeficitRoundRobin(_QuantumScheduler):
             blocking += b
         if not fs.queue:
             fs.deficit = 0  # residue is not carried across idle
-        return self._emit(fs, start, sent, blocking, deficit=fs.deficit, sent=sent)
+        if self.log_visits:
+            self._log(fs, deficit=fs.deficit, sent=sent)
+        return self._emit(fs, start, sent, blocking)
 
 
 class ElasticRoundRobin(SchedulerBase):
@@ -314,8 +325,9 @@ class ElasticRoundRobin(SchedulerBase):
             blocking += b
         fs.surplus = accounted - allowance if fs.queue else 0
         self._round_max_sc = max(self._round_max_sc, fs.surplus)
-        return self._emit(fs, start, sent, blocking,
-                          allowance=allowance, surplus=fs.surplus, sent=sent)
+        if self.log_visits:
+            self._log(fs, allowance=allowance, surplus=fs.surplus, sent=sent)
+        return self._emit(fs, start, sent, blocking)
 
 
 class CongestionAwareRoundRobin(ElasticRoundRobin):
@@ -396,7 +408,9 @@ class EligibilityRoundRobin(_QuantumScheduler):
         pkt = fs.queue.popleft()
         blocking = self._transmit_packet(fs, pkt)
         fs.credit -= self._used_units(pkt.size, blocking)
-        return self._emit(fs, start, pkt.size, blocking, credit=fs.credit, packets=1)
+        if self.log_visits:
+            self._log(fs, credit=fs.credit, packets=1)
+        return self._emit(fs, start, pkt.size, blocking)
 
 
 _KINDS = {cls.kind: cls for cls in (RoundRobinScheduler, DeficitRoundRobin, ElasticRoundRobin,

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import io
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -72,6 +74,108 @@ class TestPacket:
         # compare hands one seed's packets to every discipline
         with pytest.raises(dataclasses.FrozenInstanceError):
             Packet(id=0, flow=0, size=4).inject_time = 3
+
+
+class TestRecordContract:
+    """What a packet, a service record and a packet event offer their users:
+    fields, defaults, equality, text, copies and the checks on construction."""
+
+    def test_construction_and_defaults(self):
+        p = Packet(7, 1, 16)
+        assert p == Packet(id=7, flow=1, size=16) == Packet(7, 1, 16, 0)
+        assert (p.id, p.flow, p.size, p.inject_time) == (7, 1, 16, 0)
+        assert Packet(7, 1, 16, inject_time=5).inject_time == 5
+        r = ServiceRecord(2, 3, 10, 30, 12)
+        assert r == ServiceRecord(flow=2, round=3, start=10, end=30, sent_units=12, blocking=0)
+        assert (r.flow, r.round, r.start, r.end, r.sent_units, r.blocking) == (2, 3, 10, 30, 12, 0)
+        r = ServiceRecord(2, 3, 10, 30, 12, blocking=8)
+        assert (r.duration, r.sending, r.blocking) == (20, 12, 8)
+
+    def test_equality_and_hash(self):
+        a, b = ServiceRecord(0, 1, 0, 5, 4, 1), ServiceRecord(0, 1, 0, 5, 4, 1)
+        assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+        assert hash(a) == hash((0, 1, 0, 5, 4, 1))
+        assert a != ServiceRecord(0, 1, 0, 5, 5, 0)
+        p, q = Packet(1, 0, 4, 2), Packet(1, 0, 4, 2)
+        assert p == q and hash(p) == hash(q) and p != Packet(1, 0, 4, 3)
+
+    def test_repr(self):
+        assert repr(Packet(7, 1, 16)) == "Packet(id=7, flow=1, size=16, inject_time=0)"
+        assert repr(ServiceRecord(2, 3, 10, 30, 12, 8)) == (
+            "ServiceRecord(flow=2, round=3, start=10, end=30, sent_units=12, blocking=8)")
+
+    @pytest.mark.parametrize("rec", [Packet(7, 1, 16, 3), ServiceRecord(2, 3, 10, 30, 12, 8)],
+                             ids=["packet", "record"])
+    def test_pickle_and_copy(self, rec):
+        for back in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+            assert back == rec and type(back) is type(rec) and repr(back) == repr(rec)
+
+    def test_trace_row_and_csv(self):
+        r = ServiceRecord(2, 3, 10, 30, 12, 8)
+        assert Trace.row(r) == (2, 3, 10, 30, 12, 8)
+        t = make_trace([(2, 3, 10, 30, 12, 8), (0, 4, 30, 34, 4)])
+        buf = io.StringIO()
+        t.to_csv(buf)
+        assert buf.getvalue() == ("flow,round,start,end,sent_units,blocking\r\n"
+                                  "2,3,10,30,12,8\r\n0,4,30,34,4,0\r\n")
+
+    @pytest.mark.parametrize("args,message", [
+        ((0, 1, 10, 10, 0), "record must span time: start=10 end=10"),
+        ((0, 1, 10, 9, 0), "record must span time: start=10 end=9"),
+        ((0, 1, 0, 5, 1, 6), "blocking 6 outside [0, 5]"),
+        ((0, 1, 0, 5, 1, -1), "blocking -1 outside [0, 5]"),
+        ((0, 1, 0, 5, -1), "sent_units must be >= 0"),
+    ])
+    def test_record_value_errors(self, args, message):
+        with pytest.raises(ValueError) as e:
+            ServiceRecord(*args)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(size=0), "packet size must be an integer >= 1, got 0"),
+        (dict(size=2.5), "packet size must be an integer >= 1, got 2.5"),
+        (dict(size=True), "packet size must be an integer >= 1, got True"),
+        (dict(size=4, inject_time=-1), "packet inject_time must be an integer >= 0, got -1"),
+        (dict(size=4, inject_time=0.5), "packet inject_time must be an integer >= 0, got 0.5"),
+    ])
+    def test_packet_value_errors(self, kw, message):
+        with pytest.raises(ValueError) as e:
+            Packet(id=0, flow=0, **kw)
+        assert str(e.value) == message
+
+    def test_assignment_raises(self):
+        p, r = Packet(0, 0, 4), ServiceRecord(0, 1, 0, 5, 5)
+        for name in ("id", "flow", "size", "inject_time"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 9)
+        for name in ("flow", "round", "start", "end", "sent_units", "blocking"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 9)
+        assert p == Packet(0, 0, 4) and r == ServiceRecord(0, 1, 0, 5, 5)
+
+    def test_packet_event(self):
+        ev = PacketEvent(3, 1, inject=4)
+        assert ev.deliver is None
+        ev.deliver = 9
+        assert dataclasses.astuple(ev) == (3, 1, 4, 9)
+        assert ev == PacketEvent(packet_id=3, flow=1, inject=4, deliver=9)
+
+
+class TestRecordsAreTuples:
+    """A packet and a service record are tuples of their fields: they equal
+    the plain tuple of their values, and `_replace` checks as building does."""
+
+    def test_equal_to_plain_tuples(self):
+        assert ServiceRecord(2, 3, 10, 30, 12, 8) == (2, 3, 10, 30, 12, 8)
+        assert Packet(7, 1, 16) == (7, 1, 16, 0)
+
+    def test_replace_checks(self):
+        r = ServiceRecord(2, 3, 10, 30, 12, 8)
+        assert r._replace(blocking=0) == ServiceRecord(2, 3, 10, 30, 12)
+        with pytest.raises(ValueError, match="record must span time"):
+            r._replace(end=10)
+        with pytest.raises(ValueError, match="packet size"):
+            Packet(7, 1, 16)._replace(size=0)
 
 
 class TestRecordService:

@@ -9,7 +9,8 @@ import pytest
 
 from fairmesh import periodic
 from fairmesh.analysis import check_ratio_constraint
-from fairmesh.core import Packet, SchedulerKind
+from fairmesh.core import Packet, SchedulerKind, TraceError, throughput_by_flow
+from fairmesh.fairness import rfb_estimate
 from fairmesh.meshsim import (
     DIR_EJ,
     DIR_L,
@@ -965,6 +966,19 @@ class TestStreamedMemory:
             want = io.StringIO()
             kept[link].to_csv(want)
             assert fh.getvalue() == want.getvalue(), link
+
+    @pytest.mark.parametrize("read", [
+        lambda t: t.to_csv(io.StringIO()),
+        lambda t: t.flows(),
+        lambda t: t.boundaries(),
+        lambda t: rfb_estimate(t, {0: 1.0, 1: 1.0}),
+        lambda t: throughput_by_flow(t),
+    ], ids=["to_csv", "flows", "boundaries", "rfb_estimate", "throughput_by_flow"])
+    def test_reading_records_of_a_streamed_trace_says_so(self, read):
+        trace = run_mesh(MeshConfig(horizon=200, warmup=20), lambda link: io.StringIO()).sink_trace()
+        assert trace.records is None and len(trace) > 0
+        with pytest.raises(TraceError, match="streams its records .* and keeps none"):
+            read(trace)
 
     # a round-robin line that skips periods, and a flow-queue line that
     # steps every cycle, as it never searches

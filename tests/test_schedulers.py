@@ -7,6 +7,7 @@ import random
 import pytest
 from conftest import backlogged_workload, make_workload
 
+from fairmesh import presets
 from fairmesh.core import Accounting, Packet, SchedulerKind
 from fairmesh.schedulers import (
     CongestionAwareRoundRobin,
@@ -268,8 +269,8 @@ class TestEngineBehavior:
         for kind in SchedulerKind:
             a = make_sched(kind, accounting=Accounting.PACKET_SIZE)
             b = make_sched(kind, accounting=Accounting.OCCUPATION)
-            ta = run(a, [Packet(**vars(p)) for p in w])
-            tb = run(b, [Packet(**vars(p)) for p in w])
+            ta = run(a, [Packet(**p._asdict()) for p in w])
+            tb = run(b, [Packet(**p._asdict()) for p in w])
             assert ta.records == tb.records
 
     def test_tail_drop_counts(self):
@@ -280,8 +281,8 @@ class TestEngineBehavior:
 
     def test_deterministic_replay(self):
         w = make_workload(9, n_flows=4, n_packets=60)
-        t1 = run(make_sched(SchedulerKind.ERR), [Packet(**vars(p)) for p in w])
-        t2 = run(make_sched(SchedulerKind.ERR), [Packet(**vars(p)) for p in w])
+        t1 = run(make_sched(SchedulerKind.ERR), [Packet(**p._asdict()) for p in w])
+        t2 = run(make_sched(SchedulerKind.ERR), [Packet(**p._asdict()) for p in w])
         assert t1.records == t2.records
 
     def test_horizon_stops_new_visits(self):
@@ -304,6 +305,7 @@ class SteppingTransmit:
     `SchedulerBase._transmit_packet` and `PeriodicBlocking.finish`."""
 
     def _transmit_packet(self, fs, pkt):
+        ev = fs.events.popleft()
         pb = self.blocked
         blocking = 0
         for _ in range(pkt.size):
@@ -313,9 +315,7 @@ class SteppingTransmit:
                 self._inject_due()
             self.now += 1
             self._inject_due()
-        ev = self._events.get(pkt.id)
-        if ev is not None:
-            ev.deliver = self.now
+        ev.deliver = self.now
         return blocking
 
 
@@ -374,12 +374,37 @@ class TestSendMatchesCycleStepping:
             cls = type(fast)
             slow = type("Stepping" + cls.__name__, (SteppingTransmit, cls), {})(**kw)
             for s in (fast, slow):
-                run(s, [Packet(**vars(p)) for p in w], horizon=horizon)
+                run(s, [Packet(**p._asdict()) for p in w], horizon=horizon)
             assert fast.trace.records == slow.trace.records
             assert fast.trace.events == slow.trace.events
             assert fast.visit_log == slow.visit_log
             assert fast.drops() == slow.drops()
             assert fast.now == slow.now
+
+    # the credit-withheld pathology as `fairmesh compare` runs it, and with a
+    # queue cap that tail-drops packets, which get no event
+    @pytest.mark.parametrize("kind", list(SchedulerKind))
+    @pytest.mark.parametrize("accounting", list(Accounting))
+    @pytest.mark.parametrize("queue_capacity", [None, 3], ids=["uncapped", "cap3"])
+    def test_engine_equals_stepping_oracle_on_the_pathology(self, kind, accounting,
+                                                            queue_capacity):
+        kw = {"accounting": accounting, "blocked": presets.pathology_blocking(),
+              "queue_capacity": queue_capacity, "log_visits": True}
+        if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
+            kw["quantum"] = dict(presets.PATHOLOGY_DRR_QUANTA)
+        fast = make_scheduler(kind, **kw)
+        cls = type(fast)
+        slow = type("Stepping" + cls.__name__, (SteppingTransmit, cls), {})(**kw)
+        for s in (fast, slow):
+            run(s, presets.pathology_workload(), horizon=presets.PATHOLOGY_HORIZON)
+        assert fast.trace.records == slow.trace.records
+        assert fast.trace.events == slow.trace.events
+        assert fast.visit_log == slow.visit_log
+        assert fast.drops() == slow.drops()
+        assert fast.now == slow.now
+        assert (sum(fast.drops().values()) > 0) == (queue_capacity is not None)
+        delivered = [e for e in fast.trace.events if e.deliver is not None]
+        assert len(delivered) > 100 and all(e.deliver > e.inject for e in delivered)
 
 
 def make_sched(kind, **kw):
@@ -427,7 +452,7 @@ def _golden_digest(kind):
         s = make_scheduler(kind, **kw)
         run(s, w, horizon=rng.choice([None, 200, 1000]))
         state = {
-            "records": [dataclasses.astuple(r) for r in s.trace.records],
+            "records": [tuple(r) for r in s.trace.records],
             "events": [dataclasses.astuple(e) for e in s.trace.events],
             "visit_log": s.visit_log,
             "drops": sorted(s.drops().items()),
