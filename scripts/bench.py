@@ -32,7 +32,8 @@ given, every layer runs.
   records/s.
 * `sampling`: BERNOULLI_DRAWS `XorShift64Star.bernoulli` draws at the
   uniform row's rate; the merge-chain oracle `simulate_acceptance_counts`
-  for MERGE_GRANTS grants at router MERGE_ROUTER on the first weight table
+  (in `tests/oracles.py`, or in `fairmesh.analysis` in an older tree) for
+  MERGE_GRANTS grants at router MERGE_ROUTER on the first weight table
   acceptance criterion 4 draws; and `empirical_grant_frequencies` for
   GRANT_TRIALS trials on `presets.ARB_CONVERGENCE_WEIGHTS`; samples/s.
 * `startup`: `import fairmesh.cli` in a fresh interpreter, the start-up
@@ -78,6 +79,7 @@ MERGE_ROUTER = 3
 GRANT_TRIALS = 1_000_000
 RUNS = 5  # timed runs per row and tree
 CHANGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.join(os.path.dirname(CHANGE), "tests")  # the merge-chain oracle's home
 KINDS = ("rr", "drr", "err", "ebrr", "carr")
 MESH_CONFIGS = {
     **{f"hotspot-{a}": dict(HOTSPOT, arbiter=a)
@@ -220,7 +222,7 @@ def _rfb_estimate_row(name: str, traced: bool) -> dict:
 def _sampling_row(name: str, traced: bool) -> dict:
     import numpy  # noqa: F401  as in _rfb_estimate_row
     from fairmesh import presets
-    from fairmesh.analysis import WeightTable, simulate_acceptance_counts
+    from fairmesh.analysis import WeightTable
     from fairmesh.arbitration import empirical_grant_frequencies
     from fairmesh.rng import XorShift64Star
 
@@ -234,6 +236,11 @@ def _sampling_row(name: str, traced: bool) -> dict:
         rng, n = XorShift64Star(2024, stream_id=7), MERGE_GRANTS
         w = WeightTable({(i, j): 1 + rng.randrange(4)
                          for j in range(1, MERGE_ROUTER + 1) for i in range(j + 1)})
+        try:  # a parent tree older than the move kept the oracle in `analysis`
+            from fairmesh.analysis import simulate_acceptance_counts
+        except ImportError:
+            sys.path.insert(0, TESTS)
+            from oracles import simulate_acceptance_counts
         result, elapsed, peak = _timed(
             lambda: simulate_acceptance_counts(w, MERGE_ROUTER, n, seed=100), traced)
     else:

@@ -3,8 +3,8 @@
 A line of routers merges one new local flow per hop: router j receives the
 stream accepted by router j-1 plus flow j's own packets, and admits them in
 proportion to per-(flow, router) weights.  acceptance_ratios computes the
-resulting per-source acceptance proportions exactly; a sequential
-coin-flipping simulation of the same chain serves as an independent oracle.
+resulting per-source acceptance proportions exactly (the tests hold it to
+a coin-flipping simulation of the same chain).
 The S-ratio utilities answer the converse question: given measured
 occupation-to-sending ratios, what weights would equalize channel occupation,
 and is any weight assignment consistent across routers at all.
@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping
 
 from .core import is_finite
-from .rng import XorShift64Star
 
 SMatrix = Mapping[int, Mapping[int, float | None]]
 
@@ -78,43 +77,6 @@ def acceptance_ratios(w: WeightTable, j_max: int) -> AcceptanceRatios:
         r_prev = r_prev + [local]
         out[j] = r_prev
     return AcceptanceRatios(out)
-
-
-def _merge_stream(w: WeightTable, j: int, rng: XorShift64Star) -> Iterator[int]:
-    """Packets accepted by router j, labeled by source flow.
-
-    The upstream head packet stays pending until the weighted coin picks it;
-    otherwise the local flow (always backlogged) emits.  Grant probability at
-    each step is W(head, j) : W(j, j), which is the recursion's premise.
-    """
-    if j == 0:
-        while True:
-            yield 0
-    upstream = _merge_stream(w, j - 1, rng)
-    pending: int | None = None
-    while True:
-        if pending is None:
-            pending = next(upstream)
-        w_up = float(w.weight(pending, j))
-        w_loc = float(w.weight(j, j))
-        if rng.random() * (w_up + w_loc) < w_up:
-            yield pending
-            pending = None
-        else:
-            yield j
-
-
-def simulate_acceptance_counts(
-    w: WeightTable, j_max: int, grants: int, seed: int
-) -> list[int]:
-    """Brute-force oracle: count packets per source emitted by router j_max."""
-    if grants < 1:
-        raise ValueError("need at least one grant")
-    counts = [0] * (j_max + 1)
-    stream = _merge_stream(w, j_max, XorShift64Star(seed))
-    for _ in range(grants):
-        counts[next(stream)] += 1
-    return counts
 
 
 def _checked(flow: int, router: int, v) -> float:

@@ -147,6 +147,8 @@ def empirical_grant_frequencies(
     for w in weights:
         if not (is_finite(w) and w > 0):
             raise ValueError(f"weights must be finite numbers above 0, got {w!r}")
+    if not sum(map(float, weights)) < _INF:  # else draws land past the last bucket
+        raise ValueError("weights must have a finite sum")
     if not (is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     cum = np.cumsum(ws)

@@ -32,7 +32,7 @@ from .analysis import RequiredWeights, check_ratio_constraint, required_weights
 from .arbitration import empirical_grant_frequencies
 from .core import (Accounting, Packet, SchedulerKind, Trace, is_finite, is_int, latency_stats,
                    throughput_by_flow)
-from .fairness import FairnessReport, rfb_estimate
+from .fairness import FairnessReport, check_weights, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
 from .schedulers import CongestionAwareRoundRobin, DeficitRoundRobin, make_scheduler
 
@@ -95,6 +95,10 @@ MAX_WORKLOAD_FLOWS = 16
 MAX_PACKET_SIZE = 1024
 MAX_WORKLOAD_SPREAD = 10**12
 MAX_SCHEDULER_TURNS = MAX_WORKLOAD_PACKETS * MAX_PACKET_SIZE // 16
+# no trace of a workload within the bounds ends later: its packets arrive
+# before the spread, and then a unit is sent a cycle; a pathology run stops
+# near its horizon, which the packet bound keeps far below the spread
+MAX_TRACE_END = MAX_WORKLOAD_SPREAD + MAX_WORKLOAD_PACKETS * MAX_PACKET_SIZE
 
 
 def _normalize_workload(given, where: str = "workload") -> dict:
@@ -206,7 +210,7 @@ def _scheduler_settings(
             weights = dict(presets.PATHOLOGY_WEIGHTS)
         else:
             weights = {f: 1.0 for f in flows}
-        rfb_estimate(Trace(), weights)  # on an empty trace, only checks the weights
+        check_weights(weights, MAX_TRACE_END)  # the check rfb_estimate makes of a trace
         q = params.get("quantum", dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16)
         if isinstance(params.get("quantum"), dict):
             q = _flow_map(params, "quantum", flows)
@@ -261,7 +265,7 @@ def _write_fairness_csvs(outdir: Path, report: FairnessReport) -> None:
 
 Run = Callable[[list[int], Path], dict]
 
-_MESH_PARAM_KEYS = {f.name for f in dataclasses.fields(MeshConfig)} - {"seed", "log_ejects"}
+_MESH_PARAM_KEYS = {f.name for f in dataclasses.fields(MeshConfig)} - {"seed"}
 
 
 def _mesh_config(params: dict, defaults: dict) -> MeshConfig:
@@ -412,8 +416,9 @@ def _exp_arb_convergence(params: dict) -> Run:
     ws = params.get("weights", list(presets.ARB_CONVERGENCE_WEIGHTS))
     if not isinstance(ws, list) or len(ws) < 2 or not all(
         is_finite(x) and x > 0 for x in ws
-    ):
-        raise ConfigError("config key params.weights must list at least two positive finite numbers")
+    ) or not math.isfinite(sum(map(float, ws))):
+        raise ConfigError("config key params.weights must list at least two positive finite "
+                          "numbers with a finite sum")
     trials = params.get("trials", presets.ARB_CONVERGENCE_TRIALS)
     if not is_int(trials) or trials < 1:
         raise ConfigError("config key params.trials must be a positive integer")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -157,6 +158,21 @@ _N_BINS = 24
 _BLOCK = 256  # window starts per step of the profile fold
 
 
+def check_weights(weights: dict[FlowId, float], end: int) -> None:
+    """Raise ValueError, naming the flow, unless every weight is a finite
+    number above 0 that keeps the report of a trace ending by cycle `end`
+    finite: a flow's service in a window, sent units or channel cycles, is
+    at most `end`, and the profile's slope sums up to _N_BINS + 1 such gaps
+    divided by a weight."""
+    most = end * (_N_BINS + 1)
+    for f, w in weights.items():
+        if not (is_finite(w) and w > 0):
+            raise ValueError(f"weights[{f!r}] must be a finite number above 0, got {w!r}")
+        if most > w * sys.float_info.max:  # most / w overflows
+            raise ValueError(f"weights[{f!r}] must be at least {most / sys.float_info.max:.3g} "
+                             f"for a trace that ends by cycle {end}, got {w!r}")
+
+
 def rfb_estimate(
     trace: Trace,
     weights: dict[FlowId, float],
@@ -174,9 +190,7 @@ def rfb_estimate(
     boundedness statistic: near zero for a fair discipline, positive when
     the gap grows with window length.
     """
-    for f, w in weights.items():
-        if not (is_finite(w) and w > 0):
-            raise ValueError(f"weights[{f!r}] must be a finite number above 0, got {w!r}")
+    check_weights(weights, trace.end or 0)
     flows = sorted(weights)
     backlogs = backlog_from_trace(trace)
     times = trace.boundaries()

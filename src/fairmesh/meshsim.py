@@ -84,7 +84,6 @@ class MeshConfig:
     warmup: int = 0
     seed: int = 1
     trace_links: list[tuple[int, int]] | None = None  # default: sink ejection
-    log_ejects: bool = False  # keep (router, packet, seq) per ejected flit
 
     def dest_of(self) -> int:
         return (self.k - 1) if self.hotspot is None else self.hotspot
@@ -467,7 +466,6 @@ class MeshSim:
                                  [(into[1], into[4]) for into in ins if into]))
 
         self._reset_stats()
-        self.eject_log: list[tuple[int, int, int]] | None = [] if cfg.log_ejects else None
         self.log: list[tuple] | None = None  # searching: (trace, record) or (pid, packet, cycle)
 
     # -- helpers ----------------------------------------------------------
@@ -594,7 +592,6 @@ class MeshSim:
             if moved:
                 woken.add(r)
 
-        eject_log = self.eject_log
         for rec in moves:
             pid, sent, o, credit, cell, _flow, _start, into, out = rec
             r, i, since, held, fifo, up, o_up, r_up = into
@@ -620,8 +617,6 @@ class MeshSim:
             # deliver or forward
             _credit, owners, noted, fifo, since, j, nbr = out
             if fifo is None:
-                if eject_log is not None:
-                    eject_log.append((r, pid, sent - 1))
                 if tail:
                     self._deliver(pid, packets.pop(pid), now)
             else:

@@ -53,7 +53,7 @@ def _mark(sim: MeshSim) -> tuple:
     and deliveries from here on, under 2 * power cycles' worth."""
     sim.log = []
     return ([c[:] for c in sim.credits], tuple(signature(sim)),
-            {key: cell[:] for key, cell in sim.cells.items()}, len(sim.eject_log or ()))
+            {key: cell[:] for key, cell in sim.cells.items()})
 
 
 def fast_forward(sim: MeshSim) -> None:
@@ -85,16 +85,16 @@ def fast_forward(sim: MeshSim) -> None:
 def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     """Jump m = (horizon - now) // P periods: each cell adds m times its
     growth over the period; its log is replayed, shifted (a record goes to
-    its trace's `append`, and a streamed trace writes it), and its ejections
-    too; the live packets are re-keyed.  The live packets and owner records at
-    the mark and now match, so the sending a cell leaves to its live records
-    is the same at both, and the period makes as many packets of each
-    source s as it delivers, per[s], N in all.  A source's
-    packets share one path and are delivered in order, and a saturated
-    source's n-th packet arrived in cycle n: each delivery repeats every
-    period with its id N and its inject cycle per[s] later, and the live
-    packets and each saturated source's oldest arrival move on likewise."""
-    cells, ejects = mark[2:]
+    its trace's `append`, and a streamed trace writes it); the live packets
+    are re-keyed.  The live packets and owner records at the mark and now
+    match, so the sending a cell leaves to its live records is the same at
+    both, and the period makes as many packets of each source s as it
+    delivers, per[s], N in all.  A source's packets share one path and are
+    delivered in order, and a saturated source's n-th packet arrived in
+    cycle n: each delivery repeats every period with its id N and its
+    inject cycle per[s] later, and the live packets and each saturated
+    source's oldest arrival move on likewise."""
+    cells = mark[2]
     now, L = sim.now, sim.L
     m = (sim.cfg.horizon - now) // P
     log, sim.log = sim.log, None
@@ -105,7 +105,6 @@ def skip(sim: MeshSim, mark: tuple, P: int) -> None:
     N = sum(per)
     for key, cell in sim.cells.items():
         cell[:] = [v + m * (v - v0) for v, v0 in zip(cell, cells.get(key, (0, 0, 0)))]
-    ejected = sim.eject_log[ejects:] if sim.eject_log is not None else ()
     for j in range(1, m + 1):
         for entry in log:
             if len(entry) == 2:
@@ -115,8 +114,6 @@ def skip(sim: MeshSim, mark: tuple, P: int) -> None:
             else:
                 pid, (src, dest, inject, cprod), t = entry
                 sim._deliver(pid + j * N, (src, dest, inject + j * per[src], cprod), t + j * P)
-        if ejected:
-            sim.eject_log += [(r, pid + j * N, seq) for r, pid, seq in ejected]
     dt, dn = m * P, m * N
     sim.now = now + dt
     sim.made += dn

@@ -16,7 +16,6 @@ from fairmesh.analysis import (
     WeightTable,
     acceptance_ratios,
     check_ratio_constraint,
-    simulate_acceptance_counts,
 )
 from fairmesh.arbitration import empirical_grant_frequencies
 from fairmesh.core import Accounting, Trace, latency_stats, throughput_by_flow
@@ -25,7 +24,8 @@ from fairmesh.meshsim import MeshConfig, MeshSim, run_mesh
 from fairmesh.rng import XorShift64Star
 from fairmesh.schedulers import make_scheduler
 
-from oracles import flit_census, hotspot_config
+from oracles import (flit_census, hotspot_config, simulate_acceptance_counts,
+                     stepped_ejections)
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:
@@ -349,7 +349,7 @@ def _mesh_cfg(seed: int, **kw) -> MeshConfig:
 def _flit_conservation_suite() -> int:
     checked = 0
     for seed in range(1, N_SEEDS + 1):
-        sim = MeshSim(_mesh_cfg(seed, log_ejects=True))
+        sim = MeshSim(_mesh_cfg(seed))
         for _ in range(250):
             sim.step()
             entered, delivered, in_flight = flit_census(sim)
@@ -386,13 +386,11 @@ def _wormhole_contiguity_suite() -> int:
     # freely in the global log
     checked = 0
     for seed in range(1, N_SEEDS + 1):
-        cfg = _mesh_cfg(seed, log_ejects=True)
-        sim = MeshSim(cfg)
-        sim.run()
+        cfg = _mesh_cfg(seed)
         L = cfg.packet_len
         mid_eject: dict[int, int] = {}  # router -> pid holding its port
         progress: dict[int, int] = {}  # pid -> flits seen
-        for router, pid, seq in sim.eject_log:
+        for router, pid, seq in stepped_ejections(MeshSim(cfg)):
             holder = mid_eject.get(router)
             if holder is None:
                 assert seq == 0, f"seed {seed}: packet {pid} headless"

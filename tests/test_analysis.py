@@ -13,8 +13,9 @@ from fairmesh.analysis import (
     acceptance_ratios,
     check_ratio_constraint,
     required_weights,
-    simulate_acceptance_counts,
 )
+
+from oracles import simulate_acceptance_counts
 
 
 class TestWeightTable:

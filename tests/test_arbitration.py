@@ -89,6 +89,10 @@ class TestProbabilisticGrant:
         for trials in (0, -5, 2.5, True):
             with pytest.raises(ValueError, match="trials"):
                 empirical_grant_frequencies([1, 1], trials, seed=1)
+        # each weight is finite, but their sum is not, so a draw would land
+        # past the last bucket
+        with pytest.raises(ValueError, match="weights must have a finite sum"):
+            empirical_grant_frequencies([1e308, 1e308], 10, seed=1)
 
 
 class TestAgeGrant:

@@ -452,6 +452,35 @@ class TestConfigErrors:
         assert main([verb, write_cfg(tmp_path, **cfg)]) == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb,weights", [
+        ("run", {"0": 1e-320, "1": 1, "2": 1}),
+        ("run", {"0": 1e308, "1": 1e-308, "2": 1}),
+        ("compare", {"0": 1e-320, "1": 1, "2": 1}),
+    ], ids=["run-inf", "run-nan", "compare-inf"])
+    def test_weights_that_overflow_the_normalized_service_exit_2(self, tmp_path, capsys,
+                                                                 verb, weights):
+        # each used to exit 3 with "Out of range float values are not JSON
+        # compliant" on an inf or nan fairness value, leaving trace.csv and
+        # fm_windows_*.csv, or comparison.csv, behind
+        params = {"weights": weights}
+        if verb == "run":
+            cfg = base_cfg(tmp_path, experiment="standalone-scheduler",
+                           params=dict(params, workload="random"))
+        else:
+            cfg = base_cfg(tmp_path, schedulers=["rr", "drr"], workload="random", params=params)
+            del cfg["experiment"]
+        assert main([verb, write_cfg(tmp_path, **cfg)]) == 2
+        assert "config key params.weights[" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_arb_convergence_weights_with_an_infinite_sum_exit_2(self, tmp_path, capsys):
+        # used to exit 3 with numpy's "operands could not be broadcast together"
+        cfg = base_cfg(tmp_path, params={"weights": [1e308, 1e308]})
+        assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
+        assert ("config key params.weights must list at least two positive finite numbers "
+                "with a finite sum" in capsys.readouterr().err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     @pytest.mark.parametrize("output_dir", [5, ["a"], None, True])
     def test_output_dir_must_be_a_string(self, tmp_path, capsys, output_dir, monkeypatch):
         # a non-string used to reach Path() and exit 3 with a raw TypeError

@@ -232,6 +232,31 @@ class TestRfbEstimate:
         with pytest.raises(ValueError, match=f"got {10**400}"):
             rfb_estimate(two_flow_trace, {0: 10**400, 1: 1.0})
 
+    @pytest.mark.parametrize("weights", [{0: 1e-320, 1: 1.0}, {0: 1e308, 1: 1e-308}],
+                             ids=["inf", "nan"])
+    def test_weight_that_overflows_the_normalized_service_rejected(self, two_flow_trace,
+                                                                   weights):
+        # a gap of inf, or of inf - inf, made the report no JSON number
+        with pytest.raises(ValueError, match=r"weights\[\d\] must be at least .* for a trace "
+                                             r"that ends by cycle 1200, got 1e-3[02]"):
+            rfb_estimate(two_flow_trace, weights)
+
+    def test_smallest_weight_keeps_the_report_finite(self):
+        # flow 0 sends every cycle to the end while flow 1 waits, so its
+        # normalized service, and the gaps of every profile bin, reach
+        # end / weight, the most the weight check allows
+        t = Trace()
+        for n in range(48):
+            t.append(rec(0, n + 1, 25 * n, 25 * n + 25, 25))
+        covered(t, 0, 0, 1200)
+        covered(t, 1, 0, 1200)
+        w = math.nextafter(1200 * 25 / sys.float_info.max, math.inf)
+        report = rfb_estimate(t, {0: w, 1: 1.0})
+        assert report.rfb_estimate > sys.float_info.max / 26
+        json.dumps(report.to_dict(), allow_nan=False)
+        with pytest.raises(ValueError, match="must be at least"):
+            rfb_estimate(t, {0: w / 2, 1: 1.0})
+
     def test_empty_trace(self):
         rep = rfb_estimate(Trace(), {0: 1, 1: 1})
         assert rep.rfb_estimate == 0.0

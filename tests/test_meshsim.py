@@ -24,7 +24,8 @@ from fairmesh.meshsim import (
 from fairmesh.rng import XorShift64Star
 from fairmesh.schedulers import make_scheduler
 
-from oracles import flit_census
+from oracles import (flit_census, reference_mesh, run_outputs, stepped_ejections,
+                     stepped_outputs, wide_configs)
 
 
 def quiet_config(**kw):
@@ -114,7 +115,7 @@ class TestSinglePacket:
     """One packet on an empty path: k=3, L=4, source 0 to node 2."""
 
     def hand_run(self):
-        sim = MeshSim(quiet_config(log_ejects=True))
+        sim = MeshSim(quiet_config())
         run_with_arrivals(sim, [(0, 0)])  # one arrival at source 0, cycle 0
         return sim
 
@@ -155,11 +156,9 @@ class TestCycleSemantics:
 
     def test_one_grant_per_contended_port(self):
         # both sources saturated toward node 2: sink ejects at most 1 flit/cycle
-        cfg = MeshConfig(k=3, rate=[1.0, 1.0, 0.0], horizon=400, seed=5,
-                         log_ejects=True)
+        cfg = MeshConfig(k=3, rate=[1.0, 1.0, 0.0], horizon=400, seed=5)
         sim = MeshSim(cfg)
-        sim.run()
-        per_cycle = len(sim.eject_log)
+        per_cycle = len(stepped_ejections(sim))
         assert per_cycle <= 400
         rep = sim.report()
         assert rep.delivered[0] > 0 and rep.delivered[1] > 0
@@ -175,20 +174,18 @@ class TestCycleSemantics:
 
     def test_flit_conservation_every_cycle(self):
         sim = MeshSim(MeshConfig(k=4, pattern="uniform", rate=0.3,
-                                 horizon=500, seed=7, log_ejects=True))
+                                 horizon=500, seed=7))
         for _ in range(500):
             sim.step()
             entered, delivered, in_flight = flit_census(sim)
             assert entered == delivered + in_flight
 
     def test_wormhole_contiguity_at_sink(self):
-        cfg = MeshConfig(k=4, rate=1.0, horizon=600, seed=3, log_ejects=True)
-        sim = MeshSim(cfg)
-        sim.run()
+        cfg = MeshConfig(k=4, rate=1.0, horizon=600, seed=3)
         L = cfg.packet_len
         runs = {}
         last_pid = None
-        for router, pid, seq in sim.eject_log:
+        for router, pid, seq in stepped_ejections(MeshSim(cfg)):
             if pid != last_pid:
                 assert seq == 0, "packet must start with its head flit"
                 assert pid not in runs, "packet flits must not interleave"
@@ -392,7 +389,7 @@ class TestFlowQueueMode:
 
     def test_flow_queue_conserves_flits(self):
         sim = MeshSim(MeshConfig(k=4, rate=1.0, scheduler="drr",
-                                 horizon=400, seed=6, log_ejects=True))
+                                 horizon=400, seed=6))
         for _ in range(400):
             sim.step()
             entered, delivered, in_flight = flit_census(sim)
@@ -727,16 +724,9 @@ class TestGoldenReports:
             "k2", "uniform-mid-links", "uniform-len1-carr", "short-rr",
             "short-drr-q1"])
     def test_full_output_hash(self, kw, want):
-        sim = MeshSim(MeshConfig(log_ejects=True, **kw))
-        rep = sim.run()
-        parts = [rep.to_json()]
-        for link in sorted(rep.traces):
-            buf = io.StringIO()
-            rep.traces[link].to_csv(buf)
-            parts += [str(link), buf.getvalue(), repr(rep.traces[link].events)]
-        parts.append(repr(sim.eject_log))
-        blob = "\n".join(parts).encode()
-        assert hashlib.sha256(blob).hexdigest() == want
+        parts = stepped_outputs(MeshConfig(**kw))
+        assert hashlib.sha256("\n".join(parts).encode()).hexdigest() == want
+        assert run_outputs(run_mesh(MeshConfig(**kw))) == parts[:-1]
 
 
 def recount_channel_time(sim):
@@ -801,17 +791,6 @@ class TestChannelTimeOracle:
         assert rep.blocking == blocking
 
 
-def run_outputs(sim, rep):
-    """What a run writes: the report, each trace's CSV and packet events, and
-    the ejection log."""
-    parts = [rep.to_json()]
-    for link in sorted(rep.traces):
-        buf = io.StringIO()
-        rep.traces[link].to_csv(buf)
-        parts += [str(link), buf.getvalue(), repr(rep.traces[link].events)]
-    return parts + [repr(sim.eject_log)]
-
-
 class TestFastForward:
     """`run` skips the whole periods of a run that draws no random number;
     what it writes is what stepping every cycle writes."""
@@ -824,7 +803,7 @@ class TestFastForward:
         sim = MeshSim(cfg)
         for _ in range(cfg.horizon):
             sim.step()
-        return run_outputs(sim, sim.report()) + [sim.packets, sim.made]
+        return run_outputs(sim.report()) + [sim.packets, sim.made]
 
     @staticmethod
     def spy_skips(monkeypatch):
@@ -852,7 +831,7 @@ class TestFastForward:
             seen.clear()
             cfg = MeshConfig(horizon=horizon, **base)
             sim = MeshSim(cfg)
-            fast = run_outputs(sim, sim.run()) + [sim.packets, sim.made]
+            fast = run_outputs(sim.run()) + [sim.packets, sim.made]
             assert fast == self.stepped(cfg), horizon
             assert seen == ([] if horizon < found else [(found, period)])
 
@@ -861,7 +840,7 @@ class TestFastForward:
     @pytest.mark.parametrize("k", range(2, 9))
     def test_matches_stepping(self, monkeypatch, k, arbiter, warmup):
         self.check_horizons(monkeypatch, dict(
-            k=k, rate=1.0, arbiter=arbiter, warmup=warmup, log_ejects=True,
+            k=k, rate=1.0, arbiter=arbiter, warmup=warmup,
             trace_links=[(k // 2, DIR_R), (k - 1, DIR_EJ)]))
 
     # traffic both ways into a middle sink, traces without the sink's,
@@ -878,7 +857,7 @@ class TestFastForward:
     ], ids=["middle-sink", "no-sink-trace", "len1-age", "depth1", "len3-depth2-age",
             "idle-sources", "len8-every-link-age"])
     def test_matches_stepping_on_other_lines(self, monkeypatch, kw):
-        self.check_horizons(monkeypatch, dict(rate=1.0, warmup=20, log_ejects=True) | kw)
+        self.check_horizons(monkeypatch, dict(rate=1.0, warmup=20) | kw)
 
     @pytest.mark.parametrize("arbiter", ["round_robin", "age"])
     def test_live_table_holds_the_undelivered_packets(self, arbiter):
@@ -904,13 +883,13 @@ class TestFastForward:
         # sources of rate 0 with arrivals queued by hand, one a cycle: a
         # repeat needs the same queues, not only the same network
         arrivals = [(t, n) for n, c in enumerate(counts) for t in range(c)]
-        cfg = quiet_config(horizon=600, log_ejects=True)
+        cfg = quiet_config(horizon=600)
         fast, stepped = MeshSim(cfg), MeshSim(cfg)
         run_with_arrivals(fast, arrivals)
         queue_arrivals(stepped, arrivals)
         while stepped.now < cfg.horizon:
             stepped.step()
-        assert run_outputs(fast, fast.report()) == run_outputs(stepped, stepped.report())
+        assert run_outputs(fast.report()) == run_outputs(stepped.report())
 
     # perfbench's hotspot-vw and uniform-fq, the hotspot under each
     # flow-queue discipline, and arrivals drawn at rates below 1
@@ -992,54 +971,40 @@ class TestStreamedMemory:
         assert abs(long - short) < 0.1 * short, (short, long)
 
 
-def wide_configs(n=100, seed=2024):
-    """`n` seeded random mesh configs: k 2-16, hotspot and uniform traffic,
-    rate lists mixing 0, fractions and 1, every arbiter and policy and every
-    flow-queue kind with quanta, packet lengths and buffer depths 1-5, a
-    warmup anywhere before the horizon, and two traced links."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(n):
-        k = rng.randint(2, 16)
-        kw = dict(k=k, packet_len=rng.randint(1, 5), buffer_depth=rng.randint(1, 5),
-                  pattern=rng.choice(["hotspot", "uniform"]), horizon=rng.randint(50, 1500),
-                  seed=rng.randrange(1000), log_ejects=True,
-                  trace_links=[(rng.randrange(k), rng.choice([DIR_L, DIR_R, DIR_EJ]))
-                               for _ in range(2)])
-        kw["warmup"] = rng.randrange(kw["horizon"])
-        if kw["pattern"] == "hotspot":
-            kw["hotspot"] = rng.randrange(k)
-        shape = rng.random()
-        if shape < 0.3:  # no random arrivals: round robin and age may repeat
-            kw["rate"] = [float(rng.random() < 0.7) for _ in range(k)]
-        elif shape < 0.6:
-            kw["rate"] = [rng.choice([0.0, 1.0, round(rng.random(), 3)]) for _ in range(k)]
-        else:
-            kw["rate"] = rng.choice([1.0, round(rng.uniform(0.01, 0.5), 3)])
-        if rng.random() < 0.5:
-            kw["arbiter"] = rng.choice(["round_robin", "age", "probabilistic"])
-            kw["policy"] = rng.choice(["fw", "cw", "vw"])
-            kw["weight_base"] = rng.choice([1.0, 1.5, 2.0])
-        else:
-            kw["scheduler"] = rng.choice([s.value for s in SchedulerKind])
-            kw["quantum"] = rng.choice([None, 1, 2, 3, 5, 9])
-        out.append(kw)
-    return out
+@pytest.fixture(scope="module")
+def wide_stepped():
+    """`stepped_outputs` of each of `wide_configs()`."""
+    return [stepped_outputs(MeshConfig(**kw)) for kw in wide_configs()]
 
 
 class TestWideDigest:
     """One sha256 over what a wide spread of seeded random configs write:
-    each report, every traced link's records and events, and the ejection
-    log.  The hash was recorded before the mesh's data layout was reworked;
-    a change that moves it changes simulated behaviour."""
+    each report, every traced link's records and events, and the per-flit
+    ejections.  The hash was recorded before the mesh's data layout was
+    reworked; a change that moves it changes simulated behaviour."""
 
-    def test_digest(self):
+    def test_digest(self, wide_stepped):
         h = hashlib.sha256()
         configs = wide_configs()
-        for kw in configs:
-            sim = MeshSim(MeshConfig(**kw))
-            h.update("\n".join(run_outputs(sim, sim.run())).encode())
+        for parts in wide_stepped:
+            h.update("\n".join(parts).encode())
         kinds = {kw.get("arbiter", kw.get("scheduler")) for kw in configs}
         assert len(kinds) == 8
         assert h.hexdigest() == (
             "71dbfcba1b62016bc680e38c93ae19fe5c488faa45f5029676e1430af3ffe7f6")
+
+
+class TestReferenceMesh:
+    """`MeshSim` against `reference_mesh`, a plain stepper that processes
+    every router every cycle, on the wide configs: stepped, with the
+    ejections, and through `run()`, which may fast-forward."""
+
+    def test_stepped_equals_reference(self, wide_stepped):
+        for kw, stepped in zip(wide_configs(), wide_stepped):
+            assert run_outputs(*reference_mesh(MeshConfig(**kw))) == stepped, kw
+
+    def test_run_equals_stepped(self, wide_stepped, monkeypatch):
+        skips = TestFastForward.spy_skips(monkeypatch)
+        for kw, stepped in zip(wide_configs(), wide_stepped):
+            assert run_outputs(run_mesh(MeshConfig(**kw))) == stepped[:-1], kw
+        assert skips  # some of the runs fast-forwarded
