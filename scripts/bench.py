@@ -21,8 +21,7 @@ given, every layer runs.
   temporary file, as the CLI runs it, on the k=8 round-robin line and on
   uniform-k16-carr, each at two horizons (MEMORY_HORIZONS), so the two
   `tracemalloc` peaks of a row pair show whether memory grows with the
-  horizon; cycles/s.  A tree whose `run_mesh` takes no sink keeps the
-  trace and writes it once the run returns.
+  horizon; cycles/s.
 * `schedulers`: `SchedulerBase.run` for each of the five disciplines on the
   credit-withheld pathology workload, built as `fairmesh compare` builds
   it, at horizon SCHED_HORIZON; scheduled cycles/s.
@@ -32,10 +31,10 @@ given, every layer runs.
   records/s.
 * `sampling`: BERNOULLI_DRAWS `XorShift64Star.bernoulli` draws at the
   uniform row's rate; the merge-chain oracle `simulate_acceptance_counts`
-  (in `tests/oracles.py`, or in `fairmesh.analysis` in an older tree) for
-  MERGE_GRANTS grants at router MERGE_ROUTER on the first weight table
-  acceptance criterion 4 draws; and `empirical_grant_frequencies` for
-  GRANT_TRIALS trials on `presets.ARB_CONVERGENCE_WEIGHTS`; samples/s.
+  (in `tests/oracles.py`) for MERGE_GRANTS grants at router MERGE_ROUTER
+  on the first weight table acceptance criterion 4 draws; and
+  `empirical_grant_frequencies` for GRANT_TRIALS trials on
+  `presets.ARB_CONVERGENCE_WEIGHTS`; samples/s.
 * `startup`: `import fairmesh.cli` in a fresh interpreter, the start-up
   cost of every CLI call; imports/s.  The row records whether the import
   loaded numpy, and its hash covers the sorted `fairmesh` modules loaded.
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -170,21 +168,11 @@ def _memory_row(name: str, traced: bool) -> dict:
     config, _, horizon = name.rpartition("-")
     cfg = meshsim.MeshConfig(horizon=int(horizon), warmup=int(horizon) // 10, seed=1,
                              **MESH_CONFIGS[config])
-    streams = "sink" in inspect.signature(meshsim.run_mesh).parameters
     with tempfile.TemporaryFile("w+", newline="") as fh:
-        def run():
-            if streams:
-                return meshsim.run_mesh(cfg, lambda link: fh)
-            # a parent tree keeps the trace, so it writes it once the run returns
-            rep = meshsim.run_mesh(cfg)
-            rep.sink_trace().to_csv(fh)
-            return rep
-
-        rep, elapsed, peak = _timed(run, traced)
+        rep, elapsed, peak = _timed(lambda: meshsim.run_mesh(cfg, lambda link: fh), traced)
         fh.seek(0)
         blob = [rep.to_json(), fh.read()]
-    return {"seconds": elapsed, "peak_mb": peak, "work": int(horizon), "sha256": _sha(*blob),
-            "info": {"streamed": streams}}
+    return {"seconds": elapsed, "peak_mb": peak, "work": int(horizon), "sha256": _sha(*blob)}
 
 
 def _schedulers_row(name: str, traced: bool) -> dict:
@@ -193,9 +181,7 @@ def _schedulers_row(name: str, traced: bool) -> dict:
     buf = io.StringIO()
     trace.to_csv(buf)
     events = [[e.packet_id, e.flow, e.inject, e.deliver] for e in trace.events]
-    # a parent tree older than the engine's own `now` kept it in `clock`
-    now = sched.now if hasattr(sched, "now") else sched.clock.now
-    state = json.dumps([events, sched.drops(), now])
+    state = json.dumps([events, sched.drops(), sched.now])
     return {"seconds": elapsed, "peak_mb": peak, "work": SCHED_HORIZON,
             "sha256": _sha(buf.getvalue(), state)}
 
@@ -236,11 +222,8 @@ def _sampling_row(name: str, traced: bool) -> dict:
         rng, n = XorShift64Star(2024, stream_id=7), MERGE_GRANTS
         w = WeightTable({(i, j): 1 + rng.randrange(4)
                          for j in range(1, MERGE_ROUTER + 1) for i in range(j + 1)})
-        try:  # a parent tree older than the move kept the oracle in `analysis`
-            from fairmesh.analysis import simulate_acceptance_counts
-        except ImportError:
-            sys.path.insert(0, TESTS)
-            from oracles import simulate_acceptance_counts
+        sys.path.insert(0, TESTS)
+        from oracles import simulate_acceptance_counts
         result, elapsed, peak = _timed(
             lambda: simulate_acceptance_counts(w, MERGE_ROUTER, n, seed=100), traced)
     else:

@@ -49,6 +49,9 @@ class ArbiterKind(str, Enum):
 # costs about ten times as much (CPython 3.11)
 _FW, _CW = WeightPolicy.FW, WeightPolicy.CW
 _INF = float("inf")
+# a sample gets the step budget of a mesh run, meshsim.MAX_ROUTER_CYCLES:
+# at about 10^6 trials a second, no mistyped trial count runs past minutes
+MAX_GRANT_TRIALS = 10**8
 
 
 def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
@@ -60,6 +63,8 @@ def grant_probabilistic(weights: Sequence[float], rng: XorShift64Star) -> int:
         if not 0.0 < w < _INF:
             raise ValueError(f"arbitration weight {w!r} is not a finite number above 0")
         total += w
+    if total == _INF:  # else every draw lands past the last bucket
+        raise ValueError("arbitration weights must have a finite sum")
     r = (rng.next_u64() >> 11) * 2.0 ** -53 * total  # rng.random() * total, one call fewer
     for i, w in enumerate(weights):
         r -= w
@@ -151,6 +156,8 @@ def empirical_grant_frequencies(
         raise ValueError("weights must have a finite sum")
     if not (is_int(trials) and trials >= 1):
         raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+    if trials > MAX_GRANT_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_GRANT_TRIALS}, got {trials}")
     cum = np.cumsum(ws)
     total = float(cum[-1])
     counts = np.zeros(len(ws), dtype=np.int64)

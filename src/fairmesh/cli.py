@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 from . import presets
 from .analysis import RequiredWeights, check_ratio_constraint, required_weights
-from .arbitration import empirical_grant_frequencies
+from .arbitration import MAX_GRANT_TRIALS, empirical_grant_frequencies
 from .core import (Accounting, Packet, SchedulerKind, Trace, is_finite, is_int, latency_stats,
                    throughput_by_flow)
 from .fairness import FairnessReport, check_weights, rfb_estimate
@@ -79,77 +79,22 @@ def _dump_json(path: Path, obj: dict) -> None:
 
 # -- workloads and schedulers ----------------------------------------------
 
-_WORKLOAD_DEFAULTS = {
-    "pathology": {"horizon": presets.PATHOLOGY_HORIZON},
-    "random": {"n_flows": 3, "packets_per_flow": 200, "max_size": 16, "spread": 4000},
-    "backlogged-pair": {"packets_per_flow": 500, "max_size": 16},
-}
-# size limits, so a mistyped config cannot allocate or run without bound: a
-# workload's packets, and its flows, whose pairs the fairness sweep visits;
-# a packet's size; the inject cycles, so every time fits the sweep's int64
-# arrays; and the scheduler turns, packets x ceil(max_size / smallest
-# quantum), as DRR and EBRR take up to ceil(size / quantum) turns to send a
-# packet (the workload bounds at the default quantum, 16, stay within it)
-MAX_WORKLOAD_PACKETS = 100_000
-MAX_WORKLOAD_FLOWS = 16
-MAX_PACKET_SIZE = 1024
-MAX_WORKLOAD_SPREAD = 10**12
-MAX_SCHEDULER_TURNS = MAX_WORKLOAD_PACKETS * MAX_PACKET_SIZE // 16
-# no trace of a workload within the bounds ends later: its packets arrive
-# before the spread, and then a unit is sent a cycle; a pathology run stops
-# near its horizon, which the packet bound keeps far below the spread
-MAX_TRACE_END = MAX_WORKLOAD_SPREAD + MAX_WORKLOAD_PACKETS * MAX_PACKET_SIZE
-
-
-def _normalize_workload(given, where: str = "workload") -> dict:
-    """The workload with defaults filled in; `where` is the config key that
-    holds it (an experiment may take it, or its counts, from params)."""
+def _workload(given, where: str = "workload") -> presets.Workload:
+    """The workload `given` names; `where` is the config key that holds it
+    (an experiment may take it, or its counts, from params)."""
     if isinstance(given, str):
         given = {"kind": given}
     if not isinstance(given, dict):
         raise ConfigError(f"config key {where} must be a name or an object")
     kind = given.get("kind")
-    if kind not in _WORKLOAD_DEFAULTS:
-        names = ", ".join(sorted(_WORKLOAD_DEFAULTS))
+    if not (isinstance(kind, str) and kind in presets.WORKLOAD_COUNTS):
+        names = ", ".join(sorted(presets.WORKLOAD_COUNTS))
         raise ConfigError(f"config key {where}.kind must be one of [{names}], got {kind!r}")
-    merged = dict(_WORKLOAD_DEFAULTS[kind], kind=kind)
-    _check_allowed(given, set(merged), where)
-    merged.update(given)
-    for key, v in merged.items():
-        if key != "kind" and not (is_int(v) and v > 0):
-            raise ConfigError(f"config key {where}.{key} must be a positive integer, got {v!r}")
-    for key, top in (("n_flows", MAX_WORKLOAD_FLOWS), ("max_size", MAX_PACKET_SIZE),
-                     ("spread", MAX_WORKLOAD_SPREAD)):
-        if merged.get(key, 0) > top:
-            raise ConfigError(f"config key {where}.{key} must be <= {top}, got {merged[key]}")
-    packets = _workload_packets(merged)
-    if packets > MAX_WORKLOAD_PACKETS:
-        key = "horizon" if kind == "pathology" else "packets_per_flow"
-        raise ConfigError(f"config key {where}.{key}: the workload must build at most "
-                          f"{MAX_WORKLOAD_PACKETS} packets, got {packets}")
-    return merged
-
-
-def _build_workload(w: dict, seed: int) -> list[Packet]:
-    if w["kind"] == "pathology":
-        return presets.pathology_workload(w["horizon"])
-    if w["kind"] == "backlogged-pair":
-        return presets.backlogged_pair(seed, w["packets_per_flow"], w["max_size"])
-    return presets.random_workload(
-        seed, w["n_flows"], w["packets_per_flow"], w["max_size"], w["spread"]
-    )
-
-
-def _workload_flows(w: dict) -> range:
-    """The flows `_build_workload(w, seed)` gives packets to, for any seed."""
-    return range(w.get("n_flows", 2))
-
-
-def _workload_packets(w: dict) -> int:
-    """The packets `_build_workload(w, seed)` builds, for any seed."""
-    if w["kind"] == "pathology":
-        return sum(-(-w["horizon"] // p) for p in presets.PATHOLOGY_PERIODS.values())
-    return len(_workload_flows(w)) * w["packets_per_flow"]
+    _check_allowed(given, {"kind", *presets.WORKLOAD_COUNTS[kind]}, where)
+    try:
+        return presets.Workload(**given)
+    except ValueError as e:  # the message starts with the count's name
+        raise ConfigError(f"config key {where}.{e}") from None
 
 
 def _by_id(obj, what: str) -> dict:
@@ -194,50 +139,39 @@ def _scheduler_kind(name, key: str) -> SchedulerKind:
 
 
 def _scheduler_settings(
-    w: dict, params: dict
+    w: presets.Workload, params: dict
 ) -> Callable[[SchedulerKind, list[Packet]], tuple[Trace, FairnessReport, dict]]:
     """Check the scheduler keys and fairness weights for workload `w`, and
     return run_one(kind, packets), which runs one discipline on `packets`,
     a build of `w`.  Every scheduler key given is checked, whether or not a
     discipline reads it: its value by the library code that uses it."""
-    pathological = w["kind"] == "pathology"
-    flows = _workload_flows(w)
     carr = {k: params[k] for k in ("tau", "demote_rounds") if k in params}
     try:  # each key's shape, then its values, so the first bad key is named
-        if "weights" in params:
-            weights = _flow_map(params, "weights", flows)
-        elif pathological:
-            weights = dict(presets.PATHOLOGY_WEIGHTS)
-        else:
-            weights = {f: 1.0 for f in flows}
-        check_weights(weights, MAX_TRACE_END)  # the check rfb_estimate makes of a trace
-        q = params.get("quantum", dict(presets.PATHOLOGY_DRR_QUANTA) if pathological else 16)
+        weights = _flow_map(params, "weights", w.flows) if "weights" in params else w.weights
+        check_weights(weights, presets.MAX_TRACE_END)  # the check rfb_estimate makes of a trace
+        q = params.get("quantum", w.quantum)
         if isinstance(params.get("quantum"), dict):
-            q = _flow_map(params, "quantum", flows)
+            q = _flow_map(params, "quantum", w.flows)
         DeficitRoundRobin(quantum=q)
         CongestionAwareRoundRobin(**carr)
     except ValueError as e:  # the message starts with the field's name
         raise ConfigError(f"config key params.{e}") from None
-    n_packets = _workload_packets(w)
-    size = max(presets.PATHOLOGY_SIZES.values()) if pathological else w["max_size"]
     smallest = min(q.values()) if isinstance(q, dict) else q
-    turns = n_packets * -(-size // smallest)
-    if turns > MAX_SCHEDULER_TURNS:
-        raise ConfigError(f"config key params.quantum: {n_packets} packets of up to {size} units "
-                          f"at quantum {smallest} take up to {turns} scheduler turns, "
-                          f"more than {MAX_SCHEDULER_TURNS}")
+    turns = w.packets * -(-w.max_size // smallest)
+    if turns > presets.MAX_SCHEDULER_TURNS:
+        raise ConfigError(f"config key params.quantum: {w.packets} packets of up to "
+                          f"{w.max_size} units at quantum {smallest} take up to {turns} "
+                          f"scheduler turns, more than {presets.MAX_SCHEDULER_TURNS}")
 
     def run_one(kind: SchedulerKind, packets: list[Packet]) -> tuple[Trace, FairnessReport, dict]:
-        kw: dict = {}
-        if pathological:
-            kw["blocked"] = presets.pathology_blocking()
+        kw: dict = {"blocked": w.blocked}
         if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
             kw["quantum"] = q
         if kind is SchedulerKind.CARR:
             kw.update(carr)
         sched = make_scheduler(kind, **kw)
         sched.load(packets)
-        trace = sched.run(horizon=w.get("horizon"))
+        trace = sched.run(horizon=w.horizon)
         report = rfb_estimate(trace, weights)
         summary = {
             "scheduler": kind.value,
@@ -338,14 +272,14 @@ def _exp_scheduler(params: dict, allowed: set[str], workload: Callable[[dict], o
     """One discipline on a standalone workload; `workload(params)` names it,
     and `where` is the config key that holds it."""
     _check_allowed(params, allowed, "params")
-    w = _normalize_workload(workload(params), where)
+    w = _workload(workload(params), where)
     kind = _scheduler_kind(params.get("scheduler", "drr"), "params.scheduler")
     run_one = _scheduler_settings(w, params)
 
     def run(seeds: list[int], outdir: Path) -> dict:
         runs = {}
         for i, seed in enumerate(seeds):
-            trace, report, summary = run_one(kind, _build_workload(w, seed))
+            trace, report, summary = run_one(kind, w.build(seed))
             summary["fairness"] = report.to_dict()
             runs[str(seed)] = summary
             if i == 0:
@@ -357,7 +291,7 @@ def _exp_scheduler(params: dict, allowed: set[str], workload: Callable[[dict], o
     return run
 
 
-def _exp_compare(params: dict, kinds: list[SchedulerKind], w: dict) -> Run:
+def _exp_compare(params: dict, kinds: list[SchedulerKind], w: presets.Workload) -> Run:
     """Each discipline of `kinds` on one workload; comparison.csv holds the
     first seed's summaries, one row per scheduler and flow."""
     _check_allowed(params, _SCHEDULER_KEYS - {"scheduler"} | {"weights"}, "params")
@@ -367,7 +301,7 @@ def _exp_compare(params: dict, kinds: list[SchedulerKind], w: dict) -> Run:
         runs = {}
         for seed in seeds:
             # every scheduler replays the same packets, which are frozen
-            packets = _build_workload(w, seed)
+            packets = w.build(seed)
             runs[str(seed)] = {k.value: run_one(k, packets)[2] for k in kinds}
         first = runs[str(seeds[0])]
         with open(outdir / "comparison.csv", "w", newline="") as fh:
@@ -422,6 +356,8 @@ def _exp_arb_convergence(params: dict) -> Run:
     trials = params.get("trials", presets.ARB_CONVERGENCE_TRIALS)
     if not is_int(trials) or trials < 1:
         raise ConfigError("config key params.trials must be a positive integer")
+    if trials > MAX_GRANT_TRIALS:
+        raise ConfigError(f"config key params.trials must be <= {MAX_GRANT_TRIALS}, got {trials}")
     expected = [x / sum(ws) for x in ws]
 
     def run(seeds: list[int], outdir: Path) -> dict:
@@ -459,10 +395,7 @@ _EXPERIMENTS: dict[str, Callable[[dict], Run]] = {
     ),
     "rfb-vs-cfb-pathology": partial(
         _exp_scheduler, allowed=_SCHEDULER_KEYS | {"horizon"},
-        workload=lambda p: {
-            "kind": "pathology",
-            "horizon": p.get("horizon", presets.PATHOLOGY_HORIZON),
-        },
+        workload=lambda p: {"kind": "pathology", **{k: p[k] for k in p.keys() - _SCHEDULER_KEYS}},
         where="params",
     ),
     "eq13-feasibility": partial(
@@ -489,8 +422,8 @@ def _compare_verb(cfg: dict) -> tuple[dict, Callable[[dict], Run]]:
     kinds = [_scheduler_kind(n, "schedulers") for n in names]
     if len(set(kinds)) < len(kinds):
         raise ConfigError(f"config key schedulers must not repeat a kind, got {names}")
-    w = _normalize_workload(cfg.get("workload", "pathology"))
-    header = {"schedulers": [k.value for k in kinds], "workload": w}
+    w = _workload(cfg.get("workload", "pathology"))
+    header = {"schedulers": [k.value for k in kinds], "workload": {"kind": w.kind, **w.counts}}
     return header, partial(_exp_compare, kinds=kinds, w=w)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fairmesh.arbitration import (
+    MAX_GRANT_TRIALS,
     AgeArbiter,
     ArbiterKind,
     ProbabilisticArbiter,
@@ -12,7 +13,7 @@ from fairmesh.arbitration import (
     empirical_grant_frequencies,
     grant_probabilistic,
 )
-from fairmesh.meshsim import _SID_ARB, MeshConfig, MeshSim
+from fairmesh.meshsim import _SID_ARB, MAX_ROUTER_CYCLES, MeshConfig, MeshSim
 from fairmesh.rng import XorShift64Star
 
 
@@ -54,6 +55,12 @@ class TestProbabilisticGrant:
             with pytest.raises(ValueError, match=f"arbitration weight {bad!r} is not"):
                 grant_probabilistic(weights, XorShift64Star(1))
 
+    def test_weights_whose_sum_overflows_rejected(self):
+        # each weight is finite, but their sum is not: every draw used to
+        # land past the last bucket and grant the last request
+        with pytest.raises(ValueError, match="arbitration weights must have a finite sum"):
+            grant_probabilistic([1e308, 1e308], XorShift64Star(1, 0))
+
     def test_replay_identical(self):
         rng1 = XorShift64Star(7, 3)
         rng2 = XorShift64Star(7, 3)
@@ -80,6 +87,9 @@ class TestProbabilisticGrant:
         hi = empirical_grant_frequencies([1, 3, 2], 50_000, seed=5)
         assert hi[1] > lo[1]
 
+    def test_trial_bound_is_the_mesh_run_budget(self):
+        assert MAX_GRANT_TRIALS == MAX_ROUTER_CYCLES
+
     def test_frequency_validation(self):
         with pytest.raises(ValueError):
             empirical_grant_frequencies([], 10, seed=1)
@@ -88,6 +98,11 @@ class TestProbabilisticGrant:
                 empirical_grant_frequencies(ws, 10, seed=1)
         for trials in (0, -5, 2.5, True):
             with pytest.raises(ValueError, match="trials"):
+                empirical_grant_frequencies([1, 1], trials, seed=1)
+        # refused before the first draw: 10^15 trials would run for decades
+        for trials in (MAX_GRANT_TRIALS + 1, 10**15):
+            with pytest.raises(ValueError, match=f"^trials must be <= {MAX_GRANT_TRIALS}, "
+                                                 f"got {trials}$"):
                 empirical_grant_frequencies([1, 1], trials, seed=1)
         # each weight is finite, but their sum is not, so a draw would land
         # past the last bucket

@@ -3,6 +3,7 @@ gives the same output hash twice, untraced and traced.  perfbench's trace
 mode keeps its hooks: every callable it wraps still exists."""
 
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -38,19 +39,19 @@ def test_each_layer_row_is_deterministic(bench, layer):
         assert plain["work"] > 0 and plain["seconds"] >= 0
 
 
-def test_memory_rows_stream_or_fall_back_alike(bench, monkeypatch):
-    """A streamed row writes what a tree whose `run_mesh` takes no sink
-    keeps and writes after the run."""
+def test_memory_rows_stream_what_a_kept_trace_writes(bench):
+    """A memory row streams the sink trace that a run keeping it writes."""
     from fairmesh import meshsim
 
     for name in ("hotspot-round_robin-300", "uniform-k16-carr-300"):
         streamed = bench.ROW_FNS["memory"](name, traced=True)
-        assert streamed["info"] == {"streamed": True} and streamed["peak_mb"] > 0
-        with monkeypatch.context() as m:
-            m.setattr(meshsim, "run_mesh", lambda cfg: meshsim.MeshSim(cfg).run())
-            kept = bench.ROW_FNS["memory"](name, traced=False)
-        assert kept["info"] == {"streamed": False}
-        assert kept["sha256"] == streamed["sha256"] and kept["work"] == 300
+        assert streamed["peak_mb"] > 0 and streamed["work"] == 300
+        cfg = meshsim.MeshConfig(horizon=300, warmup=30, seed=1,
+                                 **bench.MESH_CONFIGS[name.rpartition("-")[0]])
+        rep = meshsim.MeshSim(cfg).run()
+        buf = io.StringIO()
+        rep.sink_trace().to_csv(buf)
+        assert streamed["sha256"] == bench._sha(rep.to_json(), buf.getvalue())
 
 
 @pytest.mark.parametrize("argv,want", [

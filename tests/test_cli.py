@@ -20,24 +20,14 @@ import pytest
 import fairmesh
 from fairmesh import periodic, presets
 from fairmesh.analysis import check_ratio_constraint
-from fairmesh.cli import (
-    MAX_PACKET_SIZE,
-    MAX_WORKLOAD_FLOWS,
-    MAX_WORKLOAD_PACKETS,
-    MAX_WORKLOAD_SPREAD,
-    OUTPUT_DIR_ENV,
-    ConfigError,
-    _build_workload,
-    _mesh_config,
-    _normalize_workload,
-    _scheduler_settings,
-    _workload_flows,
-    _workload_packets,
-    main,
-)
+from fairmesh.arbitration import MAX_GRANT_TRIALS
+from fairmesh.cli import (OUTPUT_DIR_ENV, ConfigError, _mesh_config, _scheduler_settings,
+                          _workload, main)
 from fairmesh.core import Trace
 from fairmesh.fairness import rfb_estimate
 from fairmesh.meshsim import MeshSim, run_mesh
+from fairmesh.presets import (MAX_PACKET_SIZE, MAX_WORKLOAD_FLOWS, MAX_WORKLOAD_PACKETS,
+                              MAX_WORKLOAD_SPREAD)
 from fairmesh.schedulers import CongestionAwareRoundRobin, DeficitRoundRobin
 
 
@@ -66,7 +56,7 @@ _LARGEST_RANDOM = {"kind": "random", "n_flows": MAX_WORKLOAD_FLOWS, "packets_per
                    "max_size": MAX_PACKET_SIZE}
 
 # the shortest pathology horizon whose workload builds more than
-# MAX_WORKLOAD_PACKETS packets (TestConfigErrors checks it by building)
+# MAX_WORKLOAD_PACKETS packets (TestConfigErrors checks it on the builder)
 PAST_HORIZON = 2_666_641
 
 
@@ -179,9 +169,12 @@ class TestConfigErrors:
         assert "config key seeds must not repeat a seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_bad_workload_kind(self, tmp_path, capsys):
+    # a kind that is a list or an object used to exit 3 with a TypeError
+    @pytest.mark.parametrize("workload", ["pathological", {"kind": ["random"]},
+                                          {"kind": {"random": 1}}])
+    def test_bad_workload_kind(self, tmp_path, capsys, workload):
         cfg = base_cfg(tmp_path, experiment="standalone-scheduler",
-                       params={"workload": "pathological"})
+                       params={"workload": workload})
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
         assert "config key params.workload.kind must be one of" in capsys.readouterr().err
 
@@ -248,7 +241,8 @@ class TestConfigErrors:
         (dict(weights=[float("nan"), 1]), "params.weights"),
         (dict(trials=True), "params.trials"),
         (dict(weights=[10**400, 1]), "params.weights"),
-    ], ids=["bool-weight", "nan-weight", "bool-trials", "huge-int-weight"])
+        (dict(trials=MAX_GRANT_TRIALS + 1), "params.trials must be <= 100000000"),
+    ], ids=["bool-weight", "nan-weight", "bool-trials", "huge-int-weight", "trials-past"])
     def test_bad_arb_convergence_params_exit_2(self, tmp_path, capsys, params, key):
         cfg = base_cfg(tmp_path, params=params)
         assert main(["run", write_cfg(tmp_path, **cfg)]) == 2
@@ -308,10 +302,11 @@ class TestConfigErrors:
         assert key in capsys.readouterr().err
 
     def test_past_horizon_is_the_first_past_the_packet_bound(self):
-        past = {"kind": "pathology", "horizon": PAST_HORIZON}
-        assert len(_build_workload(past, 1)) > MAX_WORKLOAD_PACKETS
-        w = _normalize_workload(dict(past, horizon=PAST_HORIZON - 1))  # admitted
-        assert len(_build_workload(w, 1)) <= MAX_WORKLOAD_PACKETS
+        # the builder refuses it, with the message the CLI puts its key before
+        with pytest.raises(ValueError, match=f"^horizon: the workload must build at most "
+                                             f"{MAX_WORKLOAD_PACKETS} packets, got 100001$"):
+            presets.pathology_workload(PAST_HORIZON)
+        assert len(presets.pathology_workload(PAST_HORIZON - 1)) == MAX_WORKLOAD_PACKETS - 1
 
     @pytest.mark.parametrize("verb,over,key", [
         ("run", dict(experiment="rfb-vs-cfb-pathology", params={"horizon": 10**400}),
@@ -404,7 +399,7 @@ class TestConfigErrors:
 
     def test_largest_workload_at_default_quantum_is_accepted(self):
         # checked only: the DRR run itself takes about 25 s
-        w = _normalize_workload(_LARGEST_RANDOM)
+        w = _workload(_LARGEST_RANDOM)
         for params in ({}, {"quantum": 16}, {"quantum": {str(f): 16 for f in range(16)}}):
             _scheduler_settings(w, params)
         with pytest.raises(ConfigError, match="params.quantum: 100000 packets of up to 1024 "
@@ -439,8 +434,12 @@ class TestConfigErrors:
         # used to exit 3 with an OverflowError from float()
         ("run", dict(experiment="eq13-feasibility", params={"weight_base": 10**400}),
          "config key params.weight_base must be >= 1 and finite"),
+        # used to be accepted, to run for decades
+        ("run", dict(params={"trials": 10**15}),
+         f"config key params.trials must be <= {MAX_GRANT_TRIALS}, got {10**15}"),
     ], ids=["standalone-scheduler", "rfb-vs-cfb-pathology", "mesh-hotspot",
-            "eq13-feasibility", "arb-convergence", "compare", "eq13-huge-int-weight_base"])
+            "eq13-feasibility", "arb-convergence", "compare", "eq13-huge-int-weight_base",
+            "arb-convergence-trials-past"])
     def test_config_checked_before_output_dir(self, tmp_path, capsys, verb, over, key):
         # the output directory cannot be made under a regular file, so a
         # check that ran after making it would exit 3 with that error
@@ -1021,33 +1020,6 @@ class TestPathologyPreset:
         assert run["cfb_estimate"] <= 100  # no runaway occupation gap
 
 
-@pytest.mark.parametrize("workload", [
-    "random",
-    {"kind": "random", "n_flows": 5, "packets_per_flow": 1},
-    {"kind": "backlogged-pair", "packets_per_flow": 3},
-    {"kind": "pathology", "horizon": 200},
-])
-def test_checked_flows_are_the_workload_flows(workload):
-    """The scheduler check covers the quantum and default weights of the
-    flows the workload will carry, before any packet is built."""
-    w = _normalize_workload(workload)
-    for seed in range(1, 6):
-        assert set(_workload_flows(w)) == {p.flow for p in _build_workload(w, seed)}
-
-
-@pytest.mark.parametrize("workload", [
-    "random",
-    {"kind": "random", "n_flows": 5, "packets_per_flow": 1},
-    {"kind": "backlogged-pair", "packets_per_flow": 3},
-    *({"kind": "pathology", "horizon": h} for h in (1, 47, 48, 49, 240, 241)),
-])
-def test_counted_packets_are_the_workload_packets(workload):
-    """The packet bound is checked on the count the workload will build."""
-    w = _normalize_workload(workload)
-    for seed in range(1, 4):
-        assert _workload_packets(w) == len(_build_workload(w, seed))
-
-
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 # size keys that cut each example to a run of a moment
@@ -1055,6 +1027,8 @@ _SMALL_PARAMS = {
     "mesh-hotspot": {"horizon": 2000, "warmup": 200},
     "eq13-feasibility": {"horizon": 2000, "warmup": 200},
     "arb-convergence": {"trials": 1000},
+    "standalone-scheduler": {"workload": {"kind": "random", "packets_per_flow": 20}},
+    "rfb-vs-cfb-pathology": {"horizon": 2000},
 }
 
 

@@ -503,88 +503,18 @@ class TestKernelRotation:
                     assert getattr(fast, name) == getattr(slow, name), name
 
 
-_DRR, _EBRR, _CARR = SchedulerKind.DRR, SchedulerKind.EBRR, SchedulerKind.CARR
-
-
-class ScanningKernel(_FlowKernel):
-    """The rotation that scans every call's candidates for new flows and
-    grants a lone request through the general loop: the oracle of
-    `_FlowKernel.choose` and its closed-form lone-request branch."""
-
-    def choose(self, flows: list[int]) -> int:
-        kind = self.kind
-        L = self.L
-        balance = self.balance
-        order = self.order
-        for f in flows:
-            if f not in balance:
-                balance[f] = self.q if kind is _EBRR else 0
-                order.append(f)
-                self.visits_left += 1  # joins the current round
-        f = self.current
-        if f is not None:
-            if f in flows and balance[f] >= L:
-                balance[f] -= L
-                return flows.index(f)
-            if f not in flows:
-                balance[f] = 0
-            self.current = None
-        visits_left, rnd = self.visits_left, self.round
-        until = self.congested_until
-        skips = kind is not _DRR and kind is not _EBRR
-        while True:
-            if skips:
-                # the turn of a flow with no packet only rotates: take the
-                # turns before the first candidate at once
-                n = min(map(order.index, flows))
-                order.rotate(-n)
-                if n > visits_left:  # new rounds start within those turns
-                    n -= visits_left
-                    rnd += -(-n // len(order))
-                    visits_left = -n % len(order)
-                else:
-                    visits_left -= n
-            if visits_left <= 0:
-                rnd += 1
-                visits_left = len(order)
-            f = order[0]
-            order.rotate(-1)
-            visits_left -= 1
-            if kind is _EBRR and balance[f] <= 0:
-                balance[f] += self.q  # overdrawn: repays a quantum per turn
-                continue
-            if f not in flows:
-                if kind is _DRR:
-                    balance[f] = 0  # idle at its turn: the deficit is forfeit
-                continue
-            if kind is _DRR:
-                balance[f] += self.q
-                if balance[f] < L:
-                    continue
-                balance[f] -= L
-                self.current = f
-            elif kind is _EBRR:
-                balance[f] -= L
-            elif kind is _CARR and until.get(f, 0) > rnd and any(
-                until.get(g, 0) <= rnd for g in flows
-            ):
-                continue  # demoted: loses this round's visit
-            self.visits_left, self.round = visits_left, rnd
-            return flows.index(f)
-
-
 class TestLoneRequest:
     """Mostly lone requests, from a pool of flows that grows as the port
-    runs, with CARR demotions: the kernel grants what the scanning rotation
+    runs, with CARR demotions: the kernel grants what a turn-by-turn rotation
     grants, in the same state after every grant."""
 
     @pytest.mark.parametrize("kind", list(SchedulerKind))
     @pytest.mark.parametrize("quantum", [1, 4, 9])
-    def test_matches_scanning_kernel(self, kind, quantum):
+    def test_matches_turn_by_turn(self, kind, quantum):
         for seed in range(10):
             rng = random.Random(seed)
             args = (kind, 4, quantum, 2.0, 2)
-            fast, slow = _FlowKernel(*args), ScanningKernel(*args)
+            fast, slow = _FlowKernel(*args), TurnByTurnKernel(*args)
             flows = [rng.randrange(50)]
             lone = 0
             for _ in range(500):
