@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Layer timings of fairmesh: mesh, streamed mesh runs, standalone
-schedulers, fairness sweeps and the random draws of the sampling oracles.
+schedulers, fairness sweeps, a whole `compare` call and the random draws of
+the sampling oracles.
 
-Six layers, each a set of rows timed in process for this repository's
+Seven layers, each a set of rows timed in process for this repository's
 `src/` and, with `--src DIR`, the `fairmesh` package of a parent checkout
 side by side:
 
@@ -29,6 +30,10 @@ given, every layer runs.
   sink trace (equal weights) and of each discipline's SCHED_HORIZON
   pathology trace, bounds and profile, up to the report's JSON; trace
   records/s.
+* `compare`: the whole `fairmesh compare` call (`cli.main`) on perfbench's
+  compare-pathology config, the five disciplines on the pathology workload
+  at horizon SCHED_HORIZON, seed 1; its hash covers the `report.json` and
+  `comparison.csv` it writes; scheduled cycles/s.
 * `sampling`: BERNOULLI_DRAWS `XorShift64Star.bernoulli` draws at the
   uniform row's rate; the merge-chain oracle `simulate_acceptance_counts`
   (in `tests/oracles.py`) for MERGE_GRANTS grants at router MERGE_ROUTER
@@ -50,6 +55,7 @@ the standard library and what `fairmesh` itself imports.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -61,6 +67,8 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 HOTSPOT = {"k": 8, "rate": 1.0}
 UNIFORM = {"k": 16, "pattern": "uniform", "rate": 0.03, "scheduler": "carr"}
@@ -93,6 +101,7 @@ LAYERS = {
     "schedulers": {"rows": [f"pathology-{s}" for s in KINDS], "unit": "cycles"},
     "rfb_estimate": {"rows": ["hotspot-sink"] + [f"pathology-{s}" for s in KINDS],
                      "unit": "records"},
+    "compare": {"rows": ["pathology"], "unit": "cycles"},
     "sampling": {"rows": ["bernoulli", "merge-chain", "grant-frequencies"],
                  "unit": "samples"},
     "startup": {"rows": ["import-cli"], "unit": "imports"},
@@ -205,6 +214,25 @@ def _rfb_estimate_row(name: str, traced: bool) -> dict:
             "sha256": _sha(blob)}
 
 
+def _compare_row(name: str, traced: bool) -> dict:
+    from fairmesh import cli
+
+    cfg = {"schema_version": 1, "schedulers": list(KINDS), "seeds": [1],
+           "workload": {"kind": name, "horizon": SCHED_HORIZON}}
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with mock.patch.dict(os.environ, {cli.OUTPUT_DIR_ENV: out}), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code, elapsed, peak = _timed(lambda: cli.main(["compare", path]), traced)
+        if code != 0:
+            raise SystemExit(f"compare/{name}: fairmesh compare exited {code}")
+        blob = [Path(out, f).read_text() for f in ("report.json", "comparison.csv")]
+    return {"seconds": elapsed, "peak_mb": peak, "work": SCHED_HORIZON * len(KINDS),
+            "sha256": _sha(*blob)}
+
+
 def _sampling_row(name: str, traced: bool) -> dict:
     import numpy  # noqa: F401  as in _rfb_estimate_row
     from fairmesh import presets
@@ -245,7 +273,7 @@ def _startup_row(name: str, traced: bool) -> dict:
 
 
 ROW_FNS = {"mesh": _mesh_row, "memory": _memory_row, "schedulers": _schedulers_row,
-           "rfb_estimate": _rfb_estimate_row, "sampling": _sampling_row,
+           "rfb_estimate": _rfb_estimate_row, "compare": _compare_row, "sampling": _sampling_row,
            "startup": _startup_row}
 
 
@@ -331,6 +359,9 @@ def main() -> None:
                           "as `compare` builds it",
             "rfb_estimate": "in-process rfb_estimate and its report JSON on the k=8 "
                             "hotspot sink trace (equal weights) and on each pathology trace",
+            "compare": "in-process fairmesh compare (cli.main) of the five disciplines on "
+                       "the pathology workload, seed 1; hash of report.json and "
+                       "comparison.csv",
             "sampling": "in-process scalar bernoulli draws at the uniform rate (the "
                         "oracle of the mesh's lane-packed arrival draws), the "
                         "merge-chain oracle and empirical_grant_frequencies",
@@ -338,7 +369,8 @@ def main() -> None:
         },
         "horizon": {"mesh": MESH_HORIZON, "memory": MEMORY_HORIZONS,
                     "schedulers": SCHED_HORIZON,
-                    "rfb_estimate": {"hotspot-sink": SINK_HORIZON, "pathology": SCHED_HORIZON}},
+                    "rfb_estimate": {"hotspot-sink": SINK_HORIZON, "pathology": SCHED_HORIZON},
+                    "compare": SCHED_HORIZON},
         "samples": {"bernoulli": BERNOULLI_DRAWS, "merge-chain": MERGE_GRANTS,
                     "grant-frequencies": GRANT_TRIALS},
         "runs": RUNS,

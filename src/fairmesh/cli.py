@@ -32,7 +32,7 @@ from .analysis import RequiredWeights, check_ratio_constraint, required_weights
 from .arbitration import MAX_GRANT_TRIALS, empirical_grant_frequencies
 from .core import (Accounting, Packet, SchedulerKind, Trace, is_finite, is_int, latency_stats,
                    throughput_by_flow)
-from .fairness import FairnessReport, check_weights, rfb_estimate
+from .fairness import BoundsFold, FairnessReport, check_weights, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
 from .schedulers import CongestionAwareRoundRobin, DeficitRoundRobin, make_scheduler
 
@@ -140,11 +140,14 @@ def _scheduler_kind(name, key: str) -> SchedulerKind:
 
 def _scheduler_settings(
     w: presets.Workload, params: dict
-) -> Callable[[SchedulerKind, list[Packet]], tuple[Trace, FairnessReport, dict]]:
+) -> Callable[..., tuple[Trace, FairnessReport | None, dict]]:
     """Check the scheduler keys and fairness weights for workload `w`, and
-    return run_one(kind, packets), which runs one discipline on `packets`,
-    a build of `w`.  Every scheduler key given is checked, whether or not a
-    discipline reads it: its value by the library code that uses it."""
+    return run_one(kind, packets, keep), which runs one discipline on
+    `packets`, a build of `w`.  With `keep` the run keeps its trace and
+    `rfb_estimate` measures it; without, a `BoundsFold` measures the run as
+    it goes, and the run keeps no trace and returns no report.  Every
+    scheduler key given is checked, whether or not a discipline reads it:
+    its value by the library code that uses it."""
     carr = {k: params[k] for k in ("tau", "demote_rounds") if k in params}
     try:  # each key's shape, then its values, so the first bad key is named
         weights = _flow_map(params, "weights", w.flows) if "weights" in params else w.weights
@@ -163,23 +166,31 @@ def _scheduler_settings(
                           f"{w.max_size} units at quantum {smallest} take up to {turns} "
                           f"scheduler turns, more than {presets.MAX_SCHEDULER_TURNS}")
 
-    def run_one(kind: SchedulerKind, packets: list[Packet]) -> tuple[Trace, FairnessReport, dict]:
+    def run_one(kind: SchedulerKind, packets: list[Packet],
+                keep: bool) -> tuple[Trace, FairnessReport | None, dict]:
         kw: dict = {"blocked": w.blocked}
         if kind in (SchedulerKind.DRR, SchedulerKind.EBRR):
             kw["quantum"] = q
         if kind is SchedulerKind.CARR:
             kw.update(carr)
-        sched = make_scheduler(kind, **kw)
+        fold = None if keep else BoundsFold(weights)
+        sched = make_scheduler(kind, fold=fold, **kw)
         sched.load(packets)
         trace = sched.run(horizon=w.horizon)
-        report = rfb_estimate(trace, weights)
+        if fold is None:
+            report = rfb_estimate(trace, weights)
+            bounds = [report.rfb_estimate, report.cfb_estimate]
+            sent, latency = throughput_by_flow(trace), latency_stats(trace.events)
+        else:
+            report, bounds = None, fold.bounds()[0]
+            sent, latency = sched.tallies()
         summary = {
             "scheduler": kind.value,
-            "throughput": {str(f): n for f, n in sorted(throughput_by_flow(trace).items())},
-            "latency": {str(f): st for f, st in sorted(latency_stats(trace.events).items())},
+            "throughput": {str(f): n for f, n in sorted(sent.items())},
+            "latency": {str(f): st for f, st in sorted(latency.items())},
             "drops": {str(f): n for f, n in sched.drops().items()},
-            "rfb_estimate": report.rfb_estimate,
-            "cfb_estimate": report.cfb_estimate,
+            "rfb_estimate": bounds[0],
+            "cfb_estimate": bounds[1],
         }
         return trace, report, summary
 
@@ -279,7 +290,7 @@ def _exp_scheduler(params: dict, allowed: set[str], workload: Callable[[dict], o
     def run(seeds: list[int], outdir: Path) -> dict:
         runs = {}
         for i, seed in enumerate(seeds):
-            trace, report, summary = run_one(kind, w.build(seed))
+            trace, report, summary = run_one(kind, w.build(seed), keep=True)
             summary["fairness"] = report.to_dict()
             runs[str(seed)] = summary
             if i == 0:
@@ -300,9 +311,10 @@ def _exp_compare(params: dict, kinds: list[SchedulerKind], w: presets.Workload) 
     def run(seeds: list[int], outdir: Path) -> dict:
         runs = {}
         for seed in seeds:
-            # every scheduler replays the same packets, which are frozen
+            # every scheduler replays the same packets, which are frozen, and
+            # keeps no trace: the bounds are folded as it runs
             packets = w.build(seed)
-            runs[str(seed)] = {k.value: run_one(k, packets)[2] for k in kinds}
+            runs[str(seed)] = {k.value: run_one(k, packets, keep=False)[2] for k in kinds}
         first = runs[str(seeds[0])]
         with open(outdir / "comparison.csv", "w", newline="") as fh:
             wcsv = csv.writer(fh)

@@ -57,7 +57,7 @@ def is_finite(x) -> bool:
 
 class TraceError(Exception):
     """A trace operation would violate record ordering, or would read the
-    records of a trace that streams them and keeps none."""
+    records of a trace that keeps none."""
 
 
 def _frozen(self, name, value):
@@ -144,13 +144,15 @@ class PacketEvent:
 class Trace:
     """Ordered service records plus packet events for one output link.  Given
     `out`, a text file, it writes the CSV header there, then each appended
-    record's row, and keeps no record (`records` is None) and no event."""
+    record's row, and keeps no record (`records` is None) and no event; with
+    `keep` false and no `out`, it keeps none and writes none.  Either way it
+    counts the records and checks their order."""
 
     CSV_HEADER = ["flow", "round", "start", "end", "sent_units", "blocking"]
     row = attrgetter(*CSV_HEADER)  # a record's CSV row
 
-    def __init__(self, out: TextIO | None = None) -> None:
-        self.records: list[ServiceRecord] | None = [] if out is None else None
+    def __init__(self, out: TextIO | None = None, keep: bool = True) -> None:
+        self.records: list[ServiceRecord] | None = [] if out is None and keep else None
         self.events: list[PacketEvent] = []
         self.sink = None if out is None else csv.writer(out).writerow
         if self.sink is not None:
@@ -174,21 +176,28 @@ class Trace:
             self.sink(self.row(rec))
 
     def kept(self) -> list[ServiceRecord]:
-        """The records, which a streamed trace does not keep."""
+        """The records, which a streamed trace, or one that keeps nothing,
+        does not keep."""
         if self.records is None:
-            raise TraceError("this trace streams its records to its file and keeps none")
+            raise TraceError("this trace streams its records to its file and keeps none"
+                             if self.sink is not None else "this trace keeps no records")
         return self.records
 
     def flows(self) -> list[FlowId]:
         return sorted({r.flow for r in self.kept()})
 
     def boundaries(self) -> list[int]:
-        """Sorted distinct record start/end times."""
-        pts: set[int] = set()
-        for r in self.kept():
-            pts.add(r.start)
-            pts.add(r.end)
-        return sorted(pts)
+        """Sorted distinct record start/end times.  `append` refuses a start
+        before the previous end, so the times never decrease and only a
+        start equal to the previous end repeats one."""
+        out: list[int] = []
+        last = None
+        for _, _, start, end, _, _ in self.kept():
+            if start != last:
+                out.append(start)
+            out.append(end)
+            last = end
+        return out
 
     # -- serialization ----------------------------------------------------
 
@@ -202,8 +211,8 @@ class Trace:
 def throughput_by_flow(trace: Trace) -> dict[FlowId, int]:
     """Total units sent per flow over the whole trace."""
     out: dict[FlowId, int] = {}
-    for r in trace.kept():
-        out[r.flow] = out.get(r.flow, 0) + r.sent_units
+    for flow, _, _, _, sent, _ in trace.kept():
+        out[flow] = out.get(flow, 0) + sent
     return out
 
 

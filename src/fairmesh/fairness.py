@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import sys
-from bisect import bisect_left, bisect_right
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence, TextIO
 
-from .core import Accounting, FlowId, Trace, is_finite
+from .core import Accounting, FlowId, ServiceRecord, Trace, is_finite
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,38 +33,198 @@ def backlog_from_trace(trace: Trace) -> dict[FlowId, list[Interval]]:
     """Per flow, the maximal [start, end) stretches, in time order, in which
     it has a packet queued: from the packet's inject until its delivery.
 
-    One pass over each flow's sorted +-1 deltas.  Undelivered packets hold
-    the queue to `close`, the last record's end (with no records, one cycle
-    past the first undelivered packet's inject), where a stretch still open
-    ends.  A packet delivered before its inject raises ValueError.
+    One merge of each flow's sorted inject and deliver cycles: its queue
+    empties at the cycle of its k-th delivery when no k+1-th inject comes
+    by then, as no packet is delivered before its inject.  Undelivered
+    packets hold the queue to `close`, the last record's end (with no
+    records, one cycle past the first undelivered packet's inject), where a
+    stretch still open ends.  A packet delivered before its inject raises
+    ValueError.
     """
-    deltas: dict[FlowId, dict[int, int]] = {}
+    injects: defaultdict[FlowId, list[int]] = defaultdict(list)
+    delivers: defaultdict[FlowId, list[int]] = defaultdict(list)
     close = None
     for ev in trace.events:
-        d = deltas.setdefault(ev.flow, {})
-        d[ev.inject] = d.get(ev.inject, 0) + 1
-        if ev.deliver is not None:
-            if ev.deliver < ev.inject:
-                raise ValueError(f"packet {ev.packet_id} of flow {ev.flow} delivered at "
-                                 f"{ev.deliver}, before its inject at {ev.inject}")
-            d[ev.deliver] = d.get(ev.deliver, 0) - 1
+        flow, inject, deliver = ev.flow, ev.inject, ev.deliver
+        injects[flow].append(inject)
+        if deliver is not None:
+            if deliver < inject:
+                raise ValueError(f"packet {ev.packet_id} of flow {flow} delivered at "
+                                 f"{deliver}, before its inject at {inject}")
+            delivers[flow].append(deliver)
         elif close is None:
             last = trace.end
-            close = last if last is not None else ev.inject + 1
+            close = last if last is not None else inject + 1
     out: dict[FlowId, list[Interval]] = {}
-    for flow, d in deltas.items():
+    for flow, ins in injects.items():
+        ins.sort()
+        outs = delivers[flow]
+        outs.sort()
         out[flow] = stretches = []
-        qlen = 0
-        for cycle in sorted(d):
-            was = qlen
-            qlen += d[cycle]  # never below 0, as no packet leaves before it comes
-            if not was and qlen:
-                start = cycle
-            elif was and not qlen:
-                stretches.append((start, cycle))
-        if qlen and close > start:
-            stretches.append((start, close))
+        first = 0  # the packets before it were delivered when the queue last emptied
+        for k, cycle in enumerate(outs, 1):
+            if k < len(ins) and ins[k] <= cycle:
+                continue  # the k+1-th packet is queued by then
+            if ins[first] < cycle:  # packets injected and delivered in one cycle open nothing
+                stretches.append((ins[first], cycle))
+            first = k
+        if first < len(ins) and close > ins[first]:
+            stretches.append((ins[first], close))
     return out
+
+
+class _Gap:
+    """One flow pair's gap curve in one mode: over the pair's open common
+    stretch, its max and min, each with the time it first occurred; and the
+    best max-minus-min of the stretches closed so far, with its witness."""
+
+    __slots__ = ("hi", "t_hi", "lo", "t_lo", "best", "witness")
+
+    def __init__(self) -> None:
+        self.best: float = 0.0
+        self.witness: Interval | None = None
+
+    def open(self, d, t: int) -> None:
+        self.hi = self.lo = d
+        self.t_hi = self.t_lo = t
+
+    def close(self) -> None:
+        gap = float(self.hi - self.lo)
+        if gap > self.best:  # ties go to the first stretch
+            self.best = gap
+            self.witness = (min(self.t_hi, self.t_lo), max(self.t_hi, self.t_lo))
+
+
+class BoundsFold:
+    """Both bounds of one service history, folded as it happens, in
+    O(flows + pairs) state: per flow, its cumulative sent units and channel
+    cycles, and per flow pair and mode, a `_Gap`.  The result equals an
+    eager max-minus-min pass over each pair's gap curve at the record
+    boundaries of each common backlog stretch, ties going to the first
+    pair, then stretch, then time.
+
+    Feed it each flow's backlog stretch starts (`start`) and ends (`end`)
+    in time order, starts first at one cycle, each before the first record
+    that ends at or after its cycle; and the records in order (`record`).
+    Then read `bounds()`.  Every record's start and end is a boundary, but
+    only flows with a weight are measured.  The windows are closed, so a
+    start applies before the boundary at its cycle and an end after it, and
+    a stretch opened between boundaries takes its first value at the next
+    one.  At a boundary only the pairs of the flow whose service changed are
+    re-evaluated: no other pair's gap moves.
+    """
+
+    def __init__(self, weights: dict[FlowId, float]) -> None:
+        # per weighted flow: [sent units, channel cycles, weight, and the two
+        # divided by the weight], where `/` on the weight as given keeps
+        # Fraction weights exact
+        self._flows = {f: [0, 0, w, 0 / w, 0 / w] for f, w in weights.items()}
+        # per weighted flow, its pairs' gaps (sent size, channel occupation)
+        # by the other flow; and every pair's, pairs in order
+        self._pairs: dict[FlowId, dict[FlowId, tuple[_Gap, _Gap]]] = {f: {} for f in weights}
+        self._order = []
+        flows = sorted(weights)
+        for i, f in enumerate(flows):
+            for g in flows[i + 1:]:
+                self._pairs[f][g] = self._pairs[g][f] = gaps = (_Gap(), _Gap())
+                self._order.append(gaps)
+        # per backlogged weighted flow, the gaps of its pairs with the others
+        self._live: dict[FlowId, dict[FlowId, tuple[_Gap, _Gap]]] = {}
+        self._pending: deque[tuple[int, bool, FlowId]] = deque()  # (cycle, ends, flow)
+        self._last: int | None = None
+        self.boundaries = 0  # distinct boundary times so far
+
+    def start(self, flow: FlowId, cycle: int) -> None:
+        self._pending.append((cycle, False, flow))
+
+    def end(self, flow: FlowId, cycle: int) -> None:
+        self._pending.append((cycle, True, flow))
+
+    def record(self, rec: ServiceRecord) -> None:
+        flow, _, start, end, sent, _ = rec
+        pending = self._pending
+        if start != self._last:
+            self.boundaries += 1
+            if pending and pending[0] < (start, True):  # a start by then or an end before
+                self._boundary(start)
+        self.boundaries += 1
+        self._last = end
+        fs = self._flows.get(flow)
+        if fs is not None:
+            fs[0] += sent
+            fs[1] += end - start
+            fs[3] = fs[0] / fs[2]
+            fs[4] = fs[1] / fs[2]
+        if pending and pending[0] < (end, True):
+            self._boundary(end)
+        pairs = self._live.get(flow)
+        if not pairs:
+            return
+        vs, vo = fs[3], fs[4]
+        flows = self._flows
+        for g, (s, o) in pairs.items():
+            gs = flows[g]
+            if flow < g:
+                ds, do = vs - gs[3], vo - gs[4]
+            else:
+                ds, do = gs[3] - vs, gs[4] - vo
+            if ds > s.hi:
+                s.hi, s.t_hi = ds, end
+            elif ds < s.lo:
+                s.lo, s.t_lo = ds, end
+            if do > o.hi:
+                o.hi, o.t_hi = do, end
+            elif do < o.lo:
+                o.lo, o.t_lo = do, end
+
+    def _boundary(self, t: int) -> None:
+        """Apply the pending starts up to t and ends before it."""
+        pending = self._pending
+        while pending:
+            cycle, ends, flow = pending[0]
+            if cycle > t or ends and cycle == t:
+                break
+            pending.popleft()
+            if ends:
+                self._close(flow)
+            else:
+                self._open(flow, t)
+
+    def _open(self, flow: FlowId, t: int) -> None:
+        """Open the pairs of `flow` with every backlogged flow at their
+        values at t, which are the flows' service so far."""
+        fs = self._flows.get(flow)
+        if fs is None:
+            return
+        mine, pairs, flows = {}, self._pairs[flow], self._flows
+        for g, peers in self._live.items():
+            s, o = peers[flow] = mine[g] = pairs[g]
+            a, b = (fs, flows[g]) if flow < g else (flows[g], fs)
+            s.open(a[3] - b[3], t)
+            o.open(a[4] - b[4], t)
+        self._live[flow] = mine
+
+    def _close(self, flow: FlowId) -> None:
+        for g, (s, o) in self._live.pop(flow, {}).items():
+            del self._live[g][flow]
+            s.close()
+            o.close()
+
+    def bounds(self) -> tuple[list[float], list[Interval | None]]:
+        """End every stretch, and return per mode (sent size, channel
+        occupation) the largest gap and its witness window."""
+        for _, ends, flow in self._pending:  # no boundary follows, so no start counts
+            if ends:
+                self._close(flow)
+        self._pending.clear()
+        for flow in list(self._live):
+            self._close(flow)
+        best, witness = [0.0, 0.0], [None, None]
+        for gaps in self._order:
+            for m, gap in enumerate(gaps):
+                if gap.best > best[m]:  # ties go to the first pair
+                    best[m], witness[m] = gap.best, gap.witness
+        return best, witness
 
 
 @dataclass
@@ -93,15 +251,13 @@ class FairnessReport:
     weights: dict[FlowId, float]
     grid: str
     backlogs: dict[FlowId, list[Interval]]
-    rfb_estimate: float = 0.0
-    cfb_estimate: float = 0.0
-    # what the profile fold reads: each mode's witness, the boundary times,
-    # each mode's cumulative curve per flow divided by its weight, and each
-    # flow pair's [lo, hi) boundary index spans of its common stretches
-    _witness: list[Interval | None] = field(default_factory=lambda: [None, None], repr=False)
-    _times: list[int] = field(default_factory=list, repr=False)
-    _curves: tuple[dict, ...] = field(default=(), repr=False)
-    _spans: dict[tuple, list[Interval]] = field(default_factory=dict, repr=False)
+    rfb_estimate: float
+    cfb_estimate: float
+    # what the profile fold reads: each mode's witness, the kept trace and
+    # the weights as given
+    _witness: list[Interval | None] = field(repr=False)
+    _trace: Trace = field(repr=False)
+    _weights: dict[FlowId, float] = field(repr=False)
 
     @cached_property
     def sweeps(self) -> dict[str, ModeSweep]:
@@ -109,14 +265,13 @@ class FairnessReport:
         length profile and its slope, folded on first read."""
         import numpy as np
 
-        t = np.asarray(self._times, dtype=np.int64)
+        times, spans, curves = _curves(self._trace, self._weights, self.backlogs)
+        t = np.asarray(times, dtype=np.int64)
         bin_best: tuple[dict, dict] = ({}, {})
-        if self._spans:
+        if spans:
             bin_w = max(1, int(np.ceil(int(t[-1] - t[0]) / _N_BINS)))
-        curves = [{f: np.asarray(v) for f, v in c.items()} for c in self._curves]
-        self._curves = ()  # the fold runs once; drop the lists before its tables
-        for (fa, fb), spans in self._spans.items():
-            _fold_profile(t, [c[fa] - c[fb] for c in curves], spans, bin_w, bin_best)
+        for (fa, fb), pair_spans in spans.items():
+            _fold_profile(t, [c[fa] - c[fb] for c in curves], pair_spans, bin_w, bin_best)
         sweeps = {}
         for m, acct in enumerate(_MODES):
             profile = [
@@ -182,73 +337,80 @@ def rfb_estimate(
     Both accounting modes are swept over every record boundary.  The overall
     estimate per mode is exact over all boundary windows inside common
     backlog stretches (cumulative curves make every window a pair
-    difference, so the max is a max-minus-min), found here in one pass.
+    difference, so the max is a max-minus-min): the trace's stretches
+    (`backlog_from_trace`) and records are replayed through a `BoundsFold`.
     The FM-versus-window-length profile (`FairnessReport.sweeps`, built on
-    first read) holds, per length bin, the largest gap over the same
-    windows, found with range max/min queries in O(N log N + N*B) per flow
-    pair for N boundaries and B bins.  Its least-squares slope is the
-    boundedness statistic: near zero for a fair discipline, positive when
-    the gap grows with window length.
+    first read from the kept trace) holds, per length bin, the largest gap
+    over the same windows, found with range max/min queries in
+    O(N log N + N*B) per flow pair for N boundaries and B bins.  Its
+    least-squares slope is the boundedness statistic: near zero for a fair
+    discipline, positive when the gap grows with window length.
     """
     check_weights(weights, trace.end or 0)
     flows = sorted(weights)
     backlogs = backlog_from_trace(trace)
-    times = trace.boundaries()
-    report = FairnessReport(
+    fold = BoundsFold(weights)
+    # every stretch start and end before the first record, which feeds
+    # each before any record that ends at or after its cycle
+    for t, ends, f in sorted((t, ends, f) for f in flows for a, b in backlogs.get(f, ())
+                             for t, ends in ((a, False), (b, True))):
+        (fold.end if ends else fold.start)(f, t)
+    for rec in trace.kept():
+        fold.record(rec)
+    (rfb, cfb), witness = fold.bounds()
+    nb = fold.boundaries
+    return FairnessReport(
         flows=flows,
         weights={f: float(weights[f]) for f in flows},
-        grid="empty trace",
+        grid=f"all {nb} record boundaries" if nb >= 2 and flows else "empty trace",
         backlogs={f: backlogs.get(f, []) for f in flows},
+        rfb_estimate=rfb,
+        cfb_estimate=cfb,
+        _witness=witness,
+        _trace=trace,
+        _weights=weights,
     )
-    if len(times) < 2 or len(flows) < 1:
-        return report
 
-    nb = len(times)
-    report.grid = f"all {nb} record boundaries"
-    report._times = times
-    # each flow pair's [lo, hi) boundary index spans of its common stretches,
-    # found first, so that only flows in a pair with spans get curves
+
+def _curves(
+    trace: Trace, weights: dict[FlowId, float], backlogs: dict[FlowId, list[Interval]],
+) -> tuple[list[int], dict[tuple[FlowId, FlowId], list[Interval]], tuple[dict, dict]]:
+    """What the profile fold reads: the boundary times, each flow pair's
+    [lo, hi) boundary index spans of its common stretches, and each mode's
+    cumulative curve per flow divided by its weight, only for flows in a
+    pair with spans."""
+    import numpy as np
+
+    times = trace.boundaries()
+    spans = {}
+    flows = sorted(weights)
     for ai, fa in enumerate(flows):
         for fb in flows[ai + 1:]:
-            spans = [
-                (lo, hi)
-                for a, b in _common_stretches(backlogs.get(fa, []), backlogs.get(fb, []))
-                for lo, hi in [(bisect_left(times, a), bisect_right(times, b))]
-                if hi - lo >= 2
-            ]
-            if spans:
-                report._spans[fa, fb] = spans
-    if not report._spans:
-        return report
-    paired = sorted({f for pair in report._spans for f in pair})
-    # units per flow ending at each boundary, one table per mode; records
-    # never straddle a boundary of the same trace, so the sums are exact
-    incs = tuple({f: [0] * nb for f in paired} for _ in _MODES)
-    pos = {t: k for k, t in enumerate(times)}
-    for r in trace.records:
-        if r.flow in incs[0]:
-            k = pos[r.end]
-            incs[0][r.flow][k] += r.sent_units
-            incs[1][r.flow][k] += r.end - r.start
-    # `/` on the weight as given keeps Fraction weights exact
-    report._curves = tuple(
-        {f: [c / weights[f] for c in accumulate(inc[f])] for f in paired} for inc in incs
-    )
-    best, witness = [0.0, 0.0], report._witness
-    for (fa, fb), spans in report._spans.items():
-        for m, c in enumerate(report._curves):
-            d = list(map(operator.sub, c[fa], c[fb]))
-            for lo, hi in spans:
-                seg = d[lo:hi]
-                vmax, vmin = max(seg), min(seg)
-                gap = float(vmax - vmin)
-                if gap > best[m]:
-                    best[m] = gap
-                    # ties go to the first occurrence of each
-                    ends = times[lo + seg.index(vmax)], times[lo + seg.index(vmin)]
-                    witness[m] = (min(ends), max(ends))
-    report.rfb_estimate, report.cfb_estimate = best
-    return report
+            common = _common_stretches(backlogs[fa], backlogs[fb])
+            if not common:
+                continue
+            a, b = np.array(common, dtype=np.int64).T
+            lo, hi = np.searchsorted(times, a, "left"), np.searchsorted(times, b, "right")
+            keep = hi - lo >= 2
+            if keep.any():
+                spans[fa, fb] = list(zip(lo[keep].tolist(), hi[keep].tolist()))
+    paired = sorted({f for pair in spans for f in pair})
+    curves: tuple[dict, dict] = ({}, {})
+    if not paired:
+        return times, spans, curves
+    flow, _, start, end, sent, _ = map(np.asarray, zip(*trace.records))
+    at = np.searchsorted(times, end)  # each record ends at its own boundary
+    for f in paired:
+        mine = flow == f
+        for units, c in zip((sent[mine], (end - start)[mine]), curves):
+            inc = np.zeros(len(times), dtype=np.int64)
+            inc[at[mine]] = units
+            cum, w = np.cumsum(inc), weights[f]
+            # numpy divides by a float weight as Python does, the sums being
+            # exact in a float; any other weight divides each sum in Python,
+            # which keeps Fraction weights exact
+            c[f] = cum / w if type(w) is float else np.asarray([x / w for x in cum.tolist()])
+    return times, spans, curves
 
 
 def _range_table(x: np.ndarray) -> np.ndarray:
@@ -289,8 +451,10 @@ def _fold_profile(
     """
     import numpy as np
 
-    starts = np.concatenate([np.arange(lo, hi - 1) for lo, hi in spans])
-    stops = np.concatenate([np.full(hi - 1 - lo, hi) for lo, hi in spans])
+    lo, hi = np.array(spans, dtype=np.int64).T
+    n = hi - 1 - lo  # starts per span
+    stops = np.repeat(hi, n)
+    starts = np.arange(len(stops)) + np.repeat(lo - (np.cumsum(n) - n), n)
     n_bins = int(t[-1] - t[0]) // bin_w + 1
     edges = bin_w * np.arange(n_bins + 1)
     cols = np.arange(n_bins)

@@ -14,6 +14,11 @@ at a time on a cycle clock, and emits one ServiceRecord per visit:
 * CARR  - congestion-aware variant of ERR; flows whose channel occupation to
           sending ratio exceeds a threshold are demoted for a few rounds.
 
+Given a fold of the fairness bounds (`fairness.BoundsFold`), the engine
+keeps no record and no packet event: it feeds the fold each flow's backlog
+stretches and each record as it runs, and tallies each flow's sent units
+and delivery latency for the run's summaries.
+
 Accounting mode selects the unit the disciplines budget with: packet sizes,
 or channel occupation (sending plus blocking cycles).  Control flow is
 identical in both modes; only the decrement applied to deficit / surplus /
@@ -33,10 +38,13 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import (Accounting, FlowId, Packet, PacketEvent, SchedulerKind, ServiceRecord,
                    Trace, is_finite, is_int)
+
+if TYPE_CHECKING:
+    from .fairness import BoundsFold
 
 _OCCUPATION = Accounting.OCCUPATION
 
@@ -57,6 +65,11 @@ class FlowState:
     # bookkeeping
     listed: bool = False
     drops: int = 0
+    # a folded run's tallies, which a kept run reads off its trace instead
+    sent: int = 0
+    delivered: int = 0
+    latency_sum: int = 0
+    latency_max: int = 0
 
 
 class SchedulerBase:
@@ -65,6 +78,7 @@ class SchedulerBase:
     `now` is the cycle clock.  `active` is the rotation of backlogged flows;
     its first `visits_left` entries are the current round's remaining visits.
     `_due` is the next arrival's inject cycle (infinite once none is left).
+    With a `fold`, the trace keeps nothing and the fold measures the run.
     """
 
     kind: SchedulerKind
@@ -75,12 +89,14 @@ class SchedulerBase:
         queue_capacity: int | None = None,
         blocked: PeriodicBlocking | None = None,
         log_visits: bool = False,
+        fold: BoundsFold | None = None,
     ):
         self.accounting = accounting
         self.queue_capacity = queue_capacity
         self.blocked = blocked
         self.now = 0
-        self.trace = Trace()
+        self.fold = fold
+        self.trace = Trace(keep=fold is None)
         self.flows: dict[FlowId, FlowState] = {}
         self.active: deque[FlowState] = deque()
         self.round_number = 0
@@ -122,8 +138,11 @@ class SchedulerBase:
             return
         fs.queue.append(pkt)
         ev = PacketEvent(pkt.id, pkt.flow, pkt.inject_time)
+        if self.fold is None:
+            self.trace.events.append(ev)
+        elif not fs.events:
+            self.fold.start(fs.id, pkt.inject_time)
         fs.events.append(ev)
-        self.trace.events.append(ev)
         if not fs.listed:
             fs.listed = True
             self._activate(fs)
@@ -160,7 +179,9 @@ class SchedulerBase:
         Returns the number of blocked cycles.  Arrivals up to the finish
         cycle join once, at the end.  That is exact: they are sorted, and
         enqueueing reads neither the clock nor anything a send changes, so
-        they join in the order and state they would cycle by cycle.
+        they join in the order and state they would cycle by cycle.  They
+        join before the delivery, so a flow with an arrival by then stays
+        backlogged through it.
         """
         start = self.now
         blocked = self.blocked
@@ -169,9 +190,18 @@ class SchedulerBase:
         else:
             end = start + pkt.size
         self.now = end
-        fs.events.popleft().deliver = end
         if self._due <= end:
             self._inject_due()
+        ev = fs.events.popleft()
+        ev.deliver = end
+        if self.fold is not None:
+            latency = end - ev.inject
+            fs.delivered += 1
+            fs.latency_sum += latency
+            if latency > fs.latency_max:
+                fs.latency_max = latency
+            if not fs.events:
+                self.fold.end(fs.id, end)
         return end - start - pkt.size
 
     def _used_units(self, size: int, blocking: int) -> int:
@@ -198,6 +228,9 @@ class SchedulerBase:
             return None
         rec = ServiceRecord(fs.id, self.round_number, start, self.now, sent, blocking)
         self.trace.append(rec)
+        if self.fold is not None:
+            self.fold.record(rec)
+            fs.sent += sent
         return rec
 
     # -- driver -----------------------------------------------------------
@@ -223,6 +256,15 @@ class SchedulerBase:
 
     def drops(self) -> dict[FlowId, int]:
         return {fid: fs.drops for fid, fs in sorted(self.flows.items())}
+
+    def tallies(self) -> tuple[dict[FlowId, int], dict[FlowId, dict[str, float]]]:
+        """A folded run's units sent per flow and delivery latency per flow,
+        as `throughput_by_flow` and `latency_stats` read them off a kept
+        trace; flows that sent or received nothing are left out."""
+        flows = sorted(self.flows.items())
+        return ({f: fs.sent for f, fs in flows if fs.sent},
+                {f: {"mean": fs.latency_sum / fs.delivered, "max": float(fs.latency_max),
+                     "count": float(fs.delivered)} for f, fs in flows if fs.delivered})
 
 
 class RoundRobinScheduler(SchedulerBase):

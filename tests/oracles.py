@@ -6,6 +6,10 @@ in exact rational arithmetic where a value can be fractional:
 * the fairness measure over one window, `fm_over_interval`, with the
   prorated service of `sent_in_interval` and `occupation_in_interval`, and
   its exhaustive scan over every integer window, `exact_max_fm`;
+* the two bounds over every record boundary of a kept trace as one eager
+  max-minus-min pass per common stretch, `eager_bounds`, which the online
+  fold (`fairness.BoundsFold`) must equal, and one scheduler run folded as
+  it goes beside the kept trace of the same run, `folded_run`;
 * a service-trace CSV reader, the inverse of `Trace.to_csv`;
 * a flit census of a mesh run read from its state, `flit_census`, and the
   run's per-flit ejections read from its state cycle by cycle,
@@ -23,9 +27,12 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence, TextIO
 
 from fairmesh import presets
@@ -33,10 +40,11 @@ from fairmesh.analysis import WeightTable
 from fairmesh.arbitration import ArbiterKind
 from fairmesh.core import (Accounting, FlowId, PacketEvent, SchedulerKind, ServiceRecord, Trace,
                            TraceError)
-from fairmesh.fairness import Interval, backlog_from_trace
+from fairmesh.fairness import BoundsFold, Interval, _common_stretches, backlog_from_trace
 from fairmesh.meshsim import (DIR_EJ, DIR_L, DIR_R, IN_INJ, IN_L, IN_R, MeshConfig, MeshSim,
                               SimReport)
 from fairmesh.rng import XorShift64Star
+from fairmesh.schedulers import SchedulerBase, make_scheduler
 
 
 def trace_from_csv(fh: TextIO) -> Trace:
@@ -160,6 +168,72 @@ def exact_max_fm(trace: Trace, weights: dict[FlowId, float | Fraction]) -> list[
             for m, mode in enumerate(Accounting):
                 best[m] = max(best[m], fm_over_interval(trace, weights, t1, t2, mode, backlogs))
     return best
+
+
+def eager_bounds(trace: Trace, weights: dict[FlowId, float | Fraction]
+                 ) -> tuple[list[float], list[Interval | None]]:
+    """Per mode (sent size, channel occupation), the largest gap over every
+    window between two record boundaries of a common backlog stretch, and
+    its witness window.
+
+    Each flow pair's gap curve over the boundaries is the difference of the
+    two flows' cumulative curves divided by their weights, so the best gap
+    over a stretch is the curve's max minus its min there.  Pairs go in
+    order and stretches in time; ties go to the first pair and stretch, and
+    to the first time of the max and of the min.
+    """
+    flows = sorted(weights)
+    backlogs = backlog_from_trace(trace)
+    times = trace.boundaries()
+    best, witness = [0.0, 0.0], [None, None]
+    spans = {}
+    for ai, fa in enumerate(flows):
+        for fb in flows[ai + 1:]:
+            pair = [
+                (lo, hi)
+                for a, b in _common_stretches(backlogs.get(fa, []), backlogs.get(fb, []))
+                for lo, hi in [(bisect_left(times, a), bisect_right(times, b))]
+                if hi - lo >= 2
+            ]
+            if pair:
+                spans[fa, fb] = pair
+    paired = sorted({f for pair in spans for f in pair})
+    incs = tuple({f: [0] * len(times) for f in paired} for _ in range(2))
+    pos = {t: k for k, t in enumerate(times)}
+    for r in trace.records:
+        if r.flow in incs[0]:
+            k = pos[r.end]
+            incs[0][r.flow][k] += r.sent_units
+            incs[1][r.flow][k] += r.end - r.start
+    curves = tuple(
+        {f: [c / weights[f] for c in accumulate(inc[f])] for f in paired} for inc in incs
+    )
+    for (fa, fb), pair in spans.items():
+        for m, c in enumerate(curves):
+            d = list(map(operator.sub, c[fa], c[fb]))
+            for lo, hi in pair:
+                seg = d[lo:hi]
+                vmax, vmin = max(seg), min(seg)
+                gap = float(vmax - vmin)
+                if gap > best[m]:
+                    best[m] = gap
+                    ends = times[lo + seg.index(vmax)], times[lo + seg.index(vmin)]
+                    witness[m] = (min(ends), max(ends))
+    return best, witness
+
+
+def folded_run(kind, packets, weights, horizon=None, **kw
+               ) -> tuple[tuple[list[float], list[Interval | None]], SchedulerBase, Trace]:
+    """One run of discipline `kind` on `packets` with a `BoundsFold` of
+    `weights`: its bounds and the finished scheduler, whose trace keeps
+    nothing; and the kept trace of the same run without a fold."""
+    fold = BoundsFold(weights)
+    sched = make_scheduler(kind, fold=fold, **kw)
+    sched.load(packets)
+    sched.run(horizon=horizon)
+    kept = make_scheduler(kind, **kw)
+    kept.load(packets)
+    return fold.bounds(), sched, kept.run(horizon=horizon)
 
 
 def backlog_by_cycle(trace: Trace) -> dict[FlowId, list[Interval]]:

@@ -5,6 +5,7 @@ mode keeps its hooks: every callable it wraps still exists."""
 import importlib.util
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -28,8 +29,8 @@ def bench(monkeypatch):
     return mod
 
 
-@pytest.mark.parametrize("layer", ["mesh", "schedulers", "rfb_estimate", "sampling",
-                                   "startup"])
+@pytest.mark.parametrize("layer", ["mesh", "schedulers", "rfb_estimate", "compare",
+                                   "sampling", "startup"])
 def test_each_layer_row_is_deterministic(bench, layer):
     for name in bench.LAYERS[layer]["rows"][:3]:
         plain = bench.ROW_FNS[layer](name, traced=False)
@@ -55,7 +56,7 @@ def test_memory_rows_stream_what_a_kept_trace_writes(bench):
 
 
 @pytest.mark.parametrize("argv,want", [
-    ([], ["mesh", "memory", "schedulers", "rfb_estimate", "sampling", "startup"]),
+    ([], ["mesh", "memory", "schedulers", "rfb_estimate", "compare", "sampling", "startup"]),
     (["--layer", "startup", "--layer", "mesh", "--layer", "startup"], ["startup", "mesh"]),
 ])
 def test_layer_option_picks_the_layers_timed(bench, monkeypatch, tmp_path, argv, want):
@@ -75,6 +76,24 @@ def test_unknown_layer_is_refused(bench, monkeypatch, capsys):
         bench.main()
     assert e.value.code == 2
     assert "--layer" in capsys.readouterr().err
+
+
+def test_compare_row_hashes_what_the_cli_writes(bench, tmp_path, monkeypatch):
+    """The compare row hashes the report.json and comparison.csv that the
+    same `fairmesh compare` call writes, and leaves the environment as it was."""
+    from fairmesh import cli
+
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    row = bench.ROW_FNS["compare"]("pathology", traced=False)
+    assert cli.OUTPUT_DIR_ENV not in os.environ
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schema_version": 1, "schedulers": list(bench.KINDS),
+                               "seeds": [1], "output_dir": str(tmp_path / "out"),
+                               "workload": {"kind": "pathology", "horizon": 2000}}))
+    assert cli.main(["compare", str(cfg)]) == 0
+    files = [(tmp_path / "out" / f).read_text() for f in ("report.json", "comparison.csv")]
+    assert row["sha256"] == bench._sha(*files)
+    assert row["work"] == 5 * 2000
 
 
 def test_perfbench_targets_resolve():

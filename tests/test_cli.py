@@ -13,6 +13,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from fairmesh.fairness import rfb_estimate
 from fairmesh.meshsim import MeshSim, run_mesh
 from fairmesh.presets import (MAX_PACKET_SIZE, MAX_WORKLOAD_FLOWS, MAX_WORKLOAD_PACKETS,
                               MAX_WORKLOAD_SPREAD)
-from fairmesh.schedulers import CongestionAwareRoundRobin, DeficitRoundRobin
+from fairmesh.schedulers import CongestionAwareRoundRobin, DeficitRoundRobin, SchedulerBase
 
 
 def write_cfg(tmp_path, name="cfg.json", **cfg):
@@ -890,6 +891,48 @@ class TestCompareVerb:
         first = (tmp_path / "out" / "report.json").read_bytes()
         assert main(["compare", path]) == 0
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+
+
+class TestCompareMemory:
+    """`compare` keeps no trace: each discipline's run feeds a fold of the
+    two bounds as it goes, so the peak memory of perfbench's
+    compare-pathology call stays at what the packets and summaries take."""
+
+    @staticmethod
+    def path(tmp_path, monkeypatch):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
+        return write_cfg(tmp_path, schema_version=1, seeds=[1],
+                         schedulers=["rr", "drr", "err", "ebrr", "carr"],
+                         workload={"kind": "pathology", "horizon": 96_000},
+                         output_dir=str(tmp_path / "out"))
+
+    def test_peak(self, tmp_path, monkeypatch):
+        path = self.path(tmp_path, monkeypatch)
+        assert main(["compare", path]) == 0  # what a first call compiles
+        tracemalloc.start()
+        try:
+            assert main(["compare", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a kept trace per discipline, and the eager pass over it, took the
+        # call to 2.1 MB
+        assert peak <= 1.5 * 2**20, peak
+
+    def test_no_run_keeps_a_record_or_event(self, tmp_path, monkeypatch):
+        seen = []
+        run = SchedulerBase.run
+
+        def spy(self, horizon=None):
+            trace = run(self, horizon)
+            seen.append((self.kind.value, trace.records, trace.events, len(trace)))
+            return trace
+
+        monkeypatch.setattr(SchedulerBase, "run", spy)
+        assert main(["compare", self.path(tmp_path, monkeypatch)]) == 0
+        assert [k for k, *_ in seen] == ["rr", "drr", "err", "ebrr", "carr"]
+        assert all(records is None and events == [] and n > 2000
+                   for _, records, events, n in seen)
 
 
 class TestAnalyzeVerb:

@@ -204,6 +204,28 @@ class TestRecordService:
             t.append(ServiceRecord(1, 3, 13, 16, 3, 0))
         assert out.getvalue() == kept.getvalue()
 
+    def test_trace_that_keeps_nothing_counts_and_checks(self):
+        t = Trace(keep=False)
+        for row in [(0, 1, 0, 10, 10, 0), (1, 2, 10, 14, 3, 1)]:
+            t.append(ServiceRecord(*row))
+        assert t.records is None and t.sink is None and t.events == []
+        assert len(t) == 2 and t.end == 14
+        with pytest.raises(TraceError, match="start"):
+            t.append(ServiceRecord(1, 3, 13, 16, 3, 0))
+        for read in (t.boundaries, t.flows, lambda: throughput_by_flow(t)):
+            with pytest.raises(TraceError, match="this trace keeps no records"):
+                read()
+
+    @pytest.mark.parametrize("rows,want", [
+        ([], []),
+        ([(0, 1, 0, 10, 10, 0)], [0, 10]),
+        # back to back records share a boundary; a gap keeps both ends
+        ([(0, 1, 0, 10, 10, 0), (1, 1, 10, 14, 4, 0), (0, 2, 20, 25, 5, 0)],
+         [0, 10, 14, 20, 25]),
+    ], ids=["empty", "one", "adjacent-and-gap"])
+    def test_boundaries(self, rows, want):
+        assert make_trace(rows).boundaries() == want
+
 
 class TestSentInInterval:
     def test_contained_record(self):

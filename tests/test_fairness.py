@@ -15,13 +15,15 @@ import pytest
 
 import fairmesh
 from fairmesh import presets
-from fairmesh.core import Accounting, PacketEvent, ServiceRecord, Trace
+from fairmesh.core import (Accounting, PacketEvent, ServiceRecord, Trace, latency_stats,
+                           throughput_by_flow)
 from fairmesh.fairness import _BLOCK, backlog_from_trace, rfb_estimate
 from fairmesh.meshsim import MeshConfig, run_mesh
 from fairmesh.schedulers import make_scheduler
 
 from conftest import backlogged_workload, make_workload
-from oracles import backlog_by_cycle, exact_max_fm, fm_over_interval, normalized_service
+from oracles import (backlog_by_cycle, eager_bounds, exact_max_fm, fm_over_interval, folded_run,
+                     normalized_service)
 
 
 def rec(flow, rnd, start, end, sent, blocking=0):
@@ -391,18 +393,24 @@ _WEIGHT_KINDS = {
 }
 
 
+def _bounds_pass_case(kind, n_flows, weight_kind):
+    """A small random workload of the bounds-pass grid: its packets, the
+    discipline's settings and the weights."""
+    packets = make_workload(seed=n_flows, n_flows=n_flows, n_packets=5 * n_flows, max_size=8,
+                            spread=60)
+    kw = {"quantum": 6} if kind in ("drr", "ebrr") else {}
+    return packets, kw, _WEIGHT_KINDS[weight_kind](n_flows)
+
+
 class TestBoundsPass:
-    """The eager bounds pass against the boundary-pair brute force."""
+    """The bounds against the boundary-pair brute force."""
 
     @pytest.mark.parametrize("kind", ["rr", "drr", "err", "ebrr", "carr"])
     @pytest.mark.parametrize("n_flows", [2, 3, 4, 5])
     @pytest.mark.parametrize("weight_kind", list(_WEIGHT_KINDS))
     def test_bounds_match_brute_force(self, kind, n_flows, weight_kind):
-        kw = {"quantum": 6} if kind in ("drr", "ebrr") else {}
-        trace = run_trace(kind, make_workload(seed=n_flows, n_flows=n_flows,
-                                              n_packets=5 * n_flows, max_size=8,
-                                              spread=60), **kw)
-        weights = _WEIGHT_KINDS[weight_kind](n_flows)
+        packets, kw, weights = _bounds_pass_case(kind, n_flows, weight_kind)
+        trace = run_trace(kind, packets, **kw)
         rep = rfb_estimate(trace, weights)
         eager = [rep.rfb_estimate, rep.cfb_estimate]
         witness = list(rep._witness)
@@ -425,6 +433,22 @@ class TestBoundsPass:
             assert rep.sweeps[mode.value].witness == witness[m]
 
 
+# the exact-scan traces: five disciplines, seeds 1-12, packets of at most 5
+# units within 30 cycles, in three groups of flows and weights
+_SCAN_GROUPS = {
+    "unit": {0: 1, 1: 1},
+    "1:5/2": {0: 1, 1: Fraction(5, 2)},
+    "1:2:3": {0: 1, 1: 2, 2: 3},
+}
+
+
+def _scan_case(kind, seed, weights):
+    """The packets and the discipline's settings of one exact-scan trace."""
+    packets = presets.random_workload(seed, n_flows=len(weights), packets_per_flow=6,
+                                      max_size=5, spread=30)
+    return packets, ({"quantum": 4} if kind in ("drr", "ebrr") else {})
+
+
 @pytest.fixture(scope="module")
 def exact_scan():
     """Per small trace: its name, [rfb_estimate, cfb_estimate] and the exact
@@ -433,10 +457,9 @@ def exact_scan():
     out = []
     for kind in ("rr", "drr", "err", "ebrr", "carr"):
         for seed in range(1, 13):
-            trace = run_trace(kind, presets.random_workload(
-                seed, n_flows=2, packets_per_flow=6, max_size=5, spread=30),
-                **({"quantum": 4} if kind in ("drr", "ebrr") else {}))
-            weights = {0: 1, 1: 1}
+            weights = _SCAN_GROUPS["unit"]
+            packets, kw = _scan_case(kind, seed, weights)
+            trace = run_trace(kind, packets, **kw)
             rep = rfb_estimate(trace, weights)
             out.append((f"{kind} seed {seed}", [rep.rfb_estimate, rep.cfb_estimate],
                         exact_max_fm(trace, weights)))
@@ -723,3 +746,78 @@ class TestGoldenFairnessReports:
         for mode in Accounting:
             rep.windows_to_csv(buf, mode)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == want
+
+
+def _check_fold(kind, packets, weights, horizon=None, **kw):
+    """A run folded as it goes against `eager_bounds` of the same run's kept
+    trace, which `rfb_estimate` must equal too; the folded run keeps no
+    record or event, and tallies what the kept trace gives."""
+    bounds, sched, trace = folded_run(kind, packets, weights, horizon, **kw)
+    want = eager_bounds(trace, weights)
+    assert bounds == want
+    rep = rfb_estimate(trace, weights)
+    assert ([rep.rfb_estimate, rep.cfb_estimate], rep._witness) == want
+    assert sched.trace.records is None and sched.trace.events == []
+    assert len(sched.trace) == len(trace)
+    assert sched.tallies() == (throughput_by_flow(trace), latency_stats(trace.events))
+    return want
+
+
+class TestBoundsFold:
+    """`BoundsFold`, fed by the engine as it runs and by `rfb_estimate` from
+    a kept trace, against the eager max-minus-min pass (`eager_bounds`)."""
+
+    @pytest.mark.parametrize("kind", ["rr", "drr", "err", "ebrr", "carr"])
+    @pytest.mark.parametrize("n_flows", [2, 3, 4, 5])
+    @pytest.mark.parametrize("weight_kind", list(_WEIGHT_KINDS))
+    def test_bounds_pass_grid(self, kind, n_flows, weight_kind):
+        packets, kw, weights = _bounds_pass_case(kind, n_flows, weight_kind)
+        assert any(_check_fold(kind, packets, weights, **kw)[0])
+
+    @pytest.mark.parametrize("group", list(_SCAN_GROUPS))
+    def test_exact_scan_traces(self, group):
+        weights = _SCAN_GROUPS[group]
+        for kind in ("rr", "drr", "err", "ebrr", "carr"):
+            for seed in range(1, 13):
+                packets, kw = _scan_case(kind, seed, weights)
+                _check_fold(kind, packets, weights, **kw)
+
+    @pytest.mark.parametrize("kind", ["rr", "drr", "err", "ebrr", "carr"])
+    def test_pathology(self, kind):
+        kw = {"blocked": presets.pathology_blocking()}
+        if kind in ("drr", "ebrr"):
+            kw["quantum"] = dict(presets.PATHOLOGY_DRR_QUANTA)
+        best, _ = _check_fold(kind, presets.pathology_workload(96_000),
+                              dict(presets.PATHOLOGY_WEIGHTS), 96_000, **kw)
+        assert best[1] > best[0] > 0
+
+    @pytest.mark.parametrize("kind,n_flows,weights,kw", [
+        ("drr", 3, {0: 1.5, 1: 1, 2: 0.5}, {"quantum": 16}),
+        ("err", 4, {0: 2, 1: 1, 2: 1, 3: 0.5}, {}),
+    ], ids=["random3-drr-weighted", "random4-err-weighted"])
+    def test_golden_random_traces(self, kind, n_flows, weights, kw):
+        _check_fold(kind, presets.random_workload(1, n_flows=n_flows), weights, **kw)
+
+    def test_mesh_sink_trace(self):
+        # deliveries before warmup have no record, so the replay reads the
+        # backlog stretches, not the raw events
+        trace, weights = _mesh_sink_trace()
+        rep = rfb_estimate(trace, weights)
+        assert ([rep.rfb_estimate, rep.cfb_estimate], rep._witness) == \
+            eager_bounds(trace, weights)
+
+    @pytest.mark.parametrize("events,records,want", [
+        # flow 1 is backlogged over [0, 10): its stretch with flow 0 keeps
+        # the boundary at 10, by which flow 0 has sent 10 units and it none
+        ([(0, 0, 20), (1, 0, 10)], [rec(0, 1, 0, 10, 10), rec(2, 1, 10, 20, 10)],
+         ([10.0, 10.0], [(0, 10), (0, 10)])),
+        # flow 1 is backlogged from 10: its stretch with flow 0 takes the
+        # boundary at 10, after which flow 0 sends 10 units
+        ([(0, 0, 20), (1, 10, 20), (2, 0, 10)], [rec(2, 1, 0, 10, 10), rec(0, 1, 10, 20, 10)],
+         ([10.0, 10.0], [(10, 20), (10, 20)])),
+    ], ids=["end-at-boundary", "start-at-boundary"])
+    def test_closed_windows(self, events, records, want):
+        t = packet_trace(*events, records=records)
+        assert eager_bounds(t, {0: 1, 1: 1}) == want
+        rep = rfb_estimate(t, {0: 1, 1: 1})
+        assert ([rep.rfb_estimate, rep.cfb_estimate], rep._witness) == want
