@@ -30,8 +30,7 @@ from typing import Callable, Sequence
 from . import presets
 from .analysis import RequiredWeights, check_ratio_constraint, required_weights
 from .arbitration import MAX_GRANT_TRIALS, empirical_grant_frequencies
-from .core import (Accounting, Packet, SchedulerKind, Trace, is_finite, is_int, latency_stats,
-                   throughput_by_flow)
+from .core import Accounting, Packet, SchedulerKind, Trace, is_finite, is_int
 from .fairness import BoundsFold, FairnessReport, check_weights, rfb_estimate
 from .meshsim import MeshConfig, SimReport, run_mesh
 from .schedulers import CongestionAwareRoundRobin, DeficitRoundRobin, make_scheduler
@@ -180,10 +179,9 @@ def _scheduler_settings(
         if fold is None:
             report = rfb_estimate(trace, weights)
             bounds = [report.rfb_estimate, report.cfb_estimate]
-            sent, latency = throughput_by_flow(trace), latency_stats(trace.events)
         else:
             report, bounds = None, fold.bounds()[0]
-            sent, latency = sched.tallies()
+        sent, latency = sched.tallies()
         summary = {
             "scheduler": kind.value,
             "throughput": {str(f): n for f, n in sorted(sent.items())},

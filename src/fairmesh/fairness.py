@@ -16,9 +16,11 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from bisect import bisect_left, bisect_right
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .core import Accounting, FlowId, ServiceRecord, Trace, is_finite
@@ -270,6 +272,7 @@ class FairnessReport:
         bin_best: tuple[dict, dict] = ({}, {})
         if spans:
             bin_w = max(1, int(np.ceil(int(t[-1] - t[0]) / _N_BINS)))
+        curves = [{f: np.asarray(v) for f, v in c.items()} for c in curves]
         for (fa, fb), pair_spans in spans.items():
             _fold_profile(t, [c[fa] - c[fb] for c in curves], pair_spans, bin_w, bin_best)
         sweeps = {}
@@ -374,42 +377,41 @@ def rfb_estimate(
 
 def _curves(
     trace: Trace, weights: dict[FlowId, float], backlogs: dict[FlowId, list[Interval]],
-) -> tuple[list[int], dict[tuple[FlowId, FlowId], list[Interval]], tuple[dict, dict]]:
+) -> tuple[list[int], dict[tuple[FlowId, FlowId], list[Interval]], tuple[dict, ...]]:
     """What the profile fold reads: the boundary times, each flow pair's
     [lo, hi) boundary index spans of its common stretches, and each mode's
     cumulative curve per flow divided by its weight, only for flows in a
     pair with spans."""
-    import numpy as np
-
     times = trace.boundaries()
+    # the spans are found first, so that only flows in a pair with spans get curves
     spans = {}
     flows = sorted(weights)
     for ai, fa in enumerate(flows):
         for fb in flows[ai + 1:]:
-            common = _common_stretches(backlogs[fa], backlogs[fb])
-            if not common:
-                continue
-            a, b = np.array(common, dtype=np.int64).T
-            lo, hi = np.searchsorted(times, a, "left"), np.searchsorted(times, b, "right")
-            keep = hi - lo >= 2
-            if keep.any():
-                spans[fa, fb] = list(zip(lo[keep].tolist(), hi[keep].tolist()))
+            pair_spans = [
+                (lo, hi)
+                for a, b in _common_stretches(backlogs.get(fa, []), backlogs.get(fb, []))
+                for lo, hi in [(bisect_left(times, a), bisect_right(times, b))]
+                if hi - lo >= 2
+            ]
+            if pair_spans:
+                spans[fa, fb] = pair_spans
+    if not spans:
+        return times, spans, ()
     paired = sorted({f for pair in spans for f in pair})
-    curves: tuple[dict, dict] = ({}, {})
-    if not paired:
-        return times, spans, curves
-    flow, _, start, end, sent, _ = map(np.asarray, zip(*trace.records))
-    at = np.searchsorted(times, end)  # each record ends at its own boundary
-    for f in paired:
-        mine = flow == f
-        for units, c in zip((sent[mine], (end - start)[mine]), curves):
-            inc = np.zeros(len(times), dtype=np.int64)
-            inc[at[mine]] = units
-            cum, w = np.cumsum(inc), weights[f]
-            # numpy divides by a float weight as Python does, the sums being
-            # exact in a float; any other weight divides each sum in Python,
-            # which keeps Fraction weights exact
-            c[f] = cum / w if type(w) is float else np.asarray([x / w for x in cum.tolist()])
+    # units per flow ending at each boundary, one table per mode; records
+    # never straddle a boundary of the same trace, so the sums are exact
+    incs = tuple({f: [0] * len(times) for f in paired} for _ in _MODES)
+    pos = {t: k for k, t in enumerate(times)}
+    for r in trace.records:
+        if r.flow in incs[0]:
+            k = pos[r.end]
+            incs[0][r.flow][k] += r.sent_units
+            incs[1][r.flow][k] += r.end - r.start
+    # `/` on the weight as given keeps Fraction weights exact
+    curves = tuple(
+        {f: [c / weights[f] for c in accumulate(inc[f])] for f in paired} for inc in incs
+    )
     return times, spans, curves
 
 
@@ -451,10 +453,8 @@ def _fold_profile(
     """
     import numpy as np
 
-    lo, hi = np.array(spans, dtype=np.int64).T
-    n = hi - 1 - lo  # starts per span
-    stops = np.repeat(hi, n)
-    starts = np.arange(len(stops)) + np.repeat(lo - (np.cumsum(n) - n), n)
+    starts = np.concatenate([np.arange(lo, hi - 1) for lo, hi in spans])
+    stops = np.concatenate([np.full(hi - 1 - lo, hi) for lo, hi in spans])
     n_bins = int(t[-1] - t[0]) // bin_w + 1
     edges = bin_w * np.arange(n_bins + 1)
     cols = np.arange(n_bins)

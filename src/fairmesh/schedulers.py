@@ -16,8 +16,9 @@ at a time on a cycle clock, and emits one ServiceRecord per visit:
 
 Given a fold of the fairness bounds (`fairness.BoundsFold`), the engine
 keeps no record and no packet event: it feeds the fold each flow's backlog
-stretches and each record as it runs, and tallies each flow's sent units
-and delivery latency for the run's summaries.
+stretches and each record as it runs.  Kept or folded, the engine tallies
+each flow's sent units and delivery latency for the run's summaries
+(`tallies`).
 
 Accounting mode selects the unit the disciplines budget with: packet sizes,
 or channel occupation (sending plus blocking cycles).  Control flow is
@@ -65,7 +66,7 @@ class FlowState:
     # bookkeeping
     listed: bool = False
     drops: int = 0
-    # a folded run's tallies, which a kept run reads off its trace instead
+    # tallies for the run's summaries
     sent: int = 0
     delivered: int = 0
     latency_sum: int = 0
@@ -194,14 +195,13 @@ class SchedulerBase:
             self._inject_due()
         ev = fs.events.popleft()
         ev.deliver = end
-        if self.fold is not None:
-            latency = end - ev.inject
-            fs.delivered += 1
-            fs.latency_sum += latency
-            if latency > fs.latency_max:
-                fs.latency_max = latency
-            if not fs.events:
-                self.fold.end(fs.id, end)
+        latency = end - ev.inject
+        fs.delivered += 1
+        fs.latency_sum += latency
+        if latency > fs.latency_max:
+            fs.latency_max = latency
+        if self.fold is not None and not fs.events:
+            self.fold.end(fs.id, end)
         return end - start - pkt.size
 
     def _used_units(self, size: int, blocking: int) -> int:
@@ -228,9 +228,9 @@ class SchedulerBase:
             return None
         rec = ServiceRecord(fs.id, self.round_number, start, self.now, sent, blocking)
         self.trace.append(rec)
+        fs.sent += sent
         if self.fold is not None:
             self.fold.record(rec)
-            fs.sent += sent
         return rec
 
     # -- driver -----------------------------------------------------------
@@ -258,9 +258,9 @@ class SchedulerBase:
         return {fid: fs.drops for fid, fs in sorted(self.flows.items())}
 
     def tallies(self) -> tuple[dict[FlowId, int], dict[FlowId, dict[str, float]]]:
-        """A folded run's units sent per flow and delivery latency per flow,
-        as `throughput_by_flow` and `latency_stats` read them off a kept
-        trace; flows that sent or received nothing are left out."""
+        """The run's units sent per flow and delivery latency per flow, as
+        `throughput_by_flow` and `latency_stats` read them off a kept trace;
+        flows that sent or received nothing are left out."""
         flows = sorted(self.flows.items())
         return ({f: fs.sent for f, fs in flows if fs.sent},
                 {f: {"mean": fs.latency_sum / fs.delivered, "max": float(fs.latency_max),
