@@ -25,15 +25,26 @@ import sys
 from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from . import presets
-from .analysis import RequiredWeights, check_ratio_constraint, required_weights
-from .arbitration import MAX_GRANT_TRIALS, empirical_grant_frequencies
+from . import _lazy, presets
 from .core import Accounting, Packet, SchedulerKind, Trace, is_finite, is_int
-from .fairness import BoundsFold, FairnessReport, check_weights, rfb_estimate
-from .meshsim import MeshConfig, SimReport, run_mesh
-from .schedulers import CongestionAwareRoundRobin, DeficitRoundRobin, make_scheduler
+
+if TYPE_CHECKING:
+    from .analysis import RequiredWeights
+    from .fairness import FairnessReport
+    from .meshsim import MeshConfig, SimReport
+
+# the library names the verbs call, each imported on its first read so that a verb compiles
+# only the modules it runs; read through _this, so a replacement set here is the one called
+__getattr__, __dir__ = _lazy(globals(), {
+    "analysis": ("check_ratio_constraint", "required_weights"),
+    "arbitration": ("MAX_GRANT_TRIALS", "empirical_grant_frequencies"),
+    "fairness": ("BoundsFold", "check_weights", "rfb_estimate"),
+    "meshsim": ("MeshConfig", "run_mesh"),
+    "schedulers": ("CongestionAwareRoundRobin", "DeficitRoundRobin", "make_scheduler"),
+})
+_this = sys.modules[__name__]
 
 OUTPUT_DIR_ENV = "FAIRMESH_OUT"
 SCHEMA_VERSION = 1
@@ -150,12 +161,12 @@ def _scheduler_settings(
     carr = {k: params[k] for k in ("tau", "demote_rounds") if k in params}
     try:  # each key's shape, then its values, so the first bad key is named
         weights = _flow_map(params, "weights", w.flows) if "weights" in params else w.weights
-        check_weights(weights, presets.MAX_TRACE_END)  # the check rfb_estimate makes of a trace
+        _this.check_weights(weights, presets.MAX_TRACE_END)  # rfb_estimate's check of a trace
         q = params.get("quantum", w.quantum)
         if isinstance(params.get("quantum"), dict):
             q = _flow_map(params, "quantum", w.flows)
-        DeficitRoundRobin(quantum=q)
-        CongestionAwareRoundRobin(**carr)
+        _this.DeficitRoundRobin(quantum=q)
+        _this.CongestionAwareRoundRobin(**carr)
     except ValueError as e:  # the message starts with the field's name
         raise ConfigError(f"config key params.{e}") from None
     smallest = min(q.values()) if isinstance(q, dict) else q
@@ -172,12 +183,12 @@ def _scheduler_settings(
             kw["quantum"] = q
         if kind is SchedulerKind.CARR:
             kw.update(carr)
-        fold = None if keep else BoundsFold(weights)
-        sched = make_scheduler(kind, fold=fold, **kw)
+        fold = None if keep else _this.BoundsFold(weights)
+        sched = _this.make_scheduler(kind, fold=fold, **kw)
         sched.load(packets)
         trace = sched.run(horizon=w.horizon)
         if fold is None:
-            report = rfb_estimate(trace, weights)
+            report = _this.rfb_estimate(trace, weights)
             bounds = [report.rfb_estimate, report.cfb_estimate]
         else:
             report, bounds = None, fold.bounds()[0]
@@ -208,12 +219,10 @@ def _write_fairness_csvs(outdir: Path, report: FairnessReport) -> None:
 
 Run = Callable[[list[int], Path], dict]
 
-_MESH_PARAM_KEYS = {f.name for f in dataclasses.fields(MeshConfig)} - {"seed"}
-
 
 def _mesh_config(params: dict, defaults: dict) -> MeshConfig:
     """The checked mesh config; an error names the params keys at fault."""
-    cfg = MeshConfig(**dict(defaults, **params))
+    cfg = _this.MeshConfig(**dict(defaults, **params))
     try:
         cfg.validate()
     except ValueError as e:
@@ -242,7 +251,7 @@ def _run_mesh_csvs(outdir: Path, cfg: MeshConfig) -> SimReport:
 
     try:
         with files:
-            rep = run_mesh(cfg, sink)
+            rep = _this.run_mesh(cfg, sink)
     except BaseException:
         for path in paths.values():
             path.with_suffix(".part").unlink(missing_ok=True)
@@ -259,9 +268,9 @@ def _run_mesh_csvs(outdir: Path, cfg: MeshConfig) -> SimReport:
 def _feasibility_entry(s: dict, **eps) -> tuple[dict, RequiredWeights | None]:
     """The feasibility verdict on `s` (`eps` is its tolerance) and the
     first-hop weight ratios `s` implies, or why it implies none."""
-    entry: dict = {"feasibility": check_ratio_constraint(s, **eps).to_dict()}
+    entry: dict = {"feasibility": _this.check_ratio_constraint(s, **eps).to_dict()}
     try:
-        rw = required_weights(s)
+        rw = _this.required_weights(s)
     except ValueError as e:
         entry["required_weights"] = None
         entry["required_weights_error"] = str(e)
@@ -332,7 +341,8 @@ def _exp_compare(params: dict, kinds: list[SchedulerKind], w: presets.Workload) 
 
 
 def _exp_mesh(params: dict, defaults: dict, with_feasibility: bool) -> Run:
-    _check_allowed(params, _MESH_PARAM_KEYS, "params")
+    keys = {f.name for f in dataclasses.fields(_this.MeshConfig)} - {"seed"}
+    _check_allowed(params, keys, "params")
     cfg = _mesh_config(params, defaults)
 
     def run(seeds: list[int], outdir: Path) -> dict:
@@ -342,7 +352,7 @@ def _exp_mesh(params: dict, defaults: dict, with_feasibility: bool) -> Run:
             if i == 0:
                 rep = _run_mesh_csvs(outdir, dataclasses.replace(cfg, seed=seed))
             else:
-                rep = run_mesh(dataclasses.replace(cfg, seed=seed, trace_links=[]))
+                rep = _this.run_mesh(dataclasses.replace(cfg, seed=seed, trace_links=[]))
             payload: dict = {"mesh": rep.to_dict()}
             if with_feasibility:
                 payload.update(_feasibility_entry(rep.s_matrix())[0])
@@ -366,15 +376,16 @@ def _exp_arb_convergence(params: dict) -> Run:
     trials = params.get("trials", presets.ARB_CONVERGENCE_TRIALS)
     if not is_int(trials) or trials < 1:
         raise ConfigError("config key params.trials must be a positive integer")
-    if trials > MAX_GRANT_TRIALS:
-        raise ConfigError(f"config key params.trials must be <= {MAX_GRANT_TRIALS}, got {trials}")
+    if trials > _this.MAX_GRANT_TRIALS:
+        raise ConfigError(f"config key params.trials must be <= {_this.MAX_GRANT_TRIALS}, "
+                          f"got {trials}")
     expected = [x / sum(ws) for x in ws]
 
     def run(seeds: list[int], outdir: Path) -> dict:
         runs = {}
         rows = []
         for seed in seeds:
-            freqs = empirical_grant_frequencies(ws, trials, seed)
+            freqs = _this.empirical_grant_frequencies(ws, trials, seed)
             runs[str(seed)] = {
                 "frequencies": [float(f) for f in freqs],
                 "max_abs_dev": float(max(abs(f - e) for f, e in zip(freqs, expected))),

@@ -11,7 +11,6 @@ import inspect
 
 from .core import Packet, is_int
 from .rng import XorShift64Star
-from .schedulers import PeriodicBlocking
 
 # the published decay series for an 8-node saturated hotspot under
 # round-robin port arbitration: sources at P0..P6, sink at P7
@@ -52,7 +51,9 @@ MAX_SCHEDULER_TURNS = MAX_WORKLOAD_PACKETS * MAX_PACKET_SIZE // DEFAULT_QUANTUM
 MAX_TRACE_END = MAX_WORKLOAD_SPREAD + MAX_WORKLOAD_PACKETS * MAX_PACKET_SIZE
 
 
-def pathology_blocking() -> PeriodicBlocking:
+def pathology_blocking():
+    """Flow 0's withheld credit in the pathology, a `schedulers.PeriodicBlocking`."""
+    from .schedulers import PeriodicBlocking  # so a mesh run never compiles schedulers
     return PeriodicBlocking(flow=0, period=PATHOLOGY_BLOCK_PERIOD,
                             blocked_slots=PATHOLOGY_BLOCK_SLOTS)
 

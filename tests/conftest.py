@@ -1,7 +1,12 @@
-"""Shared workload builders for the test suite."""
+"""Shared workload builders and a fresh-interpreter runner for the test suite."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import fairmesh
 from fairmesh.core import Packet
 
 
@@ -42,3 +47,13 @@ def backlogged_workload(
             pkts.append(Packet(id=pid, flow=f, size=rng.randint(1, max_size)))
             pid += 1
     return pkts
+
+
+def fresh_python(script: str, *args: str, cwd=None) -> str:
+    """The stdout of `script`, run with `args` in a fresh interpreter that
+    imports this checkout's fairmesh."""
+    src = str(Path(fairmesh.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout

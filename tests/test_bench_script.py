@@ -1,6 +1,7 @@
 """scripts/bench.py keeps running: each layer's row function, at a tiny size,
 gives the same output hash twice, untraced and traced.  perfbench's trace
-mode keeps its hooks: every callable it wraps still exists."""
+mode keeps its hooks: every callable it wraps still exists, and the CLI
+calls the ones set on fairmesh.cli."""
 
 import importlib.util
 import io
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_python
 
 BENCH = Path(__file__).resolve().parents[1] / "scripts" / "bench.py"
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -96,9 +99,51 @@ def test_compare_row_hashes_what_the_cli_writes(bench, tmp_path, monkeypatch):
     assert row["work"] == 5 * 2000
 
 
-def test_perfbench_targets_resolve():
+def _child():
     spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
     child = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(child)
-    for _layer, owner, attr in child.TARGETS:
-        assert callable(getattr(child._owner(owner), attr, None)), (owner, attr)
+    return child
+
+
+# resolves each of perfbench's TARGETS as its trace mode does, in an
+# interpreter that has imported fairmesh.cli alone; prints what does not
+_TARGETS_PROBE = """
+import importlib.util, sys
+import fairmesh.cli
+spec = importlib.util.spec_from_file_location("perfbench_child", sys.argv[1])
+child = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(child)
+for _layer, owner, attr in child.TARGETS:
+    if not callable(getattr(child._owner(owner), attr, None)):
+        print(owner, attr)
+"""
+
+
+def test_perfbench_targets_resolve():
+    assert fresh_python(_TARGETS_PROBE, str(CHILD)) == ""
+
+
+def test_perfbench_cli_targets_are_called_through_cli(tmp_path, monkeypatch):
+    """A replacement that perfbench sets on fairmesh.cli is the one the CLI
+    calls: eq13-feasibility reaches the mesh and the analysis, and the
+    pathology experiment reaches rfb_estimate."""
+    from fairmesh import cli
+
+    called = set()
+    for _layer, owner, attr in _child().TARGETS:
+        if owner == "fairmesh.cli":
+            def spy(*args, _fn=getattr(cli, attr), _attr=attr, **kwargs):
+                called.add(_attr)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, attr, spy)
+    for name, cfg in {
+        "eq13": {"experiment": "eq13-feasibility", "params": {"k": 4, "horizon": 600, "warmup": 100}},
+        "path": {"experiment": "rfb-vs-cfb-pathology", "params": {"horizon": 500}},
+    }.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"schema_version": 1, "seeds": [1],
+                                    "output_dir": str(tmp_path / name), **cfg}))
+        assert cli.main(["run", str(path)]) == 0
+    assert called == {"run_mesh", "rfb_estimate", "check_ratio_constraint", "required_weights"}

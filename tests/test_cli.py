@@ -31,6 +31,8 @@ from fairmesh.presets import (MAX_PACKET_SIZE, MAX_WORKLOAD_FLOWS, MAX_WORKLOAD_
                               MAX_WORKLOAD_SPREAD)
 from fairmesh.schedulers import CongestionAwareRoundRobin, DeficitRoundRobin, SchedulerBase
 
+from conftest import fresh_python
+
 
 def write_cfg(tmp_path, name="cfg.json", **cfg):
     p = tmp_path / name
@@ -1133,3 +1135,57 @@ def test_mesh_runs_and_analyze_do_not_load_numpy(tmp_path):
     assert seen == [["import", False, 0], ["run", False, 0], ["run", False, 0],
                     ["analyze", False, 0], ["compare", False, 0]]
     assert (tmp_path / "cmp" / "report.json").exists()
+
+
+# prints, as JSON, the fairmesh submodules loaded after `import fairmesh`,
+# after `import fairmesh.cli` and after running argv through the CLI, with
+# its exit code; the CLI's own output goes to stderr
+_MODULES_PROBE = """
+import contextlib, json, sys
+def loaded():
+    return sorted(m.partition(".")[2] for m in sys.modules if m.startswith("fairmesh."))
+import fairmesh
+seen = [loaded()]
+import fairmesh.cli
+seen.append(loaded())
+with contextlib.redirect_stdout(sys.stderr):
+    seen.append(fairmesh.cli.main(json.loads(sys.argv[1])))
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+_CLI_MODULES = ["cli", "core", "presets", "rng"]  # what `import fairmesh.cli` loads
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    """A verb imports only the library modules it calls: a mesh run never
+    loads the schedulers or the fairness fold, `compare` and the standalone
+    experiments never load the mesh, and `analyze` loads only the analysis."""
+    mesh = {"k": 4, "horizon": 600, "warmup": 100}
+
+    def run(name, **cfg):
+        return ["run", write_cfg(tmp_path, f"{name}.json", **base_cfg(
+            tmp_path, output_dir=str(tmp_path / name), **cfg))]
+
+    eq13 = run("eq13", experiment="eq13-feasibility", params=mesh)
+    assert main(eq13) == 0  # the report analyze reads
+    calls = {
+        # round robin saturates the line, so its run searches for a period
+        "mesh-hotspot": (run("mesh", experiment="mesh-hotspot", params=mesh),
+                         ["arbitration", "meshsim", "periodic"]),
+        "eq13-feasibility": (eq13, ["analysis", "arbitration", "meshsim"]),
+        "analyze": (["analyze", str(tmp_path / "eq13" / "report.json")], ["analysis"]),
+        "compare": (["compare", write_cfg(
+            tmp_path, "cmp.json", schema_version=1, seeds=[1], schedulers=["rr", "drr"],
+            workload={"kind": "pathology", "horizon": 500}, output_dir=str(tmp_path / "cmp"))],
+            ["fairness", "schedulers"]),
+        "standalone-scheduler": (run("std", experiment="standalone-scheduler", params={
+            "workload": {"kind": "random", "packets_per_flow": 5}}), ["fairness", "schedulers"]),
+        "rfb-vs-cfb-pathology": (run("path", experiment="rfb-vs-cfb-pathology",
+                                     params={"horizon": 500}), ["fairness", "schedulers"]),
+        "arb-convergence": (run("arb", params={"weights": [1, 2], "trials": 100}),
+                            ["arbitration"]),
+    }
+    for name, (argv, runs) in calls.items():
+        seen = json.loads(fresh_python(_MODULES_PROBE, json.dumps(argv), cwd=tmp_path))
+        assert seen == [[], _CLI_MODULES, 0, sorted(_CLI_MODULES + runs)], name
